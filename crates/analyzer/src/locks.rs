@@ -13,11 +13,9 @@
 //!   and no lock classes that are not `reactor`-flagged in the
 //!   registry. The epoll readiness wait itself (receiver `ep`/`epoll`)
 //!   is the one sanctioned block point.
-//! * **EA009** — hot-path allocation: the SIMD/quantized kernels
-//!   (`nn/src/simd.rs`, `nn/src/quant.rs`, and the quantized encoder's
-//!   inner loops) must not heap-allocate, transitively — scratch comes
-//!   from the caller or the bump arena (`nn/src/arena.rs`, which is the
-//!   sanctioned allocator and therefore a traversal boundary).
+//! * **EA009** — hot-path allocation: the SIMD kernels
+//!   (`nn/src/simd.rs`) must not heap-allocate, transitively — scratch
+//!   comes from the caller.
 //! * **EA010** — atomic-ordering audit: every non-`SeqCst`
 //!   `Ordering::…` site needs an adjacent `// ORDERING:` justification,
 //!   and every site is inventoried (the EA002 pattern, for memory
@@ -558,29 +556,13 @@ const ALLOC_METHODS: [&str; 11] = [
 ];
 
 /// Entry predicate: which functions anchor the hot-kernel reachability
-/// scan. Constructors (`from_*`) are excluded — they build the weights
-/// once, off the per-request path.
+/// scan. Constructors (`from_*`) are excluded — they build state once,
+/// off the per-request path.
 fn ea009_entry(func: &crate::callgraph::Func) -> bool {
-    if func.rel_path.ends_with("nn/src/simd.rs") || func.rel_path.ends_with("nn/src/quant.rs") {
-        return !func.name.starts_with("from_");
-    }
-    if func.rel_path.ends_with("encoder/src/quant.rs") {
-        // The per-layer inner loops; `forward` itself ends in one
-        // terminal arena-to-Tensor copy and is exercised by the arena
-        // reuse tests instead.
-        return matches!(func.name.as_str(), "apply" | "layer_norm_rows" | "gelu");
-    }
-    false
+    func.rel_path.ends_with("nn/src/simd.rs") && !func.name.starts_with("from_")
 }
 
-/// The bump arena is the sanctioned allocator: reachability stops at
-/// its boundary and its internals are not scanned.
-fn ea009_boundary(func: &crate::callgraph::Func) -> bool {
-    func.rel_path.ends_with("nn/src/arena.rs")
-}
-
-/// EA009: no transitive heap allocation in the SIMD/quantized kernel
-/// paths.
+/// EA009: no transitive heap allocation on the SIMD kernel paths.
 pub fn ea009_hot_alloc(files: &[SourceFile], cg: &CallGraph, diags: &mut Vec<Diag>) {
     let mut queue: Vec<usize> = Vec::new();
     let mut origin: BTreeMap<usize, usize> = BTreeMap::new();
@@ -595,9 +577,6 @@ pub fn ea009_hot_alloc(files: &[SourceFile], cg: &CallGraph, diags: &mut Vec<Dia
         let fi = queue[qi];
         qi += 1;
         let func = &cg.funcs[fi];
-        if ea009_boundary(func) {
-            continue;
-        }
         let key = crate_key(&func.rel_path);
         let chain = chain_of_alloc(cg, &origin, fi);
         let f = &files[func.file];
@@ -636,7 +615,7 @@ pub fn ea009_hot_alloc(files: &[SourceFile], cg: &CallGraph, diags: &mut Vec<Dia
         for ev in &func.events {
             if let Event::Call(c) = ev {
                 for &callee in cg.resolve(&key, &c.name) {
-                    if !ea009_boundary(&cg.funcs[callee]) && visited.insert(callee) {
+                    if visited.insert(callee) {
                         origin.insert(callee, fi);
                         queue.push(callee);
                     }
@@ -675,7 +654,7 @@ fn alloc_diag(
         line,
         col,
         message: format!(
-            "heap allocation ({what}) on the hot kernel path ({chain}) — use caller-provided scratch or the bump arena"
+            "heap allocation ({what}) on the hot kernel path ({chain}) — use caller-provided scratch"
         ),
     }
 }

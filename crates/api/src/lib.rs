@@ -53,14 +53,18 @@ pub const DEFAULT_TOP_K: usize = 3;
 /// [`ModelInfo`] now carries the live `generation`, and
 /// [`ConfigResponse`] the store layout (`shards`, `replicas`,
 /// `swap_verify`). Shutdown moved to `POST /v1/admin/shutdown` (the old
-/// path answers with a `Deprecation` header).
+/// path answered with a `Deprecation` header until v5).
 ///
-/// **v4** (int8 quantized inference): [`ConfigResponse`] gained
-/// `quantized`, reporting whether the server runs the encoder forward
-/// and GE similarity on the int8 symmetric-quantized path
-/// (`serve --quantized`). Additive, but the `/v1/config` body shape
-/// changed, so the version bumped.
-pub const SCHEMA_VERSION: u32 = 4;
+/// **v4** (int8 inference): [`ConfigResponse`] gained a flag reporting
+/// whether the server ran the encoder forward and GE similarity on an
+/// int8 path.
+///
+/// **v5** (one f32 inference path): the int8 path was deleted, so
+/// [`ConfigResponse`] lost that flag, and the deprecated
+/// `POST /v1/shutdown` alias is gone (it answers 404; use
+/// `POST /v1/admin/shutdown`). Every other body is unchanged apart from
+/// `schema_version`.
+pub const SCHEMA_VERSION: u32 = 5;
 
 // ---- Requests ---------------------------------------------------------
 
@@ -304,9 +308,6 @@ pub struct ConfigResponse {
     /// Whether a swap runs a smoke prediction on the candidate
     /// generation before committing it.
     pub swap_verify: bool,
-    /// Whether inference runs on the int8 symmetric-quantized path
-    /// (encoder forward + GE similarity); training output is always f32.
-    pub quantized: bool,
     /// Facts about the loaded model.
     pub model: ModelInfo,
 }
@@ -581,7 +582,7 @@ mod tests {
             "{\"pair_start\":null,\"relevance\":0.25,\"start\":3,\"text\":\"costa rica\",\"window\":4},",
             "{\"pair_start\":1,\"relevance\":0.125,\"start\":9,\"text\":\"norway\",\"window\":2}",
             "],",
-            "\"schema_version\":4,",
+            "\"schema_version\":5,",
             "\"structural\":[{\"attention\":0.5,\"label\":4,\"node\":7}]",
             "}",
         );
@@ -603,7 +604,7 @@ mod tests {
             concat!(
                 "{\"generation\":2,",
                 "\"previous_generation\":1,",
-                "\"schema_version\":4,",
+                "\"schema_version\":5,",
                 "\"verified\":true}",
             ),
         );
@@ -622,7 +623,7 @@ mod tests {
             serde_json::to_string(&status).unwrap(),
             concat!(
                 "{\"generation\":2,",
-                "\"schema_version\":4,",
+                "\"schema_version\":5,",
                 "\"shards\":[",
                 "{\"shard\":0,\"stored\":40,\"tombstones\":3},",
                 "{\"shard\":1,\"stored\":41,\"tombstones\":0}",
@@ -743,7 +744,6 @@ mod tests {
             shards: 4,
             replicas: 2,
             swap_verify: true,
-            quantized: true,
             model: ModelInfo {
                 d_model: 32,
                 layers: 2,
@@ -762,9 +762,8 @@ mod tests {
         assert!(json.contains("\"shards\":4"));
         assert!(json.contains("\"replicas\":2"));
         assert!(json.contains("\"swap_verify\":true"));
-        assert!(json.contains("\"quantized\":true"));
         assert!(json.contains("\"generation\":1"));
-        assert!(json.contains("\"schema_version\":4"));
+        assert!(json.contains("\"schema_version\":5"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Kernel microbench — times four matmul arms per shape (naive,
-//! forced-scalar packed, runtime-dispatched SIMD, int8 quantized) plus
-//! the batched CLS-embedding path at 1 thread vs N threads, writes
-//! `BENCH_kernels.json`, and **exits non-zero** when
+//! forced-scalar packed, runtime-dispatched SIMD at 1 thread and at N
+//! threads) plus the batched CLS-embedding path at 1 thread vs N
+//! threads, writes `BENCH_kernels.json`, and **exits non-zero** when
 //!
 //! - the parallel results diverge bytewise from the serial ones,
 //! - the SIMD arm's bytes differ from the forced-scalar fallback's
@@ -11,14 +11,18 @@
 //!
 //! The JSON records which dispatch tier (`avx2`/`neon`/`scalar`)
 //! actually ran, so a flat speedup on a scalar-only container is
-//! interpretable from the artifact alone rather than alarming.
+//! interpretable from the artifact alone rather than alarming. When the
+//! machine has fewer cores than the N-thread pool, the thread-scaling
+//! fields (`parallel_speedup`, `thread_efficiency`, `speedup`) are
+//! recorded as `"skipped"`: an oversubscribed pool measures contention,
+//! not scaling. The bitwise parallel == serial checks run regardless.
 
 use explainti_bench::{write_json, MAX_SEQ, VOCAB_CAP};
 use explainti_core::{build_tokenizer, TaskData};
 use explainti_corpus::{generate_wiki, WikiConfig};
 use explainti_encoder::{EncoderConfig, TransformerEncoder};
 use explainti_nn::simd::{self, SimdTier};
-use explainti_nn::{qmatmul_into, ParamStore, QuantizedMatrix, Tensor};
+use explainti_nn::{ParamStore, Tensor};
 use explainti_pool::ThreadPool;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -51,10 +55,11 @@ fn bits_equal(a: &Tensor, b: &Tensor) -> bool {
 
 fn main() {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    // Benchmark the width CI cares about even on narrower machines; the
-    // JSON records both numbers so a 1-core container's "speedup" of
-    // < 1 is interpretable rather than alarming.
+    // Run the width CI cares about even on narrower machines, so the
+    // bitwise parallel == serial checks always see a multi-thread pool;
+    // the scaling numbers are only reported when the cores exist.
     let par_threads = cores.max(4);
+    let scaling = |x: f64| if cores >= par_threads { json!(x) } else { json!("skipped") };
     simd::reset_tier();
     let tier = simd::tier();
     println!(
@@ -87,13 +92,6 @@ fn main() {
         let (parallel_ms, parallel) = time_ms(5, || a.matmul_in(&b, &pool_n));
         simd::reset_tier();
 
-        // int8 arm: weights quantized once (as serving does), activations
-        // per call.
-        let wt = QuantizedMatrix::from_tensor_transposed(&b);
-        let mut xq = vec![0i8; k.max(1)];
-        let mut qout = vec![0.0f32; m * n];
-        let (quant_ms, ()) = time_ms(5, || qmatmul_into(&a, &wt, None, &mut xq, &mut qout));
-
         if !bits_equal(&serial, &parallel) {
             eprintln!("FAIL: parallel matmul {m}x{k}x{n} diverges from serial");
             failed = true;
@@ -115,16 +113,6 @@ fn main() {
             eprintln!("FAIL: packed matmul drifts from the naive reference by {worst_err}");
             failed = true;
         }
-        let quant_err = qout
-            .iter()
-            .zip(reference.as_slice())
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0f32, f32::max);
-        // Per-row int8 on K≤256 reductions of [-1,1) values: ~0.05 abs.
-        if quant_err > 0.25 {
-            eprintln!("FAIL: quantized matmul drifts from the reference by {quant_err}");
-            failed = true;
-        }
 
         let flops = 2.0 * m as f64 * k as f64 * n as f64;
         let simd_speedup = scalar_ms / simd_ms;
@@ -140,8 +128,8 @@ fn main() {
         }
         println!(
             "matmul {m}x{k}x{n}:  naive {naive_ms:.2} ms | scalar@1 {scalar_ms:.2} ms | \
-             {}@1 {simd_ms:.2} ms | {}@{par_threads} {parallel_ms:.2} ms | int8 {quant_ms:.2} ms \
-             | simd {simd_speedup:.2}x | vs-naive {naive_speedup:.2}x",
+             {}@1 {simd_ms:.2} ms | {}@{par_threads} {parallel_ms:.2} ms | \
+             simd {simd_speedup:.2}x | vs-naive {naive_speedup:.2}x",
             tier.name(),
             tier.name()
         );
@@ -153,16 +141,13 @@ fn main() {
             "scalar_serial_ms": scalar_ms,
             "simd_serial_ms": simd_ms,
             "simd_parallel_ms": parallel_ms,
-            "quantized_ms": quant_ms,
             "ns_per_flop_naive": naive_ms * 1e6 / flops,
             "ns_per_flop_scalar": scalar_ms * 1e6 / flops,
             "ns_per_flop_simd": simd_ms * 1e6 / flops,
             "simd_speedup": simd_speedup,
             "simd_speedup_vs_naive": naive_speedup,
-            "quantized_speedup_vs_naive": naive_ms / quant_ms,
-            "parallel_speedup": par_speedup,
-            "thread_efficiency": par_speedup / par_threads as f64,
-            "quantized_max_abs_err": quant_err,
+            "parallel_speedup": scaling(par_speedup),
+            "thread_efficiency": scaling(par_speedup / par_threads as f64),
             "speedup_gated": gated,
         }));
     }
@@ -205,8 +190,8 @@ fn main() {
             "max_seq": MAX_SEQ,
             "serial_ms": embed_serial_ms,
             "parallel_ms": embed_parallel_ms,
-            "speedup": embed_speedup,
-            "thread_efficiency": embed_speedup / par_threads as f64,
+            "speedup": scaling(embed_speedup),
+            "thread_efficiency": scaling(embed_speedup / par_threads as f64),
         }),
         "parallel_matches_serial": !failed,
     });

@@ -1,6 +1,7 @@
 //! Telemetry snapshot — runs one instrumented train + evaluate cycle and
-//! writes `BENCH_obs.json`, a per-stage latency summary (count, p50, p90,
-//! p99, max, total) straight from the `explainti-obs` histograms.
+//! writes `bench-results/BENCH_obs.json`, a per-stage latency summary
+//! (count, p50, p90, p99, max, total) straight from the `explainti-obs`
+//! histograms.
 //!
 //! Unlike the criterion micro-benches this measures the stages *in situ*,
 //! with their real call frequencies inside Algorithm 5, so the JSON is
@@ -36,9 +37,4 @@ fn main() {
 
     let summary = explainti_obs::summary();
     write_json("BENCH_obs", &summary);
-    // Also emit at the repo root for quick diffing between runs.
-    if let Ok(text) = serde_json::to_string_pretty(&summary) {
-        let _ = std::fs::write("BENCH_obs.json", text);
-        eprintln!("[saved \"BENCH_obs.json\"]");
-    }
 }

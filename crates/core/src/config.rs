@@ -110,10 +110,6 @@ pub struct ExplainTiConfig {
     /// Replication factor of the store: each sample is written to this
     /// many consecutive shards. Must be in `1..=store_shards`.
     pub store_replicas: usize,
-    /// Run inference (encoder forward + GE similarity) on the int8
-    /// symmetric-quantized path. Training always stays f32; the
-    /// quantized twin is rebuilt from the f32 weights on demand.
-    pub quantized: bool,
 }
 
 impl ExplainTiConfig {
@@ -151,7 +147,6 @@ impl ExplainTiConfig {
             seed: 0xe271,
             store_shards: 1,
             store_replicas: 1,
-            quantized: false,
         }
     }
 
@@ -159,12 +154,6 @@ impl ExplainTiConfig {
     pub fn with_store_layout(mut self, shards: usize, replicas: usize) -> Self {
         self.store_shards = shards;
         self.store_replicas = replicas;
-        self
-    }
-
-    /// Enables the int8 quantized inference path.
-    pub fn with_quantized(mut self, quantized: bool) -> Self {
-        self.quantized = quantized;
         self
     }
 

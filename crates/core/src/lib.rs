@@ -49,5 +49,5 @@ pub use persist::{
     decode_weights, encode_weights, fnv1a64, Manifest, ManifestFile, PersistError, MANIFEST_NAME,
     SNAPSHOT_FORMAT_VERSION,
 };
-pub use store::{EmbeddingStore, ExplanationStore, StoreShard};
+pub use store::{EmbeddingStore, StoreShard};
 pub use train::{EpochLog, TrainReport};

@@ -89,11 +89,6 @@ pub struct ExplainTi {
     pub tokenizer: Tokenizer,
     pub(crate) store: ParamStore,
     pub(crate) encoder: TransformerEncoder,
-    /// int8 twin of the encoder, present when `cfg.quantized`. Built
-    /// from the f32 weights and rebuilt whenever they change
-    /// ([`Self::enable_quantized`], [`Self::refresh_store`]); inference
-    /// forwards route through it, training never does.
-    pub(crate) qenc: Option<explainti_encoder::QuantizedEncoder>,
     pub(crate) tasks: Vec<TaskState>,
     pub(crate) rng: SmallRng,
     /// Set when the GE/ANN store could not be (re)built at load time;
@@ -144,29 +139,15 @@ impl ExplainTi {
             });
         }
 
-        let qenc = cfg
-            .quantized
-            .then(|| explainti_encoder::QuantizedEncoder::from_encoder(&encoder, &store));
         Self {
             cfg,
             tokenizer,
             store,
             encoder,
-            qenc,
             tasks,
             rng,
             degraded: std::sync::atomic::AtomicBool::new(false),
         }
-    }
-
-    /// Switches inference onto the int8 quantized path: builds (or
-    /// rebuilds) the quantized encoder twin from the current f32 weights
-    /// and flips `cfg.quantized`. Call after loading or training weights;
-    /// training itself always runs f32.
-    pub fn enable_quantized(&mut self) {
-        self.cfg.quantized = true;
-        self.qenc =
-            Some(explainti_encoder::QuantizedEncoder::from_encoder(&self.encoder, &self.store));
     }
 
     /// Whether the model is serving in degraded mode (GE/ANN store
@@ -259,12 +240,6 @@ impl ExplainTi {
             }
         }
         self.tasks[task].q.rebuild_index();
-        // Training epochs move the f32 weights; keep the int8 twin in
-        // sync at the same cadence as the embedding store.
-        if self.cfg.quantized {
-            self.qenc =
-                Some(explainti_encoder::QuantizedEncoder::from_encoder(&self.encoder, &self.store));
-        }
     }
 
     /// Embeds one training sample of `task` and inserts it into the live
@@ -365,16 +340,7 @@ impl ExplainTi {
     ) -> ForwardViews {
         let _span = explainti_obs::span!("model.forward");
         let kind = self.tasks[task].data.kind;
-        // Inference may run the int8 twin; its output enters the tape as a
-        // leaf (no encoder backprop — inference never calls backward).
-        // Training always takes the f32 differentiable path.
-        let emb = match (&self.qenc, training) {
-            (Some(qenc), false) if self.cfg.quantized => {
-                let t = explainti_nn::with_thread_arena(|arena| qenc.forward(encoded, arena));
-                g.input(t)
-            }
-            _ => self.encoder.forward(g, &self.store, encoded, training, rng),
-        };
+        let emb = self.encoder.forward(g, &self.store, encoded, training, rng);
         let cls = self.encoder.cls(g, emb);
         let cls_value = g.value(cls).clone();
 
@@ -569,13 +535,7 @@ impl ExplainTi {
     ) -> (Option<NodeId>, Vec<GlobalInfluence>) {
         let _span = explainti_obs::span!("explain.ge");
         let exclude = if training { node } else { None };
-        // The quantized path scores retrieval with int8 cosine; training
-        // sticks to f32 so the GE loss sees the exact store similarities.
-        let found = if self.cfg.quantized && !training {
-            self.tasks[task].q.top_k_quantized(cls_value, self.cfg.top_k, exclude)
-        } else {
-            self.tasks[task].q.top_k(cls_value, self.cfg.top_k, exclude)
-        };
+        let found = self.tasks[task].q.top_k(cls_value, self.cfg.top_k, exclude);
         if found.is_empty() {
             return (None, Vec::new());
         }

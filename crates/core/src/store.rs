@@ -23,7 +23,6 @@
 //! tombstones pass [`COMPACT_RATIO`] of its live set.
 
 use explainti_ann::{HnswConfig, HnswIndex, Metric, Neighbor, VectorIndex};
-use explainti_nn::quant::{cosine_q8, QuantEntry};
 use explainti_nn::Tensor;
 use std::collections::BTreeMap;
 
@@ -39,52 +38,19 @@ const COMPACT_MIN: usize = 8;
 /// N=1 vs N>1 merge byte-identical at seed scale.
 const EXACT_SCAN_CUTOFF: usize = 1024;
 
-/// Common interface over explanation-store backends (DESIGN.md §15):
-/// the in-process sharded [`EmbeddingStore`] implements it today; a
-/// remote/tiered store can slot in behind the same seam.
-pub trait ExplanationStore {
-    /// Embedding dimensionality.
-    fn dim(&self) -> usize;
-    /// Stores (or replaces) the embedding of sample `idx` offline; the
-    /// index is refreshed on the next [`Self::rebuild_index`].
-    fn set(&mut self, idx: usize, embedding: Tensor, label: usize);
-    /// Removes sample `idx` from store and index. Returns false when the
-    /// sample was not stored.
-    fn remove(&mut self, idx: usize) -> bool;
-    /// The stored embedding of sample `idx`, if any.
-    fn get(&self, idx: usize) -> Option<&Tensor>;
-    /// Label recorded with the stored embedding.
-    fn label(&self, idx: usize) -> Option<usize>;
-    /// Whether sample `idx` has a stored embedding.
-    fn has(&self, idx: usize) -> bool {
-        self.get(idx).is_some()
-    }
-    /// Number of distinct stored embeddings (replicas counted once).
-    fn stored(&self) -> usize;
-    /// Top-`k` most similar stored samples to `query`, optionally
-    /// excluding one index (the query sample itself during training).
-    fn top_k(&self, query: &Tensor, k: usize, exclude: Option<usize>) -> Vec<Neighbor>;
-    /// Rebuilds the per-shard ANN indexes over all stored embeddings.
-    fn rebuild_index(&mut self);
-}
-
 /// One partition of the store: a `BTreeMap` of live embeddings plus an
 /// optional incremental HNSW index over them.
 pub struct StoreShard {
     entries: BTreeMap<usize, (Tensor, usize)>,
-    /// int8 sidecar mirroring `entries`, maintained on every write so the
-    /// quantized GE scoring path never re-quantizes stored vectors.
-    q8: BTreeMap<usize, QuantEntry>,
     index: Option<HnswIndex>,
 }
 
 impl StoreShard {
     fn new() -> Self {
-        Self { entries: BTreeMap::new(), q8: BTreeMap::new(), index: None }
+        Self { entries: BTreeMap::new(), index: None }
     }
 
     fn set(&mut self, idx: usize, embedding: Tensor, label: usize) {
-        self.q8.insert(idx, QuantEntry::from_f32(embedding.as_slice()));
         self.entries.insert(idx, (embedding, label));
     }
 
@@ -94,14 +60,12 @@ impl StoreShard {
         if let Some(index) = &mut self.index {
             index.add(idx, embedding.as_slice());
         }
-        self.q8.insert(idx, QuantEntry::from_f32(embedding.as_slice()));
         self.entries.insert(idx, (embedding, label));
         self.maybe_compact();
     }
 
     fn remove(&mut self, idx: usize) -> bool {
         let hit = self.entries.remove(&idx).is_some();
-        self.q8.remove(&idx);
         if let Some(index) = &mut self.index {
             index.remove(idx);
         }
@@ -169,46 +133,6 @@ impl StoreShard {
                 id,
                 similarity: metric.similarity(query, e.as_slice()),
             })
-            .collect();
-        all.sort_by(order_neighbors);
-        all.truncate(fetch);
-        all
-    }
-
-    /// Quantized twin of [`Self::top_k_local`]: scores against the int8
-    /// sidecar with [`cosine_q8`]. The HNSW index stays f32, so large
-    /// shards (above [`EXACT_SCAN_CUTOFF`]) use the f32 graph for
-    /// candidate generation and re-score the candidates in int8 —
-    /// candidate recall is the index's property either way.
-    fn top_k_local_quantized(
-        &self,
-        query_f32: &[f32],
-        query: &QuantEntry,
-        fetch: usize,
-    ) -> Vec<Neighbor> {
-        if fetch == 0 || self.entries.is_empty() {
-            return Vec::new();
-        }
-        if let Some(index) = &self.index {
-            if self.entries.len() > EXACT_SCAN_CUTOFF {
-                let mut cands: Vec<Neighbor> = index
-                    .search(query_f32, fetch)
-                    .into_iter()
-                    .filter_map(|nb| {
-                        self.q8
-                            .get(&nb.id)
-                            .map(|e| Neighbor { id: nb.id, similarity: cosine_q8(query, e) })
-                    })
-                    .collect();
-                cands.sort_by(order_neighbors);
-                cands.truncate(fetch);
-                return cands;
-            }
-        }
-        let mut all: Vec<Neighbor> = self
-            .q8
-            .iter()
-            .map(|(&id, e)| Neighbor { id, similarity: cosine_q8(query, e) })
             .collect();
         all.sort_by(order_neighbors);
         all.truncate(fetch);
@@ -476,76 +400,6 @@ impl EmbeddingStore {
         merged.truncate(k);
         merged
     }
-
-    /// Quantized twin of [`Self::top_k`]: the query is quantized once,
-    /// every shard scores against its int8 sidecar, and the merge is the
-    /// same deterministic order (similarity descending, id ascending,
-    /// first-wins dedup). Availability semantics match `top_k`.
-    pub fn top_k_quantized(
-        &self,
-        query: &Tensor,
-        k: usize,
-        exclude: Option<usize>,
-    ) -> Vec<Neighbor> {
-        if k == 0 || self.distinct == 0 {
-            return Vec::new();
-        }
-        let fetch = k + usize::from(exclude.is_some());
-        let n = self.shards.len();
-        // Availability on the calling thread, as in `top_k`, so counted
-        // failpoint policies stay deterministic under pool fan-out.
-        let available: Vec<bool> = (0..n).map(|s| self.shard_available(s)).collect();
-        let qf = query.as_slice();
-        let qq = QuantEntry::from_f32(qf);
-        let per_shard: Vec<Vec<Neighbor>> = if n == 1 {
-            vec![if available[0] {
-                self.shards[0].top_k_local_quantized(qf, &qq, fetch)
-            } else {
-                Vec::new()
-            }]
-        } else {
-            explainti_pool::global().map(n, |s| {
-                if available[s] {
-                    self.shards[s].top_k_local_quantized(qf, &qq, fetch)
-                } else {
-                    Vec::new()
-                }
-            })
-        };
-        let mut merged: Vec<Neighbor> = per_shard.into_iter().flatten().collect();
-        merged.sort_by(order_neighbors);
-        let mut seen = std::collections::BTreeSet::new();
-        merged.retain(|nb| Some(nb.id) != exclude && seen.insert(nb.id));
-        merged.truncate(k);
-        merged
-    }
-}
-
-impl ExplanationStore for EmbeddingStore {
-    fn dim(&self) -> usize {
-        EmbeddingStore::dim(self)
-    }
-    fn set(&mut self, idx: usize, embedding: Tensor, label: usize) {
-        EmbeddingStore::set(self, idx, embedding, label)
-    }
-    fn remove(&mut self, idx: usize) -> bool {
-        EmbeddingStore::remove(self, idx)
-    }
-    fn get(&self, idx: usize) -> Option<&Tensor> {
-        EmbeddingStore::get(self, idx)
-    }
-    fn label(&self, idx: usize) -> Option<usize> {
-        EmbeddingStore::label(self, idx)
-    }
-    fn stored(&self) -> usize {
-        EmbeddingStore::stored(self)
-    }
-    fn top_k(&self, query: &Tensor, k: usize, exclude: Option<usize>) -> Vec<Neighbor> {
-        EmbeddingStore::top_k(self, query, k, exclude)
-    }
-    fn rebuild_index(&mut self) {
-        EmbeddingStore::rebuild_index(self)
-    }
 }
 
 #[cfg(test)]
@@ -686,63 +540,6 @@ mod tests {
             );
         }
         assert_eq!(q.stored(), 20);
-    }
-
-    #[test]
-    fn quantized_top_k_matches_f32_ranking() {
-        let (n, dim, k) = (120, 16, 5);
-        let mut q = EmbeddingStore::with_shards(dim, 3, 2);
-        fill(&mut q, n, dim);
-        q.rebuild_index();
-        for probe in [0usize, 17, 63, 119] {
-            let query = q.get(probe).unwrap().clone();
-            let exact = q.top_k(&query, k, Some(probe));
-            let approx = q.top_k_quantized(&query, k, Some(probe));
-            assert_eq!(exact.len(), approx.len());
-            // int8 similarity error is bounded (~1e-2 per pair): when the
-            // f32 winner leads by more than that bound the quantized path
-            // must agree; inside the bound a near-tie may flip, but the
-            // winner it picks has to be within the bound of the true best.
-            const Q8_TOL: f32 = 0.02;
-            let margin = exact[0].similarity - exact.get(1).map_or(0.0, |nb| nb.similarity);
-            if margin > Q8_TOL {
-                assert_eq!(exact[0].id, approx[0].id, "top-1 disagreement at probe {probe}");
-            } else {
-                let winner = q.get(approx[0].id).unwrap();
-                let true_sim = explainti_nn::simd::cosine(query.as_slice(), winner.as_slice());
-                assert!(
-                    exact[0].similarity - true_sim < Q8_TOL,
-                    "quantized top-1 {} is not a near-tie of {} at probe {probe}",
-                    approx[0].id,
-                    exact[0].id
-                );
-            }
-            let exact_ids: std::collections::BTreeSet<usize> =
-                exact.iter().map(|nb| nb.id).collect();
-            let approx_sims: BTreeMap<usize, f32> =
-                approx.iter().map(|nb| (nb.id, nb.similarity)).collect();
-            let overlap = approx.iter().filter(|nb| exact_ids.contains(&nb.id)).count();
-            assert!(overlap * 10 >= k * 8, "top-k overlap too low: {overlap}/{k}");
-            for nb in &exact {
-                if let Some(s) = approx_sims.get(&nb.id) {
-                    assert!((nb.similarity - s).abs() < 0.02, "similarity drift at {}", nb.id);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_top_k_respects_replica_dedup_and_exclude() {
-        let dim = 8;
-        let mut q = EmbeddingStore::with_shards(dim, 4, 3);
-        fill(&mut q, 64, dim);
-        q.rebuild_index();
-        let query = q.get(5).unwrap().clone();
-        let res = q.top_k_quantized(&query, 6, Some(5));
-        let mut ids: Vec<usize> = res.iter().map(|nb| nb.id).collect();
-        assert!(!ids.contains(&5), "excluded sample retrieved");
-        ids.dedup();
-        assert_eq!(ids.len(), res.len(), "replica duplicates leaked through merge");
     }
 
     #[test]

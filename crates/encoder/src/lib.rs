@@ -13,9 +13,6 @@
 #![warn(missing_docs)]
 
 pub mod mlm;
-pub mod quant;
-
-pub use quant::QuantizedEncoder;
 
 use explainti_nn::{
     Dropout, Embedding, FeedForward, Graph, LayerNorm, MultiHeadAttention, NodeId, ParamStore,

@@ -35,20 +35,16 @@
 
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod graph;
 pub mod layers;
 pub mod optim;
 pub mod params;
-pub mod quant;
 pub mod simd;
 pub mod tensor;
 
-pub use arena::{with_thread_arena, Arena};
 pub use graph::{Graph, NodeId};
 pub use layers::{Dropout, Embedding, FeedForward, LayerNorm, Linear, MultiHeadAttention};
 pub use optim::{AdamW, LinearSchedule, Sgd};
 pub use params::{ParamId, ParamStore};
-pub use quant::{cosine_q8, qmatmul_into, qmatmul_rows, quantize_row, QuantEntry, QuantizedMatrix};
 pub use simd::SimdTier;
 pub use tensor::{kl_divergence, softmax, softmax_into, Tensor};

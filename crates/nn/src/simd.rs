@@ -7,8 +7,7 @@
 //! multiply + add (never FMA, which fuses the rounding step) and reduces
 //! its 8 lane accumulators in exactly the same tree order as the scalar
 //! fallback (`half[l] = acc[l] + acc[l+4]`, then
-//! `(half0+half1) + (half2+half3)`, then `+ tail`). Integer (i8/i32)
-//! kernels are exact, so their arms agree trivially.
+//! `(half0+half1) + (half2+half3)`, then `+ tail`).
 //!
 //! Dispatch is decided once per process by [`tier`] (runtime
 //! `is_x86_feature_detected!`, overridable via the `EXPLAINTI_NO_SIMD`
@@ -684,73 +683,6 @@ unsafe fn reduce8_avx2(vacc: std::arch::x86_64::__m256) -> f32 {
     _mm_cvtss_f32(s)
 }
 
-// ---------------------------------------------------------------------------
-// int8 dot product (quantized path). Integer math is exact, so the arms
-// are identical by construction.
-// ---------------------------------------------------------------------------
-
-/// Portable reference arm for [`dot_i8`]: plain i32 accumulation.
-pub fn dot_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
-    let mut acc = 0i32;
-    for (x, y) in a.iter().zip(b) {
-        acc += (*x as i32) * (*y as i32);
-    }
-    acc
-}
-
-/// i8×i8 → i32 dot product on the dispatched arm. Exact (integer), so
-/// identical to [`dot_i8_scalar`] on every arm.
-#[inline]
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    match tier() {
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => {
-            // SAFETY: tier() returned Avx2 only after runtime detection.
-            unsafe { dot_i8_avx2(a, b) }
-        }
-        _ => dot_i8_scalar(a, b),
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// SAFETY: caller must ensure AVX2 is available (dispatch via tier()).
-unsafe fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i32 {
-    use std::arch::x86_64::*;
-    let n = a.len().min(b.len());
-    let chunks = n / 16;
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let mut vacc = _mm256_setzero_si256();
-    for c in 0..chunks {
-        // SAFETY: c*16 + 15 < n <= len of both slices; 128-bit unaligned
-        // loads fully inside the i8 slices.
-        let vx = unsafe { _mm_loadu_si128(ap.add(c * 16) as *const __m128i) };
-        // SAFETY: as above for b.
-        let vy = unsafe { _mm_loadu_si128(bp.add(c * 16) as *const __m128i) };
-        // Widen i8 -> i16 (exact), multiply pairwise and add adjacent
-        // pairs into i32 lanes (madd: exact, |i8*i8| <= 16129 so the i16
-        // products never overflow and pair sums fit i32).
-        let wx = _mm256_cvtepi8_epi16(vx);
-        let wy = _mm256_cvtepi8_epi16(vy);
-        vacc = _mm256_add_epi32(vacc, _mm256_madd_epi16(wx, wy));
-    }
-    // Horizontal i32 sum (order irrelevant: integer addition is exact
-    // and commutative).
-    let lo = _mm256_castsi256_si128(vacc);
-    let hi = _mm256_extracti128_si256::<1>(vacc);
-    let s = _mm_add_epi32(lo, hi);
-    let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b01_00_11_10>(s));
-    let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b00_00_00_01>(s));
-    let mut sum = _mm_cvtsi128_si32(s);
-    for i in chunks * 16..n {
-        // SAFETY: i < n <= len of both slices.
-        sum += unsafe { (*ap.add(i) as i32) * (*bp.add(i) as i32) };
-    }
-    sum
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -788,15 +720,6 @@ mod tests {
             for (x, y) in o1.iter().zip(&o2) {
                 assert_eq!(x.to_bits(), y.to_bits(), "n={n}");
             }
-        }
-    }
-
-    #[test]
-    fn dispatched_dot_i8_matches_scalar() {
-        for n in [0, 1, 15, 16, 17, 64, 127] {
-            let a: Vec<i8> = (0..n).map(|i| (i * 31 % 255 - 127) as i8).collect();
-            let b: Vec<i8> = (0..n).map(|i| (i * 97 % 255 - 127) as i8).collect();
-            assert_eq!(dot_i8(&a, &b), dot_i8_scalar(&a, &b), "n={n}");
         }
     }
 

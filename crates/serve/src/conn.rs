@@ -147,7 +147,6 @@ pub struct ResponseSink {
     buffered: Option<Vec<u8>>,
     buffered_status: u16,
     generation: Option<u64>,
-    deprecated: bool,
 }
 
 impl ResponseSink {
@@ -172,18 +171,12 @@ impl ResponseSink {
             buffered: None,
             buffered_status: 0,
             generation: None,
-            deprecated: false,
         }
     }
 
     /// Stamps every subsequent response with `X-Model-Generation`.
     pub fn set_generation(&mut self, generation: u64) {
         self.generation = Some(generation);
-    }
-
-    /// Marks responses from a deprecated route alias (`Deprecation: true`).
-    pub fn set_deprecated(&mut self) {
-        self.deprecated = true;
     }
 
     /// The trace id every response from this sink carries.
@@ -205,7 +198,6 @@ impl ResponseSink {
         http::Extras {
             trace_id: Some(&self.trace_id),
             generation: self.generation,
-            deprecated: self.deprecated,
             ..Default::default()
         }
     }

@@ -222,8 +222,6 @@ pub struct Extras<'a> {
     pub allow: Option<&'a str>,
     /// `X-Model-Generation` — the model generation that served the request.
     pub generation: Option<u64>,
-    /// `Deprecation: true` — set on responses from deprecated route aliases.
-    pub deprecated: bool,
 }
 
 fn head_common(status: u16, content_type: &str, extras: &Extras<'_>, keep_alive: bool) -> String {
@@ -244,9 +242,6 @@ fn head_common(status: u16, content_type: &str, extras: &Extras<'_>, keep_alive:
     }
     if let Some(generation) = extras.generation {
         head.push_str(&format!("X-Model-Generation: {generation}\r\n"));
-    }
-    if extras.deprecated {
-        head.push_str("Deprecation: true\r\n");
     }
     head.push_str(if keep_alive { "Connection: keep-alive\r\n" } else { "Connection: close\r\n" });
     head

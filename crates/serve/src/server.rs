@@ -95,9 +95,6 @@ pub struct ServeConfig {
     pub replicas: usize,
     /// Smoke-verify a swap candidate with one prediction before commit.
     pub swap_verify: bool,
-    /// Serve inference on the int8 symmetric-quantized path (encoder
-    /// forward + GE similarity); swapped-in generations inherit it.
-    pub quantized: bool,
 }
 
 impl Default for ServeConfig {
@@ -119,7 +116,6 @@ impl Default for ServeConfig {
             shards: 1,
             replicas: 1,
             swap_verify: true,
-            quantized: false,
         }
     }
 }
@@ -221,8 +217,6 @@ pub(crate) struct Shared {
     shards: usize,
     replicas: usize,
     swap_verify: bool,
-    /// Swapped-in generations are re-quantized to match the serving path.
-    quantized: bool,
     /// Effective knobs, frozen at startup for `/v1/config`; the `model`
     /// block is refreshed per request from the live generation.
     config: ConfigResponse,
@@ -690,7 +684,7 @@ fn run_swap(shared: &Shared, model_dir: &str) -> Result<(u64, u64, bool), ApiErr
     // LOAD — entirely off to the side; serving continues on the old
     // generation while the snapshot is read and verified (crash-safe
     // MANIFEST machinery: torn or tampered snapshots fail here).
-    let (mut model, dataset) = {
+    let (model, dataset) = {
         let _span = explainti_obs::span!("serve.swap.load");
         if explainti_faults::triggered("serve.swap.load") {
             return Err(ApiError::bad_request("injected swap load failure"));
@@ -699,11 +693,6 @@ fn run_swap(shared: &Shared, model_dir: &str) -> Result<(u64, u64, bool), ApiErr
             .map_err(|e| ApiError::bad_request(format!("load {model_dir}: {e}")))?
     };
     let labels = dataset.collection.type_labels.clone();
-    // The serving path is a startup-frozen knob: a swapped-in generation
-    // is quantized to match, so `/v1/config` stays truthful across swaps.
-    if shared.quantized {
-        model.enable_quantized();
-    }
     let model = Arc::new(model);
     // VERIFY — one smoke prediction through the candidate before any
     // request can reach it; a panic (or injected failure) rejects it.
@@ -845,24 +834,19 @@ struct Route {
     /// Wide-event endpoint label.
     name: &'static str,
     handler: Handler,
-    /// Pre-v3 alias kept for compatibility; responses carry
-    /// `Deprecation: true` so clients can migrate before v4 drops it.
-    deprecated: bool,
 }
 
 /// The single source of truth for routing: the dispatcher derives both
 /// the 405 `Allow` header set and the known-path list from this table.
 #[rustfmt::skip]
 const ROUTES: &[Route] = &[
-    Route { method: "POST", path: "/v1/interpret", name: "interpret", handler: handle_interpret, deprecated: false },
-    Route { method: "GET", path: "/v1/healthz", name: "healthz", handler: handle_healthz, deprecated: false },
-    Route { method: "GET", path: "/v1/metrics", name: "metrics", handler: handle_metrics, deprecated: false },
-    Route { method: "GET", path: "/v1/config", name: "config", handler: handle_config, deprecated: false },
-    Route { method: "POST", path: "/v1/admin/swap", name: "swap", handler: handle_swap, deprecated: false },
-    Route { method: "GET", path: "/v1/admin/store", name: "store", handler: handle_store, deprecated: false },
-    Route { method: "POST", path: "/v1/admin/shutdown", name: "shutdown", handler: handle_shutdown, deprecated: false },
-    // v2 location of shutdown; same handler, flagged deprecated.
-    Route { method: "POST", path: "/v1/shutdown", name: "shutdown", handler: handle_shutdown, deprecated: true },
+    Route { method: "POST", path: "/v1/interpret", name: "interpret", handler: handle_interpret },
+    Route { method: "GET", path: "/v1/healthz", name: "healthz", handler: handle_healthz },
+    Route { method: "GET", path: "/v1/metrics", name: "metrics", handler: handle_metrics },
+    Route { method: "GET", path: "/v1/config", name: "config", handler: handle_config },
+    Route { method: "POST", path: "/v1/admin/swap", name: "swap", handler: handle_swap },
+    Route { method: "GET", path: "/v1/admin/store", name: "store", handler: handle_store },
+    Route { method: "POST", path: "/v1/admin/shutdown", name: "shutdown", handler: handle_shutdown },
 ];
 
 enum RouteMatch {
@@ -923,9 +907,6 @@ fn handle_request(shared: &Shared, job: DispatchJob) {
     let result: Result<(), ApiError> = match route(&request.method, &request.path) {
         RouteMatch::Found(r) => {
             rtrace.set_endpoint(r.name);
-            if r.deprecated {
-                sink.set_deprecated();
-            }
             if r.name == "interpret" {
                 is_interpret = true;
             }
@@ -970,7 +951,7 @@ fn handle_request(shared: &Shared, job: DispatchJob) {
 // ---- Server lifecycle -------------------------------------------------
 
 /// A running server; dropping the handle does **not** stop it — call
-/// [`ServerHandle::shutdown`] (or POST `/v1/shutdown`) then
+/// [`ServerHandle::shutdown`] (or POST `/v1/admin/shutdown`) then
 /// [`ServerHandle::join`].
 pub struct ServerHandle {
     addr: SocketAddr,
@@ -1064,7 +1045,6 @@ pub fn start(
         shards,
         replicas,
         swap_verify: cfg.swap_verify,
-        quantized: cfg.quantized,
         model: model_info(&boot),
     };
     drop(boot);
@@ -1086,7 +1066,6 @@ pub fn start(
         shards,
         replicas,
         swap_verify: cfg.swap_verify,
-        quantized: cfg.quantized,
         config,
     });
 

@@ -1,6 +1,7 @@
 //! Hostile-input robustness for `/v1/interpret`: malformed UTF-8,
-//! embedded NULs, pathological column counts, and empty tables must come
-//! back as clean 4xx errors — never a panic, a hung worker, or a 500.
+//! embedded NULs, pathological column counts, deep JSON nesting and
+//! empty tables must come back as clean 4xx errors — never a panic, a
+//! hung worker, a crashed process or a 500.
 
 // Integration tests may panic freely; the crate's unwrap/expect
 // lints target the request path (EA006), not test assertions.
@@ -27,10 +28,10 @@ fn tiny_model() -> (Arc<ExplainTi>, Vec<String>) {
 }
 
 /// One HTTP/1.1 exchange with an arbitrary (possibly non-UTF-8) body.
-fn request_bytes(addr: &std::net::SocketAddr, path: &str, body: &[u8]) -> (u16, String) {
+fn exchange(addr: &std::net::SocketAddr, method: &str, path: &str, body: &[u8]) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     let head = format!(
-        "POST {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
+        "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
         body.len()
     );
     stream.write_all(head.as_bytes()).unwrap();
@@ -55,21 +56,21 @@ fn hostile_inputs_return_400_not_500() {
     let addr = handle.addr();
 
     // Malformed UTF-8 body.
-    let (status, body) = request_bytes(&addr, "/v1/interpret", &[0xff, 0xfe, b'{', 0x80]);
+    let (status, body) = exchange(&addr, "POST", "/v1/interpret", &[0xff, 0xfe, b'{', 0x80]);
     assert_eq!(status, 400, "invalid UTF-8 must answer 400: {body}");
     assert!(body.contains("UTF-8"), "error should say why: {body}");
 
     // Truncated / malformed JSON.
-    let (status, _) = request_bytes(&addr, "/v1/interpret", br#"{"title": "x", "header""#);
+    let (status, _) = exchange(&addr, "POST", "/v1/interpret", br#"{"title": "x", "header""#);
     assert_eq!(status, 400);
 
     // Empty table.
-    let (status, body) = request_bytes(&addr, "/v1/interpret", br#"{"columns": []}"#);
+    let (status, body) = exchange(&addr, "POST", "/v1/interpret", br#"{"columns": []}"#);
     assert_eq!(status, 400, "empty table must answer 400: {body}");
 
     // Column with neither header nor cells.
     let (status, _) =
-        request_bytes(&addr, "/v1/interpret", br#"{"title":"t","header":"","cells":[]}"#);
+        exchange(&addr, "POST", "/v1/interpret", br#"{"title":"t","header":"","cells":[]}"#);
     assert_eq!(status, 400);
 
     // A 10k-column row: answered with a clean 400 (over the per-request
@@ -77,20 +78,41 @@ fn hostile_inputs_return_400_not_500() {
     let cols: Vec<String> =
         (0..10_000).map(|i| format!(r#"{{"header":"c{i}","cells":["v"]}}"#)).collect();
     let huge = format!(r#"{{"title":"wide","columns":[{}]}}"#, cols.join(","));
-    let (status, body) = request_bytes(&addr, "/v1/interpret", huge.as_bytes());
+    let (status, body) = exchange(&addr, "POST", "/v1/interpret", huge.as_bytes());
     assert_eq!(status, 400, "10k columns must answer 400: {body}");
     assert!(body.contains("limit"), "error should mention the limit: {body}");
 
     // Embedded NUL bytes and control characters in cells: valid JSON,
     // valid UTF-8 — must be interpreted (200) without panicking.
     let nul = "{\"title\":\"t\",\"header\":\"na\\u0000me\",\"cells\":[\"a\\u0000b\",\"\\u0001\"]}";
-    let (status, body) = request_bytes(&addr, "/v1/interpret", nul.as_bytes());
+    let (status, body) = exchange(&addr, "POST", "/v1/interpret", nul.as_bytes());
     assert_eq!(status, 200, "NUL-laden column should still interpret: {body}");
 
     // The server survived all of the above: a normal request still works.
     let ok = br#"{"title":"cities","header":"city","cells":["london","paris"]}"#;
-    let (status, _) = request_bytes(&addr, "/v1/interpret", ok);
+    let (status, _) = exchange(&addr, "POST", "/v1/interpret", ok);
     assert_eq!(status, 200, "server must stay healthy after hostile inputs");
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn deep_json_nesting_answers_400_and_server_survives() {
+    let (model, labels) = tiny_model();
+    let cfg = ServeConfig { workers: 1, ..Default::default() };
+    let mut handle = start(model, labels, cfg).expect("start server");
+    let addr = handle.addr();
+
+    // 10,000 `[`: an unbounded recursive-descent parse overflows the
+    // dispatcher's stack, which aborts the process; the bounded parser
+    // must answer a typed 400 instead.
+    let (status, body) = exchange(&addr, "POST", "/v1/interpret", &[b'['; 10_000]);
+    assert_eq!(status, 400, "deep nesting must answer 400: {body}");
+    assert!(body.contains("nesting"), "error should say why: {body}");
+
+    let (status, body) = exchange(&addr, "GET", "/v1/healthz", b"");
+    assert_eq!(status, 200, "server must stay up after deep nesting: {body}");
 
     handle.shutdown();
     handle.join();

@@ -168,7 +168,7 @@ fn serves_interpret_cache_metrics_errors_and_shutdown() {
     assert!(raw.contains(&format!("\"trace_id\":\"{tid}\"")), "405 body echoes id: {raw}");
 
     // Graceful shutdown via the endpoint; join() must return.
-    let (status, _) = request(&addr, "POST", "/v1/shutdown", "");
+    let (status, _) = request(&addr, "POST", "/v1/admin/shutdown", "");
     assert_eq!(status, 200);
     handle.join();
     assert!(

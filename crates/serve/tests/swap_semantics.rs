@@ -279,18 +279,13 @@ fn store_status_reports_shards_and_typed_unavailability() {
 }
 
 #[test]
-fn shutdown_moved_to_admin_with_deprecated_alias() {
+fn shutdown_lives_only_under_admin() {
     let _guard = lock();
     faults::clear_all();
-    // Old path still works but is marked deprecated.
     let (mut handle, addr) = boot_server(ServeConfig { workers: 1, ..Default::default() });
+    // The pre-v3 alias is gone (schema v5): an unknown route, no drain.
     let raw = request_raw(&addr, "POST", "/v1/shutdown", "");
-    assert!(raw.starts_with("HTTP/1.1 200"), "raw: {raw}");
-    assert_eq!(header_of(&raw, "deprecation"), Some("true"), "raw: {raw}");
-    handle.join();
-
-    // New path works and is not marked deprecated.
-    let (mut handle, addr) = boot_server(ServeConfig { workers: 1, ..Default::default() });
+    assert!(raw.starts_with("HTTP/1.1 404"), "raw: {raw}");
     let raw = request_raw(&addr, "POST", "/v1/admin/shutdown", "");
     assert!(raw.starts_with("HTTP/1.1 200"), "raw: {raw}");
     assert!(header_of(&raw, "deprecation").is_none(), "raw: {raw}");

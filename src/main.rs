@@ -115,8 +115,7 @@ fn all_specs() -> Vec<CommandSpec> {
                 )
                 .value("shards", "N", "explanation-store shards per task (default 1)")
                 .value("replicas", "N", "replicas per stored embedding, 1..=shards (default 1)")
-                .switch("no-swap-verify", "skip the smoke prediction before a swap commits")
-                .switch("quantized", "serve inference on the int8 quantized path"),
+                .switch("no-swap-verify", "skip the smoke prediction before a swap commits"),
         ),
     ]
 }
@@ -277,7 +276,7 @@ fn cmd_evaluate(args: &Parsed) -> Result<ExitCode, String> {
 // ---- serve ------------------------------------------------------------
 
 /// Set from the SIGINT handler; polled by the serve command so Ctrl-C
-/// triggers the same graceful drain as POST /v1/shutdown.
+/// triggers the same graceful drain as POST /v1/admin/shutdown.
 static CTRL_C: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
@@ -310,12 +309,8 @@ fn cmd_serve(args: &Parsed) -> Result<ExitCode, String> {
         return Err(format!("--replicas must be in 1..={shards} (got {replicas})"));
     }
     let dir = PathBuf::from(args.get("model").expect("required"));
-    let (mut model, dataset) = ExplainTi::load_from_dir_with(&dir, shards, replicas)
+    let (model, dataset) = ExplainTi::load_from_dir_with(&dir, shards, replicas)
         .map_err(|e| format!("load model from {dir:?}: {e}"))?;
-    let quantized = args.is_set("quantized");
-    if quantized {
-        model.enable_quantized();
-    }
     let cfg = explainti::serve::ServeConfig {
         addr: args.get("addr").unwrap_or("127.0.0.1:7431").to_string(),
         workers: args.get_or("workers", 2usize).map_err(|e| e.to_string())?,
@@ -335,7 +330,6 @@ fn cmd_serve(args: &Parsed) -> Result<ExitCode, String> {
         shards,
         replicas,
         swap_verify: !args.is_set("no-swap-verify"),
-        quantized,
     };
     let labels = dataset.collection.type_labels.clone();
     let mut handle = explainti::serve::start(Arc::new(model), labels, cfg)
