@@ -390,7 +390,7 @@ fn site_diag(func: &crate::callgraph::Func, a: &AcquireSite, message: String) ->
 // ---- EA008: reactor purity --------------------------------------------
 
 /// Call names that block (or may block) the calling thread.
-const DENY_CALLS: [&str; 15] = [
+const DENY_CALLS: [&str; 14] = [
     "sleep",
     "join",
     "recv",
@@ -401,8 +401,7 @@ const DENY_CALLS: [&str; 15] = [
     "wait_while",
     "park",
     "park_timeout",
-    "pop_batch",
-    "pop_batch_timeout",
+    "pop_wait",
     "read_to_end",
     "read_to_string",
     "connect",

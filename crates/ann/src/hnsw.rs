@@ -10,7 +10,7 @@ use crate::{Metric, Neighbor, VectorIndex};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// Similarity-evaluation work (`candidates × dim`) below which a batch
 /// stays on the calling thread: a neighbour expansion at `M = 16` over
@@ -44,24 +44,12 @@ struct HnswNode {
     neighbors: Vec<Vec<usize>>,
 }
 
-/// Approximate nearest-neighbour index with logarithmic search.
-///
-/// Supports incremental maintenance: [`HnswIndex::remove`] tombstones a
-/// node (it keeps navigating the graph but is filtered from results),
-/// re-[`VectorIndex::add`]ing an existing id supersedes the old vector,
-/// and [`HnswIndex::compact`] rebuilds the graph from the live set once
-/// tombstones accumulate.
+/// Approximate nearest-neighbour index with logarithmic search. Built
+/// by inserts only; a changed corpus is indexed by building anew.
 pub struct HnswIndex {
     cfg: HnswConfig,
     metric: Metric,
     nodes: Vec<HnswNode>,
-    /// Tombstone flags, parallel to `nodes`. Tombstoned nodes stay in the
-    /// graph as navigation waypoints but never appear in results.
-    deleted: Vec<bool>,
-    /// Live external id → node index (`BTreeMap` so compaction iterates
-    /// in a deterministic order).
-    by_id: BTreeMap<usize, usize>,
-    deleted_count: usize,
     entry: Option<usize>,
     max_level: usize,
     rng: SmallRng,
@@ -123,9 +111,6 @@ impl HnswIndex {
             cfg,
             metric,
             nodes: Vec::new(),
-            deleted: Vec::new(),
-            by_id: BTreeMap::new(),
-            deleted_count: 0,
             entry: None,
             max_level: 0,
             level_lambda,
@@ -242,50 +227,6 @@ impl HnswIndex {
         }
     }
 
-    /// Tombstones the node holding `id`. The node keeps serving as a
-    /// navigation waypoint (removing graph edges would degrade the small
-    /// world's connectivity) but is filtered from every result set.
-    /// Returns false when `id` is not live.
-    pub fn remove(&mut self, id: usize) -> bool {
-        match self.by_id.remove(&id) {
-            Some(node) => {
-                if !self.deleted[node] {
-                    self.deleted[node] = true;
-                    self.deleted_count += 1;
-                    explainti_obs::counter!("hnsw.removed", 1);
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Number of tombstoned nodes still occupying the graph.
-    pub fn tombstones(&self) -> usize {
-        self.deleted_count
-    }
-
-    /// True when the live external id is indexed.
-    pub fn contains(&self, id: usize) -> bool {
-        self.by_id.contains_key(&id)
-    }
-
-    /// Rebuilds the graph from the live nodes only, dropping every
-    /// tombstone. Insertion order is ascending external id, so the result
-    /// is deterministic regardless of the deletion history that led here.
-    /// Returns the number of tombstones reclaimed.
-    pub fn compact(&mut self) -> usize {
-        let _span = explainti_obs::span!("hnsw.compact");
-        let reclaimed = self.deleted_count;
-        let mut fresh = HnswIndex::new(self.metric, self.cfg.clone());
-        for (&id, &node) in &self.by_id {
-            let vector = std::mem::take(&mut self.nodes[node].vector);
-            fresh.add(id, &vector);
-        }
-        *self = fresh;
-        reclaimed
-    }
-
     /// Prunes a candidate list to the `limit` most similar nodes.
     /// Scoring goes through [`Self::sims_batch`] so large candidate sets
     /// (construction beams) fan out over the pool; the stable sort keeps
@@ -308,11 +249,6 @@ impl VectorIndex for HnswIndex {
         if explainti_faults::triggered("ann.index.partial") {
             return;
         }
-        // Re-inserting a live id supersedes it: tombstone the old node so
-        // only the new vector can surface in results.
-        if self.by_id.contains_key(&id) {
-            self.remove(id);
-        }
         let level = self.sample_level();
         let node_idx = self.nodes.len();
         self.nodes.push(HnswNode {
@@ -320,8 +256,6 @@ impl VectorIndex for HnswIndex {
             vector: vector.to_vec(),
             neighbors: vec![Vec::new(); level + 1],
         });
-        self.deleted.push(false);
-        self.by_id.insert(id, node_idx);
 
         let Some(mut entry) = self.entry else {
             self.entry = Some(node_idx);
@@ -410,20 +344,17 @@ impl VectorIndex for HnswIndex {
                 }
             }
         }
-        // Widen the beam by the tombstone count so filtered results can
-        // still fill k slots; compaction keeps the widening bounded.
-        let ef = self.cfg.ef_search.max(k).saturating_add(self.deleted_count);
+        let ef = self.cfg.ef_search.max(k);
         let found = self.search_layer(query, &[entry], ef, 0);
         found
             .into_iter()
-            .filter(|c| !self.deleted[c.node])
             .take(k)
             .map(|c| Neighbor { id: self.nodes[c.node].external_id, similarity: c.sim })
             .collect()
     }
 
     fn len(&self) -> usize {
-        self.nodes.len() - self.deleted_count
+        self.nodes.len()
     }
 }
 
@@ -535,103 +466,6 @@ mod tests {
             let rb: Vec<usize> =
                 parallel.search(&vectors[q], 8).into_iter().map(|n| n.id).collect();
             assert_eq!(ra, rb);
-        }
-    }
-
-    #[test]
-    fn remove_filters_node_from_results() {
-        let vectors = random_vectors(120, 8, 41);
-        let mut idx = HnswIndex::cosine_default();
-        for (i, v) in vectors.iter().enumerate() {
-            idx.add(i, v);
-        }
-        assert_eq!(idx.search(&vectors[30], 1)[0].id, 30);
-        assert!(idx.remove(30));
-        assert!(!idx.remove(30), "double-remove must report not-live");
-        assert_eq!(idx.tombstones(), 1);
-        assert_eq!(idx.len(), 119);
-        let res = idx.search(&vectors[30], 10);
-        assert!(res.iter().all(|n| n.id != 30), "tombstoned id surfaced");
-    }
-
-    #[test]
-    fn reinsert_supersedes_old_vector() {
-        let vectors = random_vectors(60, 8, 43);
-        let mut idx = HnswIndex::cosine_default();
-        for (i, v) in vectors.iter().enumerate() {
-            idx.add(i, v);
-        }
-        // Move id 7 onto id 20's position: a self-query for the new
-        // vector must find id 7 there, and the old location must not win.
-        let moved = vectors[20].clone();
-        idx.add(7, &moved);
-        assert_eq!(idx.len(), 60);
-        assert_eq!(idx.tombstones(), 1);
-        let res = idx.search(&moved, 2);
-        assert!(res.iter().any(|n| n.id == 7), "superseding vector not found");
-        let near_old = idx.search(&vectors[7], 1);
-        assert!(
-            near_old[0].id != 7 || (near_old[0].similarity - 1.0).abs() > 1e-5,
-            "stale vector still answers for id 7"
-        );
-    }
-
-    #[test]
-    fn incremental_delete_recall_matches_rebuild_oracle() {
-        // Insert, delete a third, re-insert some: recall against an exact
-        // oracle over the *live* set must stay high, and compaction must
-        // not change what is reachable.
-        let vectors = random_vectors(300, 16, 47);
-        let mut idx = HnswIndex::cosine_default();
-        for (i, v) in vectors.iter().enumerate() {
-            idx.add(i, v);
-        }
-        for i in (0..300).step_by(3) {
-            idx.remove(i);
-        }
-        for i in (0..300).step_by(9) {
-            idx.add(i, &vectors[i]);
-        }
-        let mut exact = BruteForceIndex::new(Metric::Cosine);
-        for (i, v) in vectors.iter().enumerate().take(300) {
-            let live = i % 3 != 0 || i % 9 == 0;
-            if live {
-                exact.add(i, v);
-            }
-        }
-        let queries = random_vectors(40, 16, 53);
-        let recall = recall_at_k(&idx, &exact, &queries, 10);
-        assert!(recall >= 0.9, "incremental recall@10 too low: {recall}");
-        assert_eq!(idx.len(), exact.len());
-
-        let reclaimed = idx.compact();
-        assert!(reclaimed > 0);
-        assert_eq!(idx.tombstones(), 0);
-        assert_eq!(idx.len(), exact.len());
-        let recall = recall_at_k(&idx, &exact, &queries, 10);
-        assert!(recall >= 0.9, "post-compaction recall@10 too low: {recall}");
-    }
-
-    #[test]
-    fn compaction_is_deterministic() {
-        let vectors = random_vectors(100, 8, 59);
-        let build = |removals: &[usize]| {
-            let mut idx = HnswIndex::cosine_default();
-            for (i, v) in vectors.iter().enumerate() {
-                idx.add(i, v);
-            }
-            for &r in removals {
-                idx.remove(r);
-            }
-            idx.compact();
-            idx
-        };
-        // Different deletion orders, same live set → identical graphs.
-        let a = build(&[5, 50, 95]);
-        let b = build(&[95, 5, 50]);
-        for (na, nb) in a.nodes.iter().zip(&b.nodes) {
-            assert_eq!(na.external_id, nb.external_id);
-            assert_eq!(na.neighbors, nb.neighbors, "compacted graphs diverged");
         }
     }
 

@@ -41,7 +41,7 @@ pub const DEFAULT_TOP_K: usize = 3;
 /// **v2** (event-driven serving front-end): [`ApiError`] gained a typed
 /// `retry_after_s` field, [`ErrorCode`] the `TooManyConnections` (429)
 /// and `RequestTimeout` (408) variants, and [`ConfigResponse`] the
-/// connection-layer knobs (`max_conns`, `dispatchers`,
+/// connection-layer knobs (`max_conns`, a dispatcher-thread count,
 /// `read_timeout_ms`, `idle_timeout_ms`). All additive, but the error
 /// body shape changed (every error now carries `retry_after_s`), so the
 /// version bumped.
@@ -64,7 +64,15 @@ pub const DEFAULT_TOP_K: usize = 3;
 /// `POST /v1/shutdown` alias is gone (it answers 404; use
 /// `POST /v1/admin/shutdown`). Every other body is unchanged apart from
 /// `schema_version`.
-pub const SCHEMA_VERSION: u32 = 5;
+///
+/// **v6** (one request queue): the dispatcher tier and the separate
+/// per-column prediction queue were deleted, so [`ConfigResponse`] lost
+/// `dispatchers` and `queue_cap` (the request queue is sized by
+/// `max_conns`, and `max_batch` now counts requests). The unused online
+/// store maintenance was deleted too, so [`ShardStatus`] and
+/// [`StoreStatusResponse`] lost their `tombstones` fields. Every other
+/// body is unchanged apart from `schema_version`.
+pub const SCHEMA_VERSION: u32 = 6;
 
 // ---- Requests ---------------------------------------------------------
 
@@ -281,9 +289,7 @@ pub struct ConfigResponse {
     pub workers: usize,
     /// Kernel compute threads (the shared pool's width).
     pub threads: usize,
-    /// Bounded request-queue capacity.
-    pub queue_cap: usize,
-    /// Micro-batch size cap for the batching collector.
+    /// Maximum requests one batched forward serves.
     pub max_batch: usize,
     /// Prediction cache capacity (entries).
     pub cache_cap: usize,
@@ -292,10 +298,9 @@ pub struct ConfigResponse {
     /// Explanations per view in responses.
     pub top_k: usize,
     /// Hard cap on simultaneously open connections; beyond it new
-    /// connections answer a typed 429 with `Retry-After`.
+    /// connections answer a typed 429 with `Retry-After`. Also the
+    /// request queue's capacity.
     pub max_conns: usize,
-    /// Dispatcher threads turning parsed requests into responses.
-    pub dispatchers: usize,
     /// Slow-loris read deadline: a partially received request older
     /// than this answers a typed 408 and the connection closes.
     pub read_timeout_ms: u64,
@@ -345,8 +350,6 @@ pub struct ShardStatus {
     pub shard: usize,
     /// Live embeddings stored on the shard (replicas included).
     pub stored: usize,
-    /// Tombstoned entries awaiting compaction in the shard's index.
-    pub tombstones: usize,
 }
 
 /// `GET /v1/admin/store` response: the live generation's explanation
@@ -361,8 +364,6 @@ pub struct StoreStatusResponse {
     pub shards: Vec<ShardStatus>,
     /// Distinct stored embeddings (replicas counted once).
     pub stored: usize,
-    /// Total tombstones across shards.
-    pub tombstones: usize,
     /// True while a swap is loading/verifying in the background.
     pub swap_in_progress: bool,
 }
@@ -582,7 +583,7 @@ mod tests {
             "{\"pair_start\":null,\"relevance\":0.25,\"start\":3,\"text\":\"costa rica\",\"window\":4},",
             "{\"pair_start\":1,\"relevance\":0.125,\"start\":9,\"text\":\"norway\",\"window\":2}",
             "],",
-            "\"schema_version\":5,",
+            "\"schema_version\":6,",
             "\"structural\":[{\"attention\":0.5,\"label\":4,\"node\":7}]",
             "}",
         );
@@ -604,7 +605,7 @@ mod tests {
             concat!(
                 "{\"generation\":2,",
                 "\"previous_generation\":1,",
-                "\"schema_version\":5,",
+                "\"schema_version\":6,",
                 "\"verified\":true}",
             ),
         );
@@ -612,25 +613,23 @@ mod tests {
             schema_version: SCHEMA_VERSION,
             generation: 2,
             shards: vec![
-                ShardStatus { shard: 0, stored: 40, tombstones: 3 },
-                ShardStatus { shard: 1, stored: 41, tombstones: 0 },
+                ShardStatus { shard: 0, stored: 40 },
+                ShardStatus { shard: 1, stored: 41 },
             ],
             stored: 81,
-            tombstones: 3,
             swap_in_progress: false,
         };
         assert_eq!(
             serde_json::to_string(&status).unwrap(),
             concat!(
                 "{\"generation\":2,",
-                "\"schema_version\":5,",
+                "\"schema_version\":6,",
                 "\"shards\":[",
-                "{\"shard\":0,\"stored\":40,\"tombstones\":3},",
-                "{\"shard\":1,\"stored\":41,\"tombstones\":0}",
+                "{\"shard\":0,\"stored\":40},",
+                "{\"shard\":1,\"stored\":41}",
                 "],",
                 "\"stored\":81,",
-                "\"swap_in_progress\":false,",
-                "\"tombstones\":3}",
+                "\"swap_in_progress\":false}",
             ),
         );
         let req: SwapRequest = serde_json::from_str("{\"model_dir\":\"/models/next\"}").unwrap();
@@ -732,13 +731,11 @@ mod tests {
             schema_version: SCHEMA_VERSION,
             workers: 4,
             threads: 8,
-            queue_cap: 64,
             max_batch: 8,
             cache_cap: 1024,
             deadline_ms: 5000,
             top_k: 3,
             max_conns: 1024,
-            dispatchers: 8,
             read_timeout_ms: 10_000,
             idle_timeout_ms: 60_000,
             shards: 4,
@@ -763,7 +760,7 @@ mod tests {
         assert!(json.contains("\"replicas\":2"));
         assert!(json.contains("\"swap_verify\":true"));
         assert!(json.contains("\"generation\":1"));
-        assert!(json.contains("\"schema_version\":5"));
+        assert!(json.contains("\"schema_version\":6"));
     }
 
     #[test]

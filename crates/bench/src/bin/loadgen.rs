@@ -645,7 +645,6 @@ fn self_host(workers: usize) -> explainti_serve::ServerHandle {
     let labels = d.collection.type_labels.clone();
     let serve_cfg = ServeConfig {
         workers: workers.max(1),
-        queue_cap: 256,
         max_batch: 8,
         cache_cap: 512,
         deadline_ms: 60_000,

@@ -298,7 +298,6 @@ fn main() {
     let labels = dataset.collection.type_labels.clone();
     let serve_cfg = ServeConfig {
         workers: args.workers.max(1),
-        queue_cap: 256,
         max_batch: 8,
         cache_cap: 512,
         deadline_ms: 60_000,

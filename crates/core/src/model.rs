@@ -242,25 +242,6 @@ impl ExplainTi {
         self.tasks[task].q.rebuild_index();
     }
 
-    /// Embeds one training sample of `task` and inserts it into the live
-    /// store without an index rebuild: the online feedback path. The
-    /// sample becomes retrievable by GE immediately (incremental HNSW
-    /// insert on every replica shard).
-    pub fn ingest_sample(&mut self, task: usize, idx: usize) {
-        let enc = self.tasks[task].data.samples[idx].encoded.clone();
-        let cls = self.encoder.embed_cls_batch(&self.store, &[enc], &mut self.rng);
-        let label = self.tasks[task].data.samples[idx].label;
-        if let Some(cls) = cls.into_iter().next() {
-            self.tasks[task].q.insert_online(idx, cls, label);
-        }
-    }
-
-    /// Evicts a sample from the store, tombstoning it in the live index
-    /// so GE stops retrieving it. Returns false when it was not stored.
-    pub fn evict_sample(&mut self, task: usize, idx: usize) -> bool {
-        self.tasks[task].q.remove(idx)
-    }
-
     /// Full forward pass over one sample, producing all logits and
     /// explanation bundles. Training advances the model RNG (dropout
     /// masks, SE neighbour draws); inference paths leave it untouched.

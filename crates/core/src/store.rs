@@ -17,21 +17,14 @@
 //! and removes the approximation. Past the cutoff, HNSW takes over and
 //! the equality becomes a recall property.
 //!
-//! Shards also support *online* maintenance ([`EmbeddingStore::insert_online`],
-//! [`EmbeddingStore::remove`]): inserts land incrementally in the live
-//! HNSW graph, deletes tombstone it, and a shard compacts itself once
-//! tombstones pass [`COMPACT_RATIO`] of its live set.
+//! Algorithm 2 refreshes `Q` wholesale: [`EmbeddingStore::set`] every
+//! sample, then [`EmbeddingStore::rebuild_index`] builds each shard's
+//! index anew.
 
 use explainti_ann::{HnswConfig, HnswIndex, Metric, Neighbor, VectorIndex};
 use explainti_nn::Tensor;
 use std::collections::BTreeMap;
 
-/// Tombstone fraction of the live set above which a shard compacts its
-/// index in place.
-const COMPACT_RATIO: f64 = 0.3;
-/// Tombstones below this never trigger compaction (avoids thrashing on
-/// tiny shards).
-const COMPACT_MIN: usize = 8;
 /// Shards at or below this many live entries answer queries with an
 /// exact scan even when an index is built: at this size the scan is both
 /// faster than graph traversal and exact, which is what makes the
@@ -39,7 +32,7 @@ const COMPACT_MIN: usize = 8;
 const EXACT_SCAN_CUTOFF: usize = 1024;
 
 /// One partition of the store: a `BTreeMap` of live embeddings plus an
-/// optional incremental HNSW index over them.
+/// optional HNSW index over them.
 pub struct StoreShard {
     entries: BTreeMap<usize, (Tensor, usize)>,
     index: Option<HnswIndex>,
@@ -54,45 +47,8 @@ impl StoreShard {
         self.entries.insert(idx, (embedding, label));
     }
 
-    /// Stores `idx` and inserts it into the live index (if one is built)
-    /// without a rebuild; a superseded vector is tombstoned by the index.
-    fn insert_online(&mut self, idx: usize, embedding: Tensor, label: usize) {
-        if let Some(index) = &mut self.index {
-            index.add(idx, embedding.as_slice());
-        }
-        self.entries.insert(idx, (embedding, label));
-        self.maybe_compact();
-    }
-
-    fn remove(&mut self, idx: usize) -> bool {
-        let hit = self.entries.remove(&idx).is_some();
-        if let Some(index) = &mut self.index {
-            index.remove(idx);
-        }
-        if hit {
-            self.maybe_compact();
-        }
-        hit
-    }
-
-    /// Compacts the index once tombstones pass [`COMPACT_RATIO`] of the
-    /// live set (and at least [`COMPACT_MIN`] have accumulated).
-    fn maybe_compact(&mut self) {
-        if let Some(index) = &mut self.index {
-            let dead = index.tombstones();
-            if dead >= COMPACT_MIN && dead as f64 > COMPACT_RATIO * index.len().max(1) as f64 {
-                index.compact();
-                explainti_obs::counter!("store.compactions", 1);
-            }
-        }
-    }
-
     fn stored(&self) -> usize {
         self.entries.len()
-    }
-
-    fn tombstones(&self) -> usize {
-        self.index.as_ref().map_or(0, HnswIndex::tombstones)
     }
 
     /// Rebuilds this shard's index. Returns false when the
@@ -256,14 +212,9 @@ impl EmbeddingStore {
         (0..self.shards.len()).find(|&s| !self.shard_available(s))
     }
 
-    /// Per-shard `(stored, tombstones)` sizes, shard order.
-    pub fn shard_sizes(&self) -> Vec<(usize, usize)> {
-        self.shards.iter().map(|s| (s.stored(), s.tombstones())).collect()
-    }
-
-    /// Total tombstones across shards.
-    pub fn tombstones(&self) -> usize {
-        self.shards.iter().map(StoreShard::tombstones).sum()
+    /// Per-shard stored entry counts (replicas included), shard order.
+    pub fn shard_sizes(&self) -> Vec<usize> {
+        self.shards.iter().map(StoreShard::stored).collect()
     }
 
     /// Stores (or replaces) the embedding of sample `idx` on every
@@ -281,38 +232,6 @@ impl EmbeddingStore {
         for t in targets {
             self.shards[t].set(idx, embedding.clone(), label);
         }
-    }
-
-    /// Stores sample `idx` and makes it retrievable immediately: every
-    /// replica shard inserts it into its live HNSW graph (no rebuild).
-    ///
-    /// # Panics
-    /// Panics if the embedding is not a `1 x dim` row.
-    pub fn insert_online(&mut self, idx: usize, embedding: Tensor, label: usize) {
-        assert_eq!(embedding.shape(), (1, self.dim), "embedding shape mismatch");
-        if !self.shards[self.primary(idx)].entries.contains_key(&idx) {
-            self.distinct += 1;
-        }
-        let targets: Vec<usize> = self.targets(idx).collect();
-        for t in targets {
-            self.shards[t].insert_online(idx, embedding.clone(), label);
-        }
-        explainti_obs::set_gauge("store.tombstones", self.tombstones() as f64);
-    }
-
-    /// Removes sample `idx` from every replica shard (tombstoning it in
-    /// live indexes). Returns false when the sample was not stored.
-    pub fn remove(&mut self, idx: usize) -> bool {
-        let targets: Vec<usize> = self.targets(idx).collect();
-        let mut hit = false;
-        for t in targets {
-            hit |= self.shards[t].remove(idx);
-        }
-        if hit {
-            self.distinct -= 1;
-        }
-        explainti_obs::set_gauge("store.tombstones", self.tombstones() as f64);
-        hit
     }
 
     /// The stored embedding of sample `idx`, if any.
@@ -361,7 +280,6 @@ impl EmbeddingStore {
         self.version += 1;
         explainti_obs::set_gauge("store.indexed_embeddings", self.stored() as f64);
         explainti_obs::set_gauge("store.shards", self.shards.len() as f64);
-        explainti_obs::set_gauge("store.tombstones", self.tombstones() as f64);
     }
 
     /// Top-`k` most similar stored samples to `query`, optionally
@@ -500,47 +418,6 @@ mod tests {
     // Failpoint-driven coverage (shard outage + replica failover) lives
     // in `tests/sharded_store.rs`: the failpoint registry is global, so
     // those tests need their own process.
-
-    #[test]
-    fn online_insert_is_retrievable_without_rebuild() {
-        let dim = 4;
-        let mut q = EmbeddingStore::with_shards(dim, 4, 2);
-        fill(&mut q, 32, dim);
-        q.rebuild_index();
-        let version = q.version();
-        q.insert_online(1000, row(vec![1.0, 0.0, 0.0, 0.0]), 3);
-        assert_eq!(q.version(), version, "online insert must not rebuild");
-        assert_eq!(q.label(1000), Some(3));
-        let res = q.top_k(&row(vec![1.0, 0.0, 0.0, 0.0]), 1, None);
-        assert_eq!(res[0].id, 1000);
-
-        assert!(q.remove(1000));
-        assert!(!q.remove(1000));
-        let res = q.top_k(&row(vec![1.0, 0.0, 0.0, 0.0]), 3, None);
-        assert!(res.iter().all(|nb| nb.id != 1000), "removed sample still retrieved");
-        assert_eq!(q.stored(), 32);
-    }
-
-    #[test]
-    fn tombstone_buildup_triggers_compaction() {
-        let dim = 4;
-        let mut q = EmbeddingStore::with_shards(dim, 2, 1);
-        fill(&mut q, 60, dim);
-        q.rebuild_index();
-        for i in 0..40 {
-            q.remove(i);
-        }
-        // COMPACT_RATIO at 0.3 with COMPACT_MIN 8: 40 removals over two
-        // shards must have compacted both back under the threshold.
-        let total: usize = q.shard_sizes().iter().map(|&(_, t)| t).sum();
-        for (stored, tomb) in q.shard_sizes() {
-            assert!(
-                tomb < COMPACT_MIN || (tomb as f64) <= COMPACT_RATIO * stored.max(1) as f64,
-                "shard kept {tomb} tombstones over {stored} live entries (total {total})"
-            );
-        }
-        assert_eq!(q.stored(), 20);
-    }
 
     #[test]
     fn jump_hash_is_stable_and_spread() {

@@ -121,30 +121,3 @@ fn model_predictions_are_identical_across_store_layouts() {
         );
     }
 }
-
-#[test]
-fn online_ingest_and_evict_roundtrip_through_the_model() {
-    let d = generate_wiki(&WikiConfig { num_tables: 8, seed: 31, ..Default::default() });
-    let mut m = ExplainTi::new(&d, ExplainTiConfig::bert_like(2048, 32).with_store_layout(2, 2));
-    for t in 0..m.tasks().len() {
-        m.refresh_store(t);
-    }
-    let before = m.tasks()[0].q.stored();
-    assert!(before > 0);
-    assert!(m.tasks()[0].q.has(0));
-
-    // Evict sample 0: gone from every replica, tombstoned in the index.
-    assert!(m.evict_sample(0, 0));
-    assert!(!m.tasks()[0].q.has(0));
-    assert_eq!(m.tasks()[0].q.stored(), before - 1);
-    // A second evict is a no-op.
-    assert!(!m.evict_sample(0, 0));
-
-    // Re-ingest: retrievable again without an index rebuild.
-    m.ingest_sample(0, 0);
-    assert!(m.tasks()[0].q.has(0));
-    assert_eq!(m.tasks()[0].q.stored(), before);
-    let emb = m.tasks()[0].q.get(0).expect("re-ingested embedding").clone();
-    let top = m.tasks()[0].q.top_k(&emb, 1, None);
-    assert_eq!(top.first().map(|n| n.id), Some(0), "online insert must be retrievable");
-}

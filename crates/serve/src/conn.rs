@@ -2,20 +2,21 @@
 //!
 //! Each accepted socket gets a [`Conn`], owned by the event loop: a
 //! read buffer the incremental parser pumps ([`Conn::on_readable`]), a
-//! queue of parsed-but-not-yet-dispatched pipelined requests, and the
-//! shared [`ConnIo`] outbound state that dispatcher threads write
-//! responses into from their side of the wall. The connection moves
-//! through three logical states — *reading* (accumulating bytes),
-//! *dispatched* (a request is with a dispatcher), *writing* (response
-//! bytes draining to the socket) — and keep-alive loops it back to
-//! *reading* instead of closing.
+//! queue of parsed-but-not-yet-queued pipelined requests, and the shared
+//! [`ConnIo`] outbound state that worker threads write responses into
+//! from their side of the wall. The connection moves through three
+//! logical states — *reading* (accumulating bytes), *in flight* (a
+//! request is on the request queue or with a worker), *writing*
+//! (response bytes draining to the socket) — and keep-alive loops it
+//! back to *reading* instead of closing.
 //!
-//! [`ResponseSink`] is the dispatcher-side handle: exactly one response
-//! per request, either a fixed `Content-Length` body ([`ResponseSink::
+//! [`ResponseSink`] is the worker-side handle: exactly one response per
+//! request, either a fixed `Content-Length` body ([`ResponseSink::
 //! send_json`]) or a chunked stream ([`ResponseSink::begin_stream`] /
-//! [`ResponseSink::stream_chunk`] / [`ResponseSink::end_stream`]) so
-//! large table responses start flowing per-column as workers finish.
-//! Every enqueue nudges the event loop through a [`Waker`].
+//! [`ResponseSink::stream_chunk`] / [`ResponseSink::end_stream`]) for
+//! table responses, one chunk per column. A worker only opens a stream
+//! once every column is computed, so a stream never has to be cut short
+//! by a failure. Every enqueue nudges the event loop through a [`Waker`].
 
 use std::collections::{BTreeSet, VecDeque};
 use std::io::{Read, Write};
@@ -39,7 +40,7 @@ const READ_CHUNK: usize = 16 * 1024;
 
 // ---- Waker ------------------------------------------------------------
 
-/// Wakes the event loop from a dispatcher thread: marks the connection
+/// Wakes the event loop from a worker thread: marks the connection
 /// dirty and writes one byte into the loop's wake pipe.
 #[derive(Clone)]
 pub struct Waker {
@@ -70,9 +71,9 @@ impl Waker {
     }
 }
 
-// ---- Outbound state (shared with dispatchers) -------------------------
+// ---- Outbound state (shared with workers) -----------------------------
 
-/// Outbound bytes and response bookkeeping, written by dispatchers and
+/// Outbound bytes and response bookkeeping, written by workers and
 /// drained by the event loop.
 struct OutState {
     /// Response byte runs, in send order.
@@ -85,7 +86,7 @@ struct OutState {
     close_after: bool,
 }
 
-/// The half of a connection dispatcher threads may touch.
+/// The half of a connection worker threads may touch.
 pub struct ConnIo {
     out: OrderedMutex<OutState>,
 }
@@ -129,7 +130,7 @@ impl ConnIo {
     }
 }
 
-// ---- Dispatcher-side response writer ----------------------------------
+// ---- Worker-side response writer --------------------------------------
 
 /// Builds exactly one response for one request and feeds it into the
 /// connection's outbound queue, waking the event loop per enqueue.
@@ -182,11 +183,6 @@ impl ResponseSink {
     /// The trace id every response from this sink carries.
     pub fn trace_id(&self) -> &str {
         &self.trace_id
-    }
-
-    /// Whether a response (or stream head) has been committed.
-    pub fn responded(&self) -> bool {
-        self.status != 0
     }
 
     /// The committed HTTP status (0 before any response).
@@ -284,21 +280,6 @@ impl ResponseSink {
         }
         self.commit(http::LAST_CHUNK.to_vec(), true);
     }
-
-    /// Aborts a streamed response after the head went out: the chunked
-    /// body is left unterminated (clients detect the truncation) and
-    /// the connection closes. Buffered (HTTP/1.0) streams still hold
-    /// everything, so they can downgrade to a typed error instead.
-    pub fn abort_stream(&mut self, err: &ApiError) {
-        if self.buffered.take().is_some() {
-            self.status = err.status();
-            self.commit(http::render_error(err, &self.trace_id, false, None), true);
-            return;
-        }
-        explainti_obs::counter!("serve.stream.aborted", 1);
-        self.io.finish_response(true);
-        self.waker.wake(self.conn_id);
-    }
 }
 
 // ---- Event-loop-side connection ---------------------------------------
@@ -328,13 +309,13 @@ pub enum FlushOutcome {
 pub struct Conn {
     /// The nonblocking socket.
     pub stream: TcpStream,
-    /// Outbound state shared with dispatchers.
+    /// Outbound state shared with workers.
     pub io: Arc<ConnIo>,
     /// Unparsed inbound bytes.
     buf: Vec<u8>,
-    /// Parsed requests awaiting dispatch (pipelining).
+    /// Parsed requests awaiting the queue (pipelining).
     pub pending: VecDeque<http::Request>,
-    /// A request is currently with a dispatcher.
+    /// A request is currently queued or with a worker.
     pub in_flight: bool,
     /// When the current incomplete request's first byte arrived.
     pub partial_since: Option<Instant>,

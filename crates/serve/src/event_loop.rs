@@ -1,12 +1,14 @@
 //! Dependency-free epoll event loop for the serving front-end.
 //!
 //! One thread owns every socket: the nonblocking listener, a wake pipe
-//! dispatcher threads poke after enqueueing response bytes, and all
-//! accepted connections ([`crate::conn::Conn`]). Level-triggered epoll
-//! with a bounded wait doubles as the deadline sweep tick, enforcing
-//! per-connection read deadlines (slow-loris → typed 408) and the hard
-//! connection limit (typed 429 + `Retry-After`) without any extra
-//! timers.
+//! worker threads poke after enqueueing response bytes, and all
+//! accepted connections ([`crate::conn::Conn`]). Each complete request
+//! goes onto the one request queue the workers drain, at most one per
+//! connection at a time so pipelined responses stay in order; the loop
+//! never runs a handler itself. Level-triggered epoll with a bounded
+//! wait doubles as the deadline sweep tick, enforcing per-connection
+//! read deadlines (slow-loris → typed 408) and the hard connection
+//! limit (typed 429 + `Retry-After`) without any extra timers.
 //!
 //! The epoll bindings in [`sys`] are raw syscalls via inline assembly —
 //! the workspace vendors no libc, and `std` exposes no epoll — limited
@@ -26,7 +28,7 @@ use explainti_api::ApiError;
 
 use crate::conn::{Conn, FlushOutcome, ReadOutcome, Waker};
 use crate::http;
-use crate::server::{DispatchJob, Shared};
+use crate::server::{self, Job, Shared};
 
 /// Raw epoll interface. Syscall numbers and flag values are part of the
 /// Linux userspace ABI and are stable by kernel policy.
@@ -317,7 +319,7 @@ struct EventLoop {
 
 /// Builds the epoll set (listener + wake pipe) up front so `start()`
 /// can fail fast on unsupported targets, then returns the running
-/// loop's entry point and the waker dispatchers use.
+/// loop's entry point and the waker workers use.
 pub(crate) fn prepare(
     listener: TcpListener,
     shared: Arc<Shared>,
@@ -327,8 +329,8 @@ pub(crate) fn prepare(
     let (waker_tx, waker_rx) = UnixStream::pair()?;
     waker_rx.set_nonblocking(true)?;
     // The sender half must be nonblocking too: a full pipe has to fail
-    // the dispatcher's wake write (a pending wake-up already exists),
-    // not park the dispatcher thread on a blocking socket.
+    // the worker's wake write (a pending wake-up already exists), not
+    // park the worker thread on a blocking socket.
     waker_tx.set_nonblocking(true)?;
     let waker = Waker::new(
         Arc::new(explainti_sync::OrderedMutex::new(
@@ -549,8 +551,8 @@ impl EventLoop {
         self.advance(id);
     }
 
-    /// Hands the next pipelined request to the dispatcher pool, keeping
-    /// at most one in flight per connection so responses stay ordered.
+    /// Hands the next pipelined request to the worker pool, keeping at
+    /// most one in flight per connection so responses stay ordered.
     fn dispatch_next(&mut self, id: u64) {
         let Some(conn) = self.conns.get_mut(&id) else { return };
         if conn.in_flight {
@@ -566,26 +568,14 @@ impl EventLoop {
         }
         conn.requests_dispatched += 1;
         conn.in_flight = true;
-        let keep_alive = req.keep_alive;
-        let job = DispatchJob {
-            conn_id: id,
-            request: req,
-            io: Arc::clone(&conn.io),
-            waker: self.waker.clone(),
-        };
-        if self.shared.dispatch.try_push(job).is_err() {
-            // Queue full/closed: answer inline so ordering holds, and
-            // complete the response so the finished-response path keeps
-            // dispatching any remaining pipelined requests.
-            conn.in_flight = false;
-            let err = ApiError::new(explainti_api::ErrorCode::QueueFull, "dispatch queue is full");
-            let trace_id = explainti_obs::next_trace_id();
-            let tid = trace_id.to_string();
-            let bytes = http::render_error(&err, &tid, keep_alive, None);
-            conn.io.enqueue(bytes);
-            conn.io.finish_response(!keep_alive);
-            // No advance here: both callers (readable, advance's
-            // finished-response path) flush right after this returns.
+        let job = Job::new(id, req, Arc::clone(&conn.io), self.waker.clone());
+        if let Err(job) = self.shared.queue.try_push(job) {
+            // Queue full: answer inline so ordering holds; the completed
+            // response keeps dispatching any remaining pipelined
+            // requests. No advance here: both callers (readable,
+            // advance's finished-response path) flush right after this.
+            let err = ApiError::new(explainti_api::ErrorCode::QueueFull, "request queue is full");
+            server::finish(&self.shared, job, Err(err), false);
         }
     }
 

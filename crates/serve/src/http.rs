@@ -293,18 +293,15 @@ pub const LAST_CHUNK: &[u8] = b"0\r\n\r\n";
 /// The [`ApiError`] body with a `trace_id` key spliced in.
 ///
 /// The wire schema is frozen (EA005), so the id rides in the serialised
-/// JSON at the HTTP layer — round-tripped through `Value` so the body
-/// stays byte-compatible with the bare `ApiError` shape plus one key —
-/// rather than as a new DTO field.
+/// JSON at the HTTP layer — inserted into the error's `Value` tree
+/// before the one serialization, so the body is the bare `ApiError`
+/// shape plus one key — rather than as a new DTO field.
 pub fn error_body(err: &ApiError, trace_id: &str) -> String {
-    let plain = serde_json::to_string(err).unwrap_or_else(|_| "{}".to_string());
-    match serde_json::from_str::<serde_json::Value>(&plain) {
-        Ok(serde_json::Value::Object(mut map)) => {
-            map.insert("trace_id".to_string(), serde_json::Value::String(trace_id.to_string()));
-            serde_json::to_string(&serde_json::Value::Object(map)).unwrap_or(plain)
-        }
-        _ => plain,
+    let mut value = serde::Serialize::to_value(err);
+    if let serde_json::Value::Object(map) = &mut value {
+        map.insert("trace_id".to_string(), serde_json::Value::String(trace_id.to_string()));
     }
+    serde_json::to_string(&value).unwrap_or_default()
 }
 
 /// Renders a typed error response: status from the code, `trace_id`
@@ -461,5 +458,21 @@ mod tests {
         let plain = serde_json::to_string(&err).unwrap();
         let plain_v: serde_json::Value = serde_json::from_str(&plain).unwrap();
         assert_eq!(v["code"], plain_v["code"]);
+        // Exact bytes: keys sorted, `retry_after_s` null unless set.
+        assert_eq!(
+            body,
+            concat!(
+                "{\"code\":\"BadRequest\",\"message\":\"nope\",",
+                "\"retry_after_s\":null,\"trace_id\":\"00000000deadbeef\"}",
+            ),
+        );
+        let err = ApiError::too_many_connections("connection limit (2) reached", 1);
+        assert_eq!(
+            error_body(&err, "beef"),
+            concat!(
+                "{\"code\":\"TooManyConnections\",\"message\":\"connection limit (2) reached\",",
+                "\"retry_after_s\":1,\"trace_id\":\"beef\"}",
+            ),
+        );
     }
 }

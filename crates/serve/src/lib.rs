@@ -8,18 +8,20 @@
 //!   nonblocking accept with a hard connection limit (typed 429 +
 //!   `Retry-After`), per-connection read deadlines (slow-loris → typed
 //!   408), keep-alive with pipelining, and write flushing.
-//! - [`conn`] — per-connection state machines (reading → dispatched →
-//!   writing) plus the dispatcher-side response sink, which streams
-//!   large table responses as chunked transfer-encoding.
+//! - [`conn`] — per-connection state machines (reading → in flight →
+//!   writing) plus the worker-side response sink, which streams table
+//!   responses as chunked transfer-encoding.
 //! - [`http`] — an incremental buffer-based HTTP/1.1 parser and
 //!   response renderer; no socket I/O of its own.
-//! - [`queue`] — a bounded MPMC queue whose consumers drain batches;
-//!   the backpressure point (full queue → HTTP 503).
+//! - [`queue`] — the bounded MPMC request queue (one entry per
+//!   request) the workers pop from and batch off; the backpressure
+//!   point (full queue → HTTP 503).
 //! - [`cache`] — an LRU cache of full responses keyed by a hash of
 //!   `(title, header, cells)`, so repeat predictions short-circuit the
 //!   model *including* their explanations.
-//! - [`server`] — the declarative route table, dispatcher + worker
-//!   pools, and graceful shutdown (drain in-flight work, then stop).
+//! - [`server`] — the declarative route table, the worker pool that
+//!   answers whole requests, the admin thread that runs model swaps,
+//!   and graceful shutdown (drain in-flight work, then stop).
 //!
 //! Endpoints: `POST /v1/interpret` (a whole table or a single column,
 //! as [`explainti_api`] DTOs), `GET /v1/healthz`, `GET /v1/metrics`

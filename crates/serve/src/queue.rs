@@ -1,33 +1,23 @@
-//! Bounded MPMC request queue with micro-batch draining.
+//! Bounded MPMC request queue with non-blocking batch draining.
 //!
-//! Connection handlers push individual jobs; worker threads drain up to
-//! `max_batch` jobs per wake-up so downstream tokenization and encoder
-//! forwards amortise across requests. The queue is the backpressure
-//! point: a full queue rejects the push (the server maps that to HTTP
-//! 503) instead of buffering unboundedly.
+//! The event loop pushes one item per parsed request; a worker blocks
+//! on [`BatchQueue::pop_wait`] for one, and a worker about to run a forward
+//! drains whatever else is already queued ([`BatchQueue::try_pop_batch`])
+//! so the encoder forward amortises across requests. The queue is
+//! bounded: a full queue refuses the push and hands the item back (the
+//! server answers it with HTTP 503) instead of buffering unboundedly.
 
 use std::collections::VecDeque;
 use std::sync::Condvar;
-use std::time::Duration;
 
 use explainti_sync::{classes, OrderedMutex};
-
-/// Why a [`BatchQueue::try_push`] was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushError {
-    /// The queue is at capacity — shed load upstream.
-    Full,
-    /// The queue was closed for shutdown.
-    Closed,
-}
 
 struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
 }
 
-/// A bounded multi-producer/multi-consumer queue whose consumers drain
-/// *batches* rather than single items.
+/// A bounded multi-producer/multi-consumer FIFO queue.
 pub struct BatchQueue<T> {
     inner: OrderedMutex<Inner<T>>,
     available: Condvar,
@@ -63,14 +53,11 @@ impl<T> BatchQueue<T> {
     }
 
     /// Enqueues one item, waking a waiting consumer. Fails fast (no
-    /// blocking) when the queue is full or closed.
-    pub fn try_push(&self, item: T) -> Result<(), PushError> {
+    /// blocking) when the queue is full or closed, handing the item back.
+    pub fn try_push(&self, item: T) -> Result<(), T> {
         let mut inner = self.inner.lock();
-        if inner.closed {
-            return Err(PushError::Closed);
-        }
-        if inner.items.len() >= self.cap {
-            return Err(PushError::Full);
+        if inner.closed || inner.items.len() >= self.cap {
+            return Err(item);
         }
         inner.items.push_back(item);
         drop(inner);
@@ -78,17 +65,14 @@ impl<T> BatchQueue<T> {
         Ok(())
     }
 
-    /// Blocks until at least one item is available (or the queue closes),
-    /// then drains up to `max_batch` items in FIFO order. Returns `None`
-    /// only when the queue is closed *and* fully drained — the consumer's
-    /// signal to exit.
-    pub fn pop_batch(&self, max_batch: usize) -> Option<Vec<T>> {
-        let max_batch = max_batch.max(1);
+    /// Blocks until an item is available (or the queue closes) and takes
+    /// the oldest. Returns `None` only when the queue is closed *and*
+    /// fully drained — the consumer's signal to exit.
+    pub fn pop_wait(&self) -> Option<T> {
         let mut inner = self.inner.lock();
         loop {
-            if !inner.items.is_empty() {
-                let n = inner.items.len().min(max_batch);
-                return Some(inner.items.drain(..n).collect());
+            if let Some(item) = inner.items.pop_front() {
+                return Some(item);
             }
             if inner.closed {
                 return None;
@@ -97,33 +81,16 @@ impl<T> BatchQueue<T> {
         }
     }
 
-    /// Like [`Self::pop_batch`] but gives up after `timeout`, returning
-    /// an empty batch so the consumer can re-check external state.
-    pub fn pop_batch_timeout(&self, max_batch: usize, timeout: Duration) -> Option<Vec<T>> {
-        let max_batch = max_batch.max(1);
+    /// Takes up to `max` of the oldest items without blocking (empty
+    /// when nothing is queued).
+    pub fn try_pop_batch(&self, max: usize) -> Vec<T> {
         let mut inner = self.inner.lock();
-        loop {
-            if !inner.items.is_empty() {
-                let n = inner.items.len().min(max_batch);
-                return Some(inner.items.drain(..n).collect());
-            }
-            if inner.closed {
-                return None;
-            }
-            let (guard, timed_out) = inner.wait_timeout(&self.available, timeout);
-            inner = guard;
-            if timed_out {
-                if !inner.items.is_empty() {
-                    let n = inner.items.len().min(max_batch);
-                    return Some(inner.items.drain(..n).collect());
-                }
-                return if inner.closed { None } else { Some(Vec::new()) };
-            }
-        }
+        let n = inner.items.len().min(max);
+        inner.items.drain(..n).collect()
     }
 
     /// Closes the queue: pushes fail from now on, and consumers drain
-    /// what remains before [`Self::pop_batch`] returns `None`.
+    /// what remains before [`Self::pop_wait`] returns `None`.
     pub fn close(&self) {
         self.inner.lock().closed = true;
         self.available.notify_all();
@@ -135,6 +102,7 @@ impl<T> BatchQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn push_pop_fifo_order() {
@@ -142,8 +110,10 @@ mod tests {
         for i in 0..5 {
             q.try_push(i).unwrap();
         }
-        assert_eq!(q.pop_batch(3).unwrap(), vec![0, 1, 2]);
-        assert_eq!(q.pop_batch(3).unwrap(), vec![3, 4]);
+        assert_eq!(q.pop_wait(), Some(0));
+        assert_eq!(q.try_pop_batch(3), vec![1, 2, 3]);
+        assert_eq!(q.try_pop_batch(3), vec![4]);
+        assert!(q.try_pop_batch(3).is_empty());
     }
 
     #[test]
@@ -151,9 +121,9 @@ mod tests {
         let q = BatchQueue::new(2);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
-        assert_eq!(q.try_push(3), Err(PushError::Full));
+        assert_eq!(q.try_push(3), Err(3));
         // Draining frees capacity again.
-        q.pop_batch(1).unwrap();
+        q.pop_wait().unwrap();
         q.try_push(3).unwrap();
     }
 
@@ -162,9 +132,9 @@ mod tests {
         let q = BatchQueue::new(4);
         q.try_push(7).unwrap();
         q.close();
-        assert_eq!(q.try_push(8), Err(PushError::Closed));
-        assert_eq!(q.pop_batch(4).unwrap(), vec![7]);
-        assert!(q.pop_batch(4).is_none());
+        assert_eq!(q.try_push(8), Err(8));
+        assert_eq!(q.pop_wait(), Some(7));
+        assert!(q.pop_wait().is_none());
     }
 
     #[test]
@@ -172,33 +142,24 @@ mod tests {
         let q = Arc::new(BatchQueue::new(4));
         let consumer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_batch(4))
+            std::thread::spawn(move || q.pop_wait())
         };
         std::thread::sleep(Duration::from_millis(30));
         q.try_push(42).unwrap();
-        assert_eq!(consumer.join().unwrap().unwrap(), vec![42]);
+        assert_eq!(consumer.join().unwrap(), Some(42));
     }
 
     #[test]
     fn batch_collects_queued_items_up_to_max() {
-        // The micro-batching contract: everything queued at wake-up is
-        // drained together, capped at max_batch.
+        // The micro-batching contract: everything already queued is
+        // drained together, capped at the batch limit.
         let q = BatchQueue::new(16);
         for i in 0..10 {
             q.try_push(i).unwrap();
         }
-        let batch = q.pop_batch(8).unwrap();
+        let batch = q.try_pop_batch(8);
         assert_eq!(batch.len(), 8);
         assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn timeout_pop_returns_empty_batch() {
-        let q: BatchQueue<u32> = BatchQueue::new(4);
-        let batch = q.pop_batch_timeout(4, Duration::from_millis(10));
-        assert_eq!(batch.unwrap(), Vec::<u32>::new());
-        q.close();
-        assert!(q.pop_batch_timeout(4, Duration::from_millis(10)).is_none());
     }
 
     #[test]
@@ -209,8 +170,9 @@ mod tests {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
                     let mut got = Vec::new();
-                    while let Some(batch) = q.pop_batch(4) {
-                        got.extend(batch);
+                    while let Some(item) = q.pop_wait() {
+                        got.push(item);
+                        got.extend(q.try_pop_batch(3));
                     }
                     got
                 })
@@ -222,13 +184,9 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..25 {
                         let mut v = p * 100 + i;
-                        loop {
-                            match q.try_push(v) {
-                                Ok(()) => break,
-                                Err(PushError::Full) => std::thread::yield_now(),
-                                Err(PushError::Closed) => panic!("closed early"),
-                            }
-                            v = p * 100 + i;
+                        while let Err(back) = q.try_push(v) {
+                            v = back;
+                            std::thread::yield_now();
                         }
                     }
                 })

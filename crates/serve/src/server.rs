@@ -1,20 +1,25 @@
 //! The micro-batching inference server behind the epoll front-end.
 //!
-//! Three thread tiers. The **event loop** ([`crate::event_loop`]) owns
-//! every socket: it accepts, enforces the connection limit (typed 429)
-//! and read deadlines (typed 408), parses requests incrementally, and
-//! flushes response bytes. Parsed requests become [`DispatchJob`]s on a
-//! bounded dispatch queue drained by the **dispatcher pool**, which runs
-//! the route handlers — including blocking waits on prediction replies —
-//! and writes rendered bytes back through [`crate::conn::ResponseSink`].
-//! Cache misses land as [`Job`]s on the prediction [`BatchQueue`],
-//! drained in micro-batches by the **worker pool** running
-//! [`ExplainTi::predict_encoded_batch`] over one shared tape.
+//! Two thread tiers plus one admin thread. The **event loop**
+//! ([`crate::event_loop`]) owns every socket: it accepts, enforces the
+//! connection limit (typed 429) and read deadlines (typed 408), parses
+//! requests incrementally, and flushes response bytes. Each complete
+//! request becomes one [`Job`] on the request [`BatchQueue`], drained by
+//! the **worker pool**. A worker answers the whole request — route, JSON
+//! parse, per-column cache lookup, encode, forward, render — and writes
+//! the bytes back through the connection's [`ResponseSink`]. A request
+//! that needs no forward (a cache hit, a GET, an error) is answered at
+//! once. One whose cache misses need a forward first takes, without
+//! waiting, up to `max_batch − 1` requests already queued, and the
+//! batch's misses run through one [`ExplainTi::predict_encoded_batch`]
+//! per generation. `POST /v1/admin/swap` is admitted on a worker and run
+//! on the **admin thread**, so a model load never holds a worker.
 //!
-//! The prediction queue remains the backpressure point (full queue →
-//! 503), every job carries a deadline so abandoned requests are dropped
-//! rather than computed, and table responses stream per-column as
-//! chunked transfer-encoding instead of materialising the full JSON.
+//! The queue holds at most one request per connection, so `max_conns`
+//! bounds it (a refused push answers 503). Every interpret request
+//! carries a deadline, checked at pop and again after the forward
+//! (typed 504), and a table is one queue entry whose response streams
+//! per column as chunked transfer-encoding once its forward is done.
 //!
 //! Routing is a declarative table ([`ROUTES`]): one `Route` per
 //! endpoint, from which both the 405 `Allow` set and the known-path
@@ -27,18 +32,19 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 use explainti_sync::{classes, OrderedMutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use explainti_api::{
-    ApiError, ColumnPrediction, ConfigResponse, ErrorCode, InterpretTableRequest, ModelInfo,
-    PredictRequest, PredictResponse, ShardStatus, StoreStatusResponse, SwapRequest, SwapResponse,
-    SCHEMA_VERSION,
+    ApiError, ColumnData, ColumnPrediction, ConfigResponse, ErrorCode, InterpretTableRequest,
+    ModelInfo, PredictRequest, PredictResponse, ShardStatus, StoreStatusResponse, SwapRequest,
+    SwapResponse, SCHEMA_VERSION,
 };
 use explainti_core::{ExplainTi, Generation, GenerationHandle};
+use explainti_tokenizer::Encoded;
 use serde::Deserialize;
 use serde_json::{json, Value};
 
@@ -46,19 +52,16 @@ use crate::cache::LruCache;
 use crate::conn::{ConnIo, ResponseSink, Waker};
 use crate::event_loop::{self, LoopCfg};
 use crate::http;
-use crate::queue::{BatchQueue, PushError};
+use crate::queue::BatchQueue;
 
 /// How the server is sized; every knob has a CLI flag.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:8080` (`:0` for an ephemeral port).
     pub addr: String,
-    /// Worker threads draining the queue. `0` is allowed for tests that
-    /// need the queue to fill deterministically.
+    /// Worker threads answering requests from the queue.
     pub workers: usize,
-    /// Bounded queue capacity; pushes beyond it answer 503.
-    pub queue_cap: usize,
-    /// Maximum jobs a worker drains per wake-up.
+    /// Maximum requests one batched forward serves.
     pub max_batch: usize,
     /// LRU cache capacity (cached full responses, explanations included).
     pub cache_cap: usize,
@@ -77,17 +80,14 @@ pub struct ServeConfig {
     /// gauges at metrics-scrape time.
     pub slo_window_s: u64,
     /// Hard cap on concurrently open connections; excess connects are
-    /// answered with a typed 429 + `Retry-After` and closed.
+    /// answered with a typed 429 + `Retry-After` and closed. Also the
+    /// request queue's capacity (one request per connection at a time).
     pub max_conns: usize,
     /// A connection that has started but not completed a request within
     /// this window answers a typed 408 and closes (slow-loris defence).
     pub read_timeout_ms: u64,
     /// Keep-alive connections idle longer than this are closed.
     pub idle_timeout_ms: u64,
-    /// Dispatcher threads running route handlers. `0` derives a default
-    /// from `workers` (handlers block on worker replies, so there must
-    /// be more dispatchers than workers for batching to form).
-    pub dispatchers: usize,
     /// Store shards per task (consistent-hash buckets); swapped-in
     /// generations are loaded with the same layout. `1` = unsharded.
     pub shards: usize,
@@ -102,7 +102,6 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            queue_cap: 64,
             max_batch: 8,
             cache_cap: 256,
             deadline_ms: 30_000,
@@ -112,7 +111,6 @@ impl Default for ServeConfig {
             max_conns: 1024,
             read_timeout_ms: 10_000,
             idle_timeout_ms: 60_000,
-            dispatchers: 0,
             shards: 1,
             replicas: 1,
             swap_verify: true,
@@ -121,88 +119,92 @@ impl Default for ServeConfig {
 }
 
 /// Hard cap on columns per `/v1/interpret` table request: a pathological
-/// 10k-column row must answer a clean 400, not exhaust the queue.
+/// 10k-column row must answer a clean 400, not monopolise a worker.
 const MAX_TABLE_COLUMNS: usize = 512;
 
-/// How many times a job may be attempted in total (1 initial + retries).
-/// A worker panic re-enqueues the batch's jobs once; a second panic
-/// answers a typed 500 instead of retrying forever.
+/// How many times a request may join a forward in total (1 initial +
+/// retries). A panicked forward re-enqueues its requests once; a second
+/// panic answers a typed 500 instead of retrying forever.
 const MAX_ATTEMPTS: u32 = 2;
 
-/// Base backoff before a panicked batch is re-enqueued; doubles per
-/// attempt already made.
+/// Base backoff before a request from a panicked forward is re-enqueued;
+/// doubles per attempt already made.
 const RETRY_BACKOFF_MS: u64 = 10;
-
-/// Stage timings a worker reports back with each response so the
-/// dispatcher can fold them into the request's wide event. `queue_wait`
-/// is per job; the remaining fields describe the micro-batch the job
-/// rode in (per-request events record their batch's cost — the critical
-/// path the request actually waited on — not an amortised share).
-struct JobStages {
-    queue_wait_ns: u64,
-    batch_assembly_ns: u64,
-    /// Forward + head time net of the three explanation views.
-    predict_ns: u64,
-    le_ns: u64,
-    ge_ns: u64,
-    se_ns: u64,
-    batch_size: u64,
-}
-
-impl JobStages {
-    /// Total worker-side chain: the sequential enqueue → reply interval.
-    fn chain_ns(&self) -> u64 {
-        self.queue_wait_ns
-            .saturating_add(self.batch_assembly_ns)
-            .saturating_add(self.predict_ns)
-            .saturating_add(self.le_ns)
-            .saturating_add(self.ge_ns)
-            .saturating_add(self.se_ns)
-    }
-}
-
-/// What a worker (or the cache path) sends back per job: the response
-/// plus stage timings (`None` for cache hits — nothing was computed).
-type JobReply = Result<(Arc<PredictResponse>, Option<JobStages>), ApiError>;
 
 /// Saturating nanoseconds from `earlier` to `later` (0 if out of order).
 fn ns_since(earlier: Instant, later: Instant) -> u64 {
     later.saturating_duration_since(earlier).as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// One queued column prediction.
-struct Job {
-    /// The generation the request was dispatched against: the job runs
-    /// on this model even if a swap commits while it waits in the queue.
-    gen: Arc<Generation>,
-    encoded: explainti_tokenizer::Encoded,
-    key: u64,
-    resp_tx: mpsc::Sender<JobReply>,
-    deadline: Instant,
-    /// When the job entered the queue (wide-event `queue_wait`).
+/// One parsed request on its way from the event loop to a worker,
+/// carrying everything needed to answer it.
+pub(crate) struct Job {
+    request: http::Request,
+    sink: ResponseSink,
+    /// Started when the event loop enqueued the request, so queue time
+    /// counts toward the request's total.
+    rtrace: explainti_obs::RequestTrace,
+    /// When the job last entered the queue (wide-event `queue_wait`).
     enqueued_at: Instant,
-    /// Times this job has been handed to a worker (retry bookkeeping).
+    /// Set on a retry: the generation the first attempt snapshotted, so
+    /// the retry answers from the same model.
+    gen: Option<Arc<Generation>>,
+    /// Forwards this request already joined (retry bookkeeping).
     attempts: u32,
 }
 
-/// One parsed request handed from the event loop to a dispatcher.
-pub(crate) struct DispatchJob {
-    /// Event-loop connection id (the epoll token).
-    pub(crate) conn_id: u64,
-    /// The parsed request.
-    pub(crate) request: http::Request,
-    /// The connection's outbound state, for the response.
-    pub(crate) io: Arc<ConnIo>,
-    /// Wakes the event loop after each enqueue.
-    pub(crate) waker: Waker,
+impl Job {
+    /// Wraps a request parsed on connection `conn_id`.
+    pub(crate) fn new(conn_id: u64, request: http::Request, io: Arc<ConnIo>, waker: Waker) -> Self {
+        let trace_id = explainti_obs::next_trace_id();
+        let mut rtrace = explainti_obs::RequestTrace::new(trace_id);
+        rtrace.add_stage("parse", request.parse_ns);
+        explainti_obs::counter!("serve.requests", 1);
+        let sink = ResponseSink::new(
+            io,
+            waker,
+            conn_id,
+            trace_id.to_string(),
+            request.keep_alive,
+            request.http11,
+        );
+        Self { request, sink, rtrace, enqueued_at: Instant::now(), gen: None, attempts: 0 }
+    }
+}
+
+/// Answers `result`'s typed error if the request failed, then records
+/// the wide event — and, for `/v1/interpret` (`slo`), the SLO sample.
+pub(crate) fn finish(shared: &Shared, mut job: Job, result: Result<(), ApiError>, slo: bool) {
+    let status = match result {
+        Ok(()) => job.sink.status(),
+        Err(err) => {
+            job.sink.send_error(&err, None);
+            err.status()
+        }
+    };
+    job.rtrace.set_status(status);
+    if slo {
+        // The SLO window tracks the paper-relevant endpoint only; 5xx
+        // count as errors, client errors (4xx) do not.
+        shared.slo.record(job.rtrace.elapsed_ns(), status >= 500);
+    }
+    job.rtrace.finish();
+}
+
+/// A swap admitted past the swap lock, waiting for the admin thread.
+struct SwapJob {
+    job: Job,
+    model_dir: String,
 }
 
 pub(crate) struct Shared {
-    /// The live model generation; requests snapshot it once at dispatch.
+    /// The live model generation; requests snapshot it once at pop.
     generations: GenerationHandle,
-    queue: BatchQueue<Job>,
-    /// Parsed requests awaiting a dispatcher (one in flight per conn).
-    pub(crate) dispatch: BatchQueue<DispatchJob>,
+    /// Parsed requests awaiting a worker (at most one per connection).
+    pub(crate) queue: BatchQueue<Job>,
+    /// Admitted swaps awaiting the admin thread (at most one: the swap
+    /// lock is held from admission until the swap finishes).
+    admin: BatchQueue<SwapJob>,
     cache: OrderedMutex<LruCache<u64, Arc<PredictResponse>>>,
     pub(crate) shutdown: Arc<AtomicBool>,
     top_k: usize,
@@ -210,8 +212,8 @@ pub(crate) struct Shared {
     deadline: Duration,
     /// Rolling latency/error window behind the `serve.slo.*` gauges.
     slo: explainti_obs::SloWindow,
-    /// Held (CAS) for the duration of an admin swap; a second concurrent
-    /// swap answers a typed 409 instead of queueing.
+    /// Held (CAS) from a swap's admission until it finishes; a second
+    /// concurrent swap answers a typed 409 instead of queueing.
     swap_lock: AtomicBool,
     /// Store layout swapped-in generations are loaded with.
     shards: usize,
@@ -246,296 +248,155 @@ fn cache_key(generation: u64, title: &str, header: &str, cells: &[String]) -> u6
 // ---- Worker pool ------------------------------------------------------
 
 fn worker_loop(shared: &Shared) {
-    while let Some(batch) = shared.queue.pop_batch(shared.max_batch) {
-        let drained_at = Instant::now();
+    while let Some(job) = shared.queue.pop_wait() {
         let depth = shared.queue.len();
         explainti_obs::set_gauge("serve.queue.depth", depth as f64);
         if explainti_obs::enabled() {
-            // Depth sampled at every drain: a distribution (not just the
+            // Depth sampled at every pop: a distribution (not just the
             // latest gauge value), so load tests can plot queue pressure.
             explainti_obs::registry().histogram("serve.queue.depth.sampled").record(depth as u64);
         }
-        let (live, expired): (Vec<Job>, Vec<Job>) =
-            batch.into_iter().partition(|j| j.deadline > drained_at);
-        if !expired.is_empty() {
-            // The waiting handler already gave up; don't burn a forward.
-            explainti_obs::counter!("serve.jobs.expired", expired.len() as u64);
+        let Some(first) = begin(shared, job) else { continue };
+        // Only a request that needs a forward batches: it takes along
+        // whatever is already queued, answering the ones that need none.
+        let mut batch = vec![first];
+        for job in shared.queue.try_pop_batch(shared.max_batch - 1) {
+            batch.extend(begin(shared, job));
         }
-        if live.is_empty() {
-            continue;
+        // A swap mid-flight can leave requests from two generations in
+        // one batch: one forward per generation, each on the model its
+        // requests snapshotted.
+        let mut groups: BTreeMap<u64, Vec<Pending>> = BTreeMap::new();
+        for p in batch {
+            groups.entry(p.gen.id).or_default().push(p);
         }
-        // A swap mid-flight can leave jobs from two generations in one
-        // drain: group by generation id so each forward runs on the
-        // model its requests were dispatched against.
-        let mut groups: BTreeMap<u64, Vec<Job>> = BTreeMap::new();
-        for job in live {
-            groups.entry(job.gen.id).or_default().push(job);
-        }
-        for jobs in groups.into_values() {
-            run_batch(shared, jobs, drained_at);
+        for group in groups.into_values() {
+            run_batch(shared, group);
         }
     }
 }
 
-/// Runs one same-generation micro-batch: forward, respond, retry.
-fn run_batch(shared: &Shared, live: Vec<Job>, drained_at: Instant) {
-    let Some(first) = live.first() else { return };
-    let gen = Arc::clone(&first.gen);
-    if explainti_obs::enabled() {
-        explainti_obs::registry().histogram("serve.batch.size").record(live.len() as u64);
-    }
-    let _span = explainti_obs::span!("serve.batch.predict");
-    // Chaos site: a slow batch (GC pause / noisy neighbour stand-in)
-    // to exercise the deadline path without a real stall.
-    if explainti_faults::triggered("serve.batch.slow") {
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    let encs: Vec<explainti_tokenizer::Encoded> = live.iter().map(|j| j.encoded.clone()).collect();
-    let forward_at = Instant::now();
-    let batch_assembly_ns = ns_since(drained_at, forward_at);
-    // Capture every span the forward closes — including those on
-    // kernel-pool threads, which re-install this capture around each
-    // task — so per-request wide events can attribute predict/LE/GE/SE.
-    let capture = explainti_obs::SpanCapture::new();
-    // A panicking forward (injected via `serve.worker.panic` or real)
-    // must not kill the worker: recover, re-enqueue each job within
-    // its retry budget, and answer a typed 500 past it.
-    let outcome = {
-        let _ctx = capture.install();
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            explainti_faults::panic_if_triggered("serve.worker.panic");
-            gen.model.predict_encoded_batch(&encs)
-        }))
-    };
-    match outcome {
-        Ok(preds) => {
-            let le_ns = capture.get("explain.le");
-            let ge_ns = capture.get("explain.ge");
-            let se_ns = capture.get("explain.se");
-            // Disjoint stages: predict is the batch forward net of
-            // the three explanation views, so the stage fields sum
-            // to (at most) the observed span total.
-            let predict_ns = capture
-                .get("model.predict_batch")
-                .saturating_sub(le_ns.saturating_add(ge_ns).saturating_add(se_ns));
-            let batch_size = live.len() as u64;
-            for (job, pred) in live.into_iter().zip(preds) {
-                let resp =
-                    Arc::new(PredictResponse::from_prediction(&pred, &gen.labels, shared.top_k));
-                lock_cache(shared).insert(job.key, Arc::clone(&resp));
-                let stages = JobStages {
-                    queue_wait_ns: ns_since(job.enqueued_at, drained_at),
-                    batch_assembly_ns,
-                    predict_ns,
-                    le_ns,
-                    ge_ns,
-                    se_ns,
-                    batch_size,
-                };
-                // A closed receiver means the handler timed out.
-                let _ = job.resp_tx.send(Ok((resp, Some(stages))));
-            }
+/// Starts one popped request: routes it and answers it at once, unless
+/// it is an interpret request whose cache misses need a forward — that
+/// comes back as a [`Pending`].
+fn begin(shared: &Shared, mut job: Job) -> Option<Pending> {
+    let popped_at = Instant::now();
+    // One generation snapshot per request: every byte of this response —
+    // prediction, labels, config block, `X-Model-Generation` header —
+    // comes from the same generation even if a swap commits mid-request.
+    let gen = job.gen.take().unwrap_or_else(|| shared.generations.current());
+    job.sink.set_generation(gen.id);
+    let r = match route(&job.request.method, &job.request.path) {
+        RouteMatch::Found(r) => r,
+        RouteMatch::WrongMethod(allow) => {
+            let err = ApiError::new(ErrorCode::MethodNotAllowed, "wrong method for this endpoint");
+            job.sink.send_error(&err, Some(&allow));
+            finish(shared, job, Ok(()), false);
+            return None;
         }
-        Err(_) => {
-            explainti_obs::counter!("serve.worker.panics", 1);
-            for mut job in live {
-                if job.attempts + 1 >= MAX_ATTEMPTS {
-                    explainti_obs::counter!("serve.jobs.retry_exhausted", 1);
-                    let _ = job.resp_tx.send(Err(ApiError::internal(
-                        "prediction worker panicked and the retry budget is exhausted",
-                    )));
-                    continue;
-                }
-                std::thread::sleep(Duration::from_millis(RETRY_BACKOFF_MS << job.attempts));
-                job.attempts += 1;
-                explainti_obs::counter!("serve.jobs.retried", 1);
-                let tx = job.resp_tx.clone();
-                if shared.queue.try_push(job).is_err() {
-                    // Queue full or closed mid-retry: fail loudly
-                    // rather than letting the handler hit 504.
-                    explainti_obs::counter!("serve.jobs.retry_dropped", 1);
-                    let _ = tx
-                        .send(Err(ApiError::internal("prediction retry could not be re-enqueued")));
+        RouteMatch::Unknown => {
+            let err = ApiError::new(
+                ErrorCode::NotFound,
+                format!("no such endpoint: {}", job.request.path),
+            );
+            finish(shared, job, Err(err), false);
+            return None;
+        }
+    };
+    job.rtrace.set_endpoint(r.name);
+    match r.handler {
+        Handler::Direct(handler) => {
+            let result = handler(shared, &gen, &job.request, &mut job.sink);
+            finish(shared, job, result, false);
+        }
+        Handler::Interpret => match prepare_interpret(shared, &gen, &mut job) {
+            Ok(work) if !work.encoded.is_empty() => {
+                return Some(Pending { job, gen, work, popped_at, ready_at: Instant::now() });
+            }
+            Ok(work) => {
+                let result = respond(&mut job, work);
+                finish(shared, job, result, true);
+            }
+            Err(err) => finish(shared, job, Err(err), true),
+        },
+        Handler::Swap => match admit_swap(shared, &job.request) {
+            Ok(model_dir) => {
+                if let Err(SwapJob { job, .. }) = shared.admin.try_push(SwapJob { job, model_dir })
+                {
+                    shared.swap_lock.store(false, Ordering::SeqCst);
+                    let err = ApiError::new(ErrorCode::ShuttingDown, "server is shutting down");
+                    finish(shared, job, Err(err), false);
                 }
             }
-        }
+            Err(err) => finish(shared, job, Err(err), false),
+        },
     }
+    None
 }
 
-// ---- Request handling -------------------------------------------------
+// ---- Interpret --------------------------------------------------------
 
-/// Looks the column up in the cache or enqueues it, returning a receiver
-/// for the (possibly already-delivered) response.
-fn submit_column(
+/// An interpret request after parsing and cache lookup.
+struct Interpret {
+    /// Per-column answers in request order; misses stay `None` until the
+    /// forward fills them.
+    answers: Vec<Option<Arc<PredictResponse>>>,
+    /// Cache keys of the misses, in request order.
+    miss_keys: Vec<u64>,
+    /// The encoded miss columns, parallel to `miss_keys`.
+    encoded: Vec<Encoded>,
+    /// Title and headers of a table request; `None` for one column.
+    table: Option<(String, Vec<String>)>,
+}
+
+/// An interpret request waiting for its batch's forward.
+struct Pending {
+    job: Job,
+    gen: Arc<Generation>,
+    work: Interpret,
+    popped_at: Instant,
+    /// When this request's own parse and encode finished.
+    ready_at: Instant,
+}
+
+/// The typed 504 for a request past its deadline.
+fn expire() -> ApiError {
+    explainti_obs::counter!("serve.jobs.expired", 1);
+    ApiError::new(ErrorCode::DeadlineExceeded, "prediction missed its deadline")
+}
+
+fn past_deadline(shared: &Shared, job: &Job) -> bool {
+    Duration::from_nanos(job.rtrace.elapsed_ns()) >= shared.deadline
+}
+
+/// Parses an interpret body and looks every column up in the cache,
+/// encoding the misses for the forward.
+fn prepare_interpret(
     shared: &Shared,
-    gen: &Arc<Generation>,
-    req: &PredictRequest,
-    deadline: Instant,
-    rtrace: &mut explainti_obs::RequestTrace,
-) -> Result<mpsc::Receiver<JobReply>, ApiError> {
-    if req.header.is_empty() && req.cells.is_empty() {
-        return Err(ApiError::bad_request("column has neither header nor cells"));
-    }
-    rtrace.note_column();
-    let key = cache_key(gen.id, &req.title, &req.header, &req.cells);
-    let (tx, rx) = mpsc::channel();
-    if let Some(hit) = lock_cache(shared).get(&key) {
-        explainti_obs::counter!("serve.cache.hit", 1);
-        rtrace.note_cache_hit();
-        let _ = tx.send(Ok((Arc::clone(hit), None)));
-        return Ok(rx);
-    }
-    explainti_obs::counter!("serve.cache.miss", 1);
-    // Chaos site: backpressure without actually filling the queue.
-    if explainti_faults::triggered("serve.queue.full") {
-        return Err(ApiError::new(
-            ErrorCode::QueueFull,
-            format!("request queue at capacity ({})", shared.queue.capacity()),
-        ));
-    }
-    let cells: Vec<&str> = req.cells.iter().map(String::as_str).collect();
-    let encode_start = Instant::now();
-    let encoded = gen.model.encode_ad_hoc_column(&req.title, &req.header, &cells);
-    rtrace.add_stage("encode", ns_since(encode_start, Instant::now()));
-    let job = Job {
-        gen: Arc::clone(gen),
-        encoded,
-        key,
-        resp_tx: tx,
-        deadline,
-        enqueued_at: Instant::now(),
-        attempts: 0,
-    };
-    match shared.queue.try_push(job) {
-        Ok(()) => {
-            explainti_obs::set_gauge("serve.queue.depth", shared.queue.len() as f64);
-            Ok(rx)
-        }
-        Err(PushError::Full) => Err(ApiError::new(
-            ErrorCode::QueueFull,
-            format!("request queue at capacity ({})", shared.queue.capacity()),
-        )),
-        Err(PushError::Closed) => {
-            Err(ApiError::new(ErrorCode::ShuttingDown, "server is shutting down"))
-        }
-    }
-}
-
-fn await_response(
-    rx: &mpsc::Receiver<JobReply>,
-    deadline: Instant,
-) -> Result<(Arc<PredictResponse>, Option<JobStages>), ApiError> {
-    let remaining = deadline.saturating_duration_since(Instant::now());
-    rx.recv_timeout(remaining)
-        .map_err(|_| ApiError::new(ErrorCode::DeadlineExceeded, "prediction missed its deadline"))?
-}
-
-/// Folds one job's worker-side stage timings into the request's wide
-/// event. Multi-column requests keep the *longest* single chain rather
-/// than summing across columns: chains of different columns overlap in
-/// real time, and the wide-event invariant is that stage durations are
-/// sequential pieces of the request's own lifetime (sum ≤ total).
-fn fold_worker_stages(best: &mut Option<JobStages>, stages: Option<JobStages>) {
-    if let Some(st) = stages {
-        let better = best.as_ref().is_none_or(|b| st.chain_ns() > b.chain_ns());
-        if better {
-            *best = Some(st);
-        }
-    }
-}
-
-/// Writes the chosen worker chain into the wide event's stage fields.
-fn apply_worker_stages(rtrace: &mut explainti_obs::RequestTrace, best: Option<JobStages>) {
-    if let Some(st) = best {
-        rtrace.add_stage("queue_wait", st.queue_wait_ns);
-        rtrace.add_stage("batch_assembly", st.batch_assembly_ns);
-        rtrace.add_stage("predict", st.predict_ns);
-        rtrace.add_stage("explain_le", st.le_ns);
-        rtrace.add_stage("explain_ge", st.ge_ns);
-        rtrace.add_stage("explain_se", st.se_ns);
-        rtrace.note_batch(st.batch_size);
-    }
-}
-
-/// Streams a table response: the chunked head goes out with the first
-/// finished column, each subsequent column ships as its own chunk, and
-/// the tail closes the JSON. Field order (`columns`, `schema_version`,
-/// `title`) matches the vendored serde's sorted-key serialization, so
-/// the streamed bytes are identical to `serde_json::to_string` of an
-/// [`explainti_api::InterpretTableResponse`].
-fn stream_table(
-    shared: &Shared,
-    gen: &Arc<Generation>,
-    req: InterpretTableRequest,
-    deadline: Instant,
-    rtrace: &mut explainti_obs::RequestTrace,
-    sink: &mut ResponseSink,
-) -> Result<(), ApiError> {
-    // Enqueue every column before waiting on any, so one connection's
-    // table still forms a micro-batch for the workers.
-    let mut pending = Vec::with_capacity(req.columns.len());
-    for idx in 0..req.columns.len() {
-        let col = req.column_request(idx);
-        pending.push((col.header.clone(), submit_column(shared, gen, &col, deadline, rtrace)?));
-    }
-    let mut best = None;
-    let mut ser_ns = 0u64;
-    for (idx, (header, rx)) in pending.into_iter().enumerate() {
-        // Past the first chunk the head is already on the wire: a column
-        // failure can only abort the stream (handled by the caller).
-        let (resp, stages) = await_response(&rx, deadline)?;
-        fold_worker_stages(&mut best, stages);
-        let ser_start = Instant::now();
-        let col = ColumnPrediction { header, prediction: (*resp).clone() };
-        let mut piece = String::new();
-        if idx == 0 {
-            piece.push_str("{\"columns\":[");
-        } else {
-            piece.push(',');
-        }
-        piece.push_str(&serde_json::to_string(&col).unwrap_or_default());
-        ser_ns = ser_ns.saturating_add(ns_since(ser_start, Instant::now()));
-        if idx == 0 {
-            sink.begin_stream(200, "application/json");
-        }
-        sink.stream_chunk(piece.as_bytes());
-    }
-    let tail = format!(
-        "],\"schema_version\":{SCHEMA_VERSION},\"title\":{}}}",
-        serde_json::to_string(&req.title).unwrap_or_default()
-    );
-    sink.stream_chunk(tail.as_bytes());
-    sink.end_stream();
-    apply_worker_stages(rtrace, best);
-    rtrace.add_stage("serialize", ser_ns);
-    Ok(())
-}
-
-fn handle_interpret(
-    shared: &Shared,
-    gen: &Arc<Generation>,
-    request: &http::Request,
-    rtrace: &mut explainti_obs::RequestTrace,
-    sink: &mut ResponseSink,
-) -> Result<(), ApiError> {
+    gen: &Generation,
+    job: &mut Job,
+) -> Result<Interpret, ApiError> {
     let _span = explainti_obs::span!("serve.request.interpret");
     if shared.shutdown.load(Ordering::SeqCst) {
         return Err(ApiError::new(ErrorCode::ShuttingDown, "server is shutting down"));
     }
+    if past_deadline(shared, job) {
+        return Err(expire());
+    }
     let parse_start = Instant::now();
-    let parsed: Result<Value, ApiError> = std::str::from_utf8(&request.body)
+    let parsed: Result<Value, ApiError> = std::str::from_utf8(&job.request.body)
         .map_err(|_| ApiError::bad_request("body is not valid UTF-8"))
         .and_then(|text| {
             serde_json::from_str(text).map_err(|e| ApiError::bad_request(format!("bad JSON: {e}")))
         });
-    rtrace.add_stage("parse", ns_since(parse_start, Instant::now()));
+    job.rtrace.add_stage("parse", ns_since(parse_start, Instant::now()));
     let value = parsed?;
-    let deadline = Instant::now() + shared.deadline;
 
     // A body with a "columns" key is a whole table; otherwise a single
     // column. (The vendored serde has no untagged enums, so the dispatch
     // is a one-key sniff on the parsed tree.)
-    if value.get("columns").is_some() {
+    let is_table = value.get("columns").is_some();
+    let (title, columns) = if is_table {
         let req = InterpretTableRequest::from_value(&value)
             .map_err(|e| ApiError::bad_request(format!("bad table request: {e}")))?;
         if req.columns.is_empty() {
@@ -548,20 +409,207 @@ fn handle_interpret(
                 req.columns.len()
             )));
         }
-        stream_table(shared, gen, req, deadline, rtrace, sink)
+        (req.title, req.columns)
     } else {
         let req = PredictRequest::from_value(&value)
             .map_err(|e| ApiError::bad_request(format!("bad predict request: {e}")))?;
-        let rx = submit_column(shared, gen, &req, deadline, rtrace)?;
-        let (resp, stages) = await_response(&rx, deadline)?;
-        apply_worker_stages(rtrace, stages);
-        let ser_start = Instant::now();
-        let body = serde_json::to_string(&*resp).unwrap_or_default();
-        rtrace.add_stage("serialize", ns_since(ser_start, Instant::now()));
-        sink.send_json(200, &body);
-        Ok(())
+        (req.title, vec![ColumnData { header: req.header, cells: req.cells }])
+    };
+    if columns.iter().any(|c| c.header.is_empty() && c.cells.is_empty()) {
+        return Err(ApiError::bad_request("column has neither header nor cells"));
+    }
+
+    let keys: Vec<u64> =
+        columns.iter().map(|c| cache_key(gen.id, &title, &c.header, &c.cells)).collect();
+    let answers: Vec<Option<Arc<PredictResponse>>> = {
+        let mut cache = lock_cache(shared);
+        keys.iter().map(|k| cache.get(k).cloned()).collect()
+    };
+    let mut hits = 0;
+    for answer in &answers {
+        job.rtrace.note_column();
+        if answer.is_some() {
+            job.rtrace.note_cache_hit();
+            hits += 1;
+        }
+    }
+    if hits > 0 {
+        explainti_obs::counter!("serve.cache.hit", hits as u64);
+    }
+    let mut miss_keys = Vec::new();
+    let mut encoded = Vec::new();
+    if hits < columns.len() {
+        explainti_obs::counter!("serve.cache.miss", (columns.len() - hits) as u64);
+        // Chaos site: backpressure on a request whose misses would join
+        // a forward, without actually filling the queue.
+        if explainti_faults::triggered("serve.queue.full") {
+            return Err(ApiError::new(
+                ErrorCode::QueueFull,
+                format!("request queue at capacity ({})", shared.queue.capacity()),
+            ));
+        }
+        let encode_start = Instant::now();
+        for ((col, &key), answer) in columns.iter().zip(&keys).zip(&answers) {
+            if answer.is_none() {
+                let cells: Vec<&str> = col.cells.iter().map(String::as_str).collect();
+                encoded.push(gen.model.encode_ad_hoc_column(&title, &col.header, &cells));
+                miss_keys.push(key);
+            }
+        }
+        job.rtrace.add_stage("encode", ns_since(encode_start, Instant::now()));
+    }
+    let table = is_table.then(|| (title, columns.into_iter().map(|c| c.header).collect()));
+    Ok(Interpret { answers, miss_keys, encoded, table })
+}
+
+/// Runs one same-generation batch: a single forward over every miss of
+/// every request in it, then answers each request.
+fn run_batch(shared: &Shared, mut batch: Vec<Pending>) {
+    let Some(first) = batch.first() else { return };
+    let gen = Arc::clone(&first.gen);
+    let encs: Vec<Encoded> =
+        batch.iter_mut().flat_map(|p| std::mem::take(&mut p.work.encoded)).collect();
+    if explainti_obs::enabled() {
+        explainti_obs::registry().histogram("serve.batch.size").record(encs.len() as u64);
+    }
+    let _span = explainti_obs::span!("serve.batch.predict");
+    // Chaos site: a slow batch (GC pause / noisy neighbour stand-in)
+    // to exercise the deadline path without a real stall.
+    if explainti_faults::triggered("serve.batch.slow") {
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let forward_at = Instant::now();
+    // Capture every span the forward closes — including those on
+    // kernel-pool threads, which re-install this capture around each
+    // task — so per-request wide events can attribute predict/LE/GE/SE.
+    let capture = explainti_obs::SpanCapture::new();
+    // A panicking forward (injected via `serve.worker.panic` or real)
+    // must not kill the worker: recover, re-enqueue each request within
+    // its retry budget, and answer a typed 500 past it.
+    let outcome = {
+        let _ctx = capture.install();
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            explainti_faults::panic_if_triggered("serve.worker.panic");
+            gen.model.predict_encoded_batch(&encs)
+        }))
+    };
+    let Ok(preds) = outcome else {
+        retry(shared, &gen, batch);
+        return;
+    };
+    let le_ns = capture.get("explain.le");
+    let ge_ns = capture.get("explain.ge");
+    let se_ns = capture.get("explain.se");
+    // Disjoint stages: predict is the batch forward net of the three
+    // explanation views, so the stage fields sum to (at most) the
+    // observed span total.
+    let predict_ns = capture
+        .get("model.predict_batch")
+        .saturating_sub(le_ns.saturating_add(ge_ns).saturating_add(se_ns));
+
+    let resps: Vec<Arc<PredictResponse>> = preds
+        .iter()
+        .map(|pred| Arc::new(PredictResponse::from_prediction(pred, &gen.labels, shared.top_k)))
+        .collect();
+    let mut resps = resps.into_iter();
+    {
+        let mut cache = lock_cache(shared);
+        for p in &mut batch {
+            let mut keys = p.work.miss_keys.iter();
+            for slot in p.work.answers.iter_mut().filter(|a| a.is_none()) {
+                if let (Some(resp), Some(&key)) = (resps.next(), keys.next()) {
+                    cache.insert(key, Arc::clone(&resp));
+                    *slot = Some(resp);
+                }
+            }
+        }
+    }
+    for Pending { mut job, work, popped_at, ready_at, .. } in batch {
+        job.rtrace.add_stage("queue_wait", ns_since(job.enqueued_at, popped_at));
+        job.rtrace.add_stage("batch_assembly", ns_since(ready_at, forward_at));
+        job.rtrace.add_stage("predict", predict_ns);
+        job.rtrace.add_stage("explain_le", le_ns);
+        job.rtrace.add_stage("explain_ge", ge_ns);
+        job.rtrace.add_stage("explain_se", se_ns);
+        job.rtrace.note_batch(encs.len() as u64);
+        let result =
+            if past_deadline(shared, &job) { Err(expire()) } else { respond(&mut job, work) };
+        finish(shared, job, result, true);
     }
 }
+
+/// Re-enqueues the requests of a panicked forward once, on the
+/// generation they snapshotted (they re-parse and re-encode on the next
+/// pop); past the retry budget a request answers a typed 500.
+fn retry(shared: &Shared, gen: &Arc<Generation>, batch: Vec<Pending>) {
+    explainti_obs::counter!("serve.worker.panics", 1);
+    for Pending { mut job, .. } in batch {
+        if job.attempts + 1 >= MAX_ATTEMPTS {
+            explainti_obs::counter!("serve.jobs.retry_exhausted", 1);
+            let err =
+                ApiError::internal("prediction worker panicked and the retry budget is exhausted");
+            finish(shared, job, Err(err), true);
+            continue;
+        }
+        std::thread::sleep(Duration::from_millis(RETRY_BACKOFF_MS << job.attempts));
+        job.attempts += 1;
+        job.gen = Some(Arc::clone(gen));
+        job.enqueued_at = Instant::now();
+        explainti_obs::counter!("serve.jobs.retried", 1);
+        if let Err(job) = shared.queue.try_push(job) {
+            // Queue full or closed mid-retry: fail loudly rather than
+            // dropping the request unanswered.
+            explainti_obs::counter!("serve.jobs.retry_dropped", 1);
+            let err = ApiError::internal("prediction retry could not be re-enqueued");
+            finish(shared, job, Err(err), true);
+        }
+    }
+}
+
+/// Answers an interpret request whose columns are all resolved: one JSON
+/// body for a column; for a table, a chunked stream whose head goes out
+/// with the first column, one chunk per column, and a tail that closes
+/// the JSON. Field order (`columns`, `schema_version`, `title`) matches
+/// the vendored serde's sorted-key serialization, so the streamed bytes
+/// are identical to `serde_json::to_string` of an
+/// [`explainti_api::InterpretTableResponse`].
+fn respond(job: &mut Job, work: Interpret) -> Result<(), ApiError> {
+    let answers: Vec<Arc<PredictResponse>> = work
+        .answers
+        .into_iter()
+        .collect::<Option<_>>()
+        .ok_or_else(|| ApiError::internal("the forward returned too few predictions"))?;
+    let Some((title, headers)) = work.table else {
+        let ser_start = Instant::now();
+        let body =
+            answers.first().and_then(|r| serde_json::to_string(&**r).ok()).unwrap_or_default();
+        job.rtrace.add_stage("serialize", ns_since(ser_start, Instant::now()));
+        job.sink.send_json(200, &body);
+        return Ok(());
+    };
+    let mut ser_ns = 0u64;
+    for (idx, (header, resp)) in headers.into_iter().zip(&answers).enumerate() {
+        let ser_start = Instant::now();
+        let col = ColumnPrediction { header, prediction: (**resp).clone() };
+        let mut piece = String::from(if idx == 0 { "{\"columns\":[" } else { "," });
+        piece.push_str(&serde_json::to_string(&col).unwrap_or_default());
+        ser_ns = ser_ns.saturating_add(ns_since(ser_start, Instant::now()));
+        if idx == 0 {
+            job.sink.begin_stream(200, "application/json");
+        }
+        job.sink.stream_chunk(piece.as_bytes());
+    }
+    let tail = format!(
+        "],\"schema_version\":{SCHEMA_VERSION},\"title\":{}}}",
+        serde_json::to_string(&title).unwrap_or_default()
+    );
+    job.sink.stream_chunk(tail.as_bytes());
+    job.sink.end_stream();
+    job.rtrace.add_stage("serialize", ser_ns);
+    Ok(())
+}
+
+// ---- Direct handlers --------------------------------------------------
 
 /// Publishes the rolling SLO view as `serve.slo.*` gauges — called at
 /// metrics-scrape time so both the JSON snapshot and the Prometheus
@@ -580,7 +628,6 @@ fn handle_metrics(
     shared: &Shared,
     gen: &Arc<Generation>,
     request: &http::Request,
-    _rtrace: &mut explainti_obs::RequestTrace,
     sink: &mut ResponseSink,
 ) -> Result<(), ApiError> {
     let _span = explainti_obs::span!("serve.request.metrics");
@@ -610,7 +657,6 @@ fn handle_healthz(
     _shared: &Shared,
     gen: &Arc<Generation>,
     _request: &http::Request,
-    _rtrace: &mut explainti_obs::RequestTrace,
     sink: &mut ResponseSink,
 ) -> Result<(), ApiError> {
     let _span = explainti_obs::span!("serve.request.healthz");
@@ -640,7 +686,6 @@ fn handle_config(
     shared: &Shared,
     gen: &Arc<Generation>,
     _request: &http::Request,
-    _rtrace: &mut explainti_obs::RequestTrace,
     sink: &mut ResponseSink,
 ) -> Result<(), ApiError> {
     let _span = explainti_obs::span!("serve.request.config");
@@ -656,7 +701,6 @@ fn handle_shutdown(
     shared: &Shared,
     _gen: &Arc<Generation>,
     _request: &http::Request,
-    _rtrace: &mut explainti_obs::RequestTrace,
     sink: &mut ResponseSink,
 ) -> Result<(), ApiError> {
     shared.shutdown.store(true, Ordering::SeqCst);
@@ -667,14 +711,76 @@ fn handle_shutdown(
     Ok(())
 }
 
-// ---- Admin: swap + store ----------------------------------------------
+/// `GET /v1/admin/store`: the live generation's explanation store,
+/// shard by shard. While the `store.shard.unavailable` failpoint holds
+/// a shard down this answers a typed 503 with `retry_after_s`, the same
+/// signal `/v1/interpret` degrades around via replica failover.
+fn handle_store(
+    shared: &Shared,
+    gen: &Arc<Generation>,
+    _request: &http::Request,
+    sink: &mut ResponseSink,
+) -> Result<(), ApiError> {
+    let _span = explainti_obs::span!("serve.request.store");
+    let Some(task) = gen.model.tasks().first() else {
+        return Err(ApiError::internal("model has no tasks"));
+    };
+    let store = &task.q;
+    if let Some(shard) = store.probe_unavailable() {
+        return Err(ApiError::shard_unavailable(format!("shard {shard} is unavailable"), 1));
+    }
+    let shards = store
+        .shard_sizes()
+        .into_iter()
+        .enumerate()
+        .map(|(shard, stored)| ShardStatus { shard, stored })
+        .collect();
+    let resp = StoreStatusResponse {
+        schema_version: SCHEMA_VERSION,
+        generation: gen.id,
+        shards,
+        stored: store.stored(),
+        swap_in_progress: shared.swap_lock.load(Ordering::SeqCst),
+    };
+    sink.send_json(200, &serde_json::to_string(&resp).unwrap_or_default());
+    Ok(())
+}
 
-/// Releases the swap lock however the swap handler exits.
+// ---- Admin: swap ------------------------------------------------------
+
+/// Releases the swap lock however the swap exits.
 struct SwapGuard<'a>(&'a AtomicBool);
 
 impl Drop for SwapGuard<'_> {
     fn drop(&mut self) {
         self.0.store(false, Ordering::SeqCst);
+    }
+}
+
+/// `POST /v1/admin/swap` on a worker: parses the body and takes the swap
+/// lock (a concurrent swap answers a typed 409 with `retry_after_s`),
+/// returning the snapshot directory for the admin thread.
+fn admit_swap(shared: &Shared, request: &http::Request) -> Result<String, ApiError> {
+    if shared.shutdown.load(Ordering::SeqCst) {
+        return Err(ApiError::new(ErrorCode::ShuttingDown, "server is shutting down"));
+    }
+    let req: SwapRequest = std::str::from_utf8(&request.body)
+        .map_err(|_| ApiError::bad_request("body is not valid UTF-8"))
+        .and_then(|text| {
+            serde_json::from_str(text)
+                .map_err(|e| ApiError::bad_request(format!("bad swap request: {e}")))
+        })?;
+    if shared.swap_lock.compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst).is_err() {
+        return Err(ApiError::swap_in_progress("a swap is already in flight", 2));
+    }
+    Ok(req.model_dir)
+}
+
+/// The admin thread: runs admitted swaps one at a time.
+fn admin_loop(shared: &Shared) {
+    while let Some(SwapJob { mut job, model_dir }) = shared.admin.pop_wait() {
+        let result = handle_swap(shared, &model_dir, &mut job.sink);
+        finish(shared, job, result, false);
     }
 }
 
@@ -727,37 +833,20 @@ fn run_swap(shared: &Shared, model_dir: &str) -> Result<(u64, u64, bool), ApiErr
     Ok((previous, id, verified))
 }
 
-/// `POST /v1/admin/swap`: load a new model generation from a snapshot
-/// directory and atomically install it. In-flight requests finish on
-/// the generation they started on; the next request sees the new one.
+/// Runs an admitted `POST /v1/admin/swap` on the admin thread: load a new
+/// model generation from a snapshot directory and atomically install it.
+/// In-flight requests finish on the generation they started on; the
+/// next request sees the new one.
 ///
 /// Failure matrix (DESIGN.md §15): load and verify failures answer 400
 /// with the old generation untouched; a commit failure answers 500 and
-/// rolls back the same way; a concurrent swap answers a typed 409 with
-/// `retry_after_s`.
-fn handle_swap(
-    shared: &Shared,
-    _gen: &Arc<Generation>,
-    request: &http::Request,
-    _rtrace: &mut explainti_obs::RequestTrace,
-    sink: &mut ResponseSink,
-) -> Result<(), ApiError> {
+/// rolls back the same way.
+fn handle_swap(shared: &Shared, model_dir: &str, sink: &mut ResponseSink) -> Result<(), ApiError> {
     let _span = explainti_obs::span!("serve.request.swap");
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return Err(ApiError::new(ErrorCode::ShuttingDown, "server is shutting down"));
-    }
-    let req: SwapRequest = std::str::from_utf8(&request.body)
-        .map_err(|_| ApiError::bad_request("body is not valid UTF-8"))
-        .and_then(|text| {
-            serde_json::from_str(text)
-                .map_err(|e| ApiError::bad_request(format!("bad swap request: {e}")))
-        })?;
-    if shared.swap_lock.compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst).is_err() {
-        return Err(ApiError::swap_in_progress("a swap is already in flight", 2));
-    }
+    // Releases the lock the admitting worker took.
     let _guard = SwapGuard(&shared.swap_lock);
     explainti_obs::counter!("serve.swap.attempts", 1);
-    match run_swap(shared, &req.model_dir) {
+    match run_swap(shared, model_dir) {
         Ok((previous_generation, generation, verified)) => {
             explainti_obs::counter!("serve.swap.committed", 1);
             explainti_obs::set_gauge("serve.swap.generation", generation as f64);
@@ -777,55 +866,20 @@ fn handle_swap(
     }
 }
 
-/// `GET /v1/admin/store`: the live generation's explanation store,
-/// shard by shard. While the `store.shard.unavailable` failpoint holds
-/// a shard down this answers a typed 503 with `retry_after_s`, the same
-/// signal `/v1/interpret` degrades around via replica failover.
-fn handle_store(
-    shared: &Shared,
-    gen: &Arc<Generation>,
-    _request: &http::Request,
-    _rtrace: &mut explainti_obs::RequestTrace,
-    sink: &mut ResponseSink,
-) -> Result<(), ApiError> {
-    let _span = explainti_obs::span!("serve.request.store");
-    let Some(task) = gen.model.tasks().first() else {
-        return Err(ApiError::internal("model has no tasks"));
-    };
-    let store = &task.q;
-    if let Some(shard) = store.probe_unavailable() {
-        return Err(ApiError::shard_unavailable(format!("shard {shard} is unavailable"), 1));
-    }
-    let shards = store
-        .shard_sizes()
-        .into_iter()
-        .enumerate()
-        .map(|(shard, (stored, tombstones))| ShardStatus { shard, stored, tombstones })
-        .collect();
-    let resp = StoreStatusResponse {
-        schema_version: SCHEMA_VERSION,
-        generation: gen.id,
-        shards,
-        stored: store.stored(),
-        tombstones: store.tombstones(),
-        swap_in_progress: shared.swap_lock.load(Ordering::SeqCst),
-    };
-    sink.send_json(200, &serde_json::to_string(&resp).unwrap_or_default());
-    Ok(())
-}
-
 // ---- Routing ----------------------------------------------------------
 
-/// A route handler: answers exactly one request through the sink. An
-/// `Err` return before the sink responded becomes a typed error body;
-/// after the head went out it aborts the stream.
-type Handler = fn(
-    &Shared,
-    &Arc<Generation>,
-    &http::Request,
-    &mut explainti_obs::RequestTrace,
-    &mut ResponseSink,
-) -> Result<(), ApiError>;
+/// How a route is answered.
+enum Handler {
+    /// At once, on the worker that popped the request. An `Err` return
+    /// becomes a typed error body.
+    Direct(
+        fn(&Shared, &Arc<Generation>, &http::Request, &mut ResponseSink) -> Result<(), ApiError>,
+    ),
+    /// `/v1/interpret`: cache misses join a batched forward first.
+    Interpret,
+    /// `/v1/admin/swap`: admitted on the worker, run on the admin thread.
+    Swap,
+}
 
 /// One endpoint in the declarative route table.
 struct Route {
@@ -836,17 +890,17 @@ struct Route {
     handler: Handler,
 }
 
-/// The single source of truth for routing: the dispatcher derives both
-/// the 405 `Allow` header set and the known-path list from this table.
+/// The single source of truth for routing: the workers derive both the
+/// 405 `Allow` header set and the known-path list from this table.
 #[rustfmt::skip]
 const ROUTES: &[Route] = &[
-    Route { method: "POST", path: "/v1/interpret", name: "interpret", handler: handle_interpret },
-    Route { method: "GET", path: "/v1/healthz", name: "healthz", handler: handle_healthz },
-    Route { method: "GET", path: "/v1/metrics", name: "metrics", handler: handle_metrics },
-    Route { method: "GET", path: "/v1/config", name: "config", handler: handle_config },
-    Route { method: "POST", path: "/v1/admin/swap", name: "swap", handler: handle_swap },
-    Route { method: "GET", path: "/v1/admin/store", name: "store", handler: handle_store },
-    Route { method: "POST", path: "/v1/admin/shutdown", name: "shutdown", handler: handle_shutdown },
+    Route { method: "POST", path: "/v1/interpret", name: "interpret", handler: Handler::Interpret },
+    Route { method: "GET", path: "/v1/healthz", name: "healthz", handler: Handler::Direct(handle_healthz) },
+    Route { method: "GET", path: "/v1/metrics", name: "metrics", handler: Handler::Direct(handle_metrics) },
+    Route { method: "GET", path: "/v1/config", name: "config", handler: Handler::Direct(handle_config) },
+    Route { method: "POST", path: "/v1/admin/swap", name: "swap", handler: Handler::Swap },
+    Route { method: "GET", path: "/v1/admin/store", name: "store", handler: Handler::Direct(handle_store) },
+    Route { method: "POST", path: "/v1/admin/shutdown", name: "shutdown", handler: Handler::Direct(handle_shutdown) },
 ];
 
 enum RouteMatch {
@@ -875,79 +929,6 @@ fn route(method: &str, path: &str) -> RouteMatch {
     }
 }
 
-// ---- Dispatcher pool --------------------------------------------------
-
-fn dispatch_loop(shared: &Shared) {
-    // Depth 1: each pop is one request; fairness across connections
-    // comes from the queue order the event loop fills.
-    while let Some(batch) = shared.dispatch.pop_batch(1) {
-        for job in batch {
-            handle_request(shared, job);
-        }
-    }
-}
-
-/// Runs one request end to end on a dispatcher thread: route, handle,
-/// record the wide event, and feed the SLO window.
-fn handle_request(shared: &Shared, job: DispatchJob) {
-    let trace_id = explainti_obs::next_trace_id();
-    let tid = trace_id.to_string();
-    let mut rtrace = explainti_obs::RequestTrace::new(trace_id);
-    rtrace.add_stage("parse", job.request.parse_ns);
-    explainti_obs::counter!("serve.requests", 1);
-    let request = job.request;
-    let mut sink =
-        ResponseSink::new(job.io, job.waker, job.conn_id, tid, request.keep_alive, request.http11);
-    // One generation snapshot per request: every byte of this response —
-    // prediction, labels, config block, `X-Model-Generation` header —
-    // comes from the same generation even if a swap commits mid-request.
-    let gen = shared.generations.current();
-    sink.set_generation(gen.id);
-    let mut is_interpret = false;
-    let result: Result<(), ApiError> = match route(&request.method, &request.path) {
-        RouteMatch::Found(r) => {
-            rtrace.set_endpoint(r.name);
-            if r.name == "interpret" {
-                is_interpret = true;
-            }
-            (r.handler)(shared, &gen, &request, &mut rtrace, &mut sink)
-        }
-        RouteMatch::WrongMethod(allow) => {
-            let err = ApiError::new(ErrorCode::MethodNotAllowed, "wrong method for this endpoint");
-            sink.send_error(&err, Some(&allow));
-            rtrace.set_status(err.status());
-            rtrace.finish();
-            return;
-        }
-        RouteMatch::Unknown => {
-            let err =
-                ApiError::new(ErrorCode::NotFound, format!("no such endpoint: {}", request.path));
-            sink.send_error(&err, None);
-            rtrace.set_status(err.status());
-            rtrace.finish();
-            return;
-        }
-    };
-    let status = match &result {
-        Ok(()) => sink.status(),
-        Err(err) => err.status(),
-    };
-    if let Err(err) = result {
-        if sink.responded() {
-            sink.abort_stream(&err);
-        } else {
-            sink.send_error(&err, None);
-        }
-    }
-    rtrace.set_status(status);
-    if is_interpret {
-        // The SLO window tracks the paper-relevant endpoint only; 5xx
-        // count as errors, client errors (4xx) do not.
-        shared.slo.record(rtrace.elapsed_ns(), status >= 500);
-    }
-    rtrace.finish();
-}
-
 // ---- Server lifecycle -------------------------------------------------
 
 /// A running server; dropping the handle does **not** stop it — call
@@ -966,7 +947,8 @@ impl ServerHandle {
     }
 
     /// Requests a graceful shutdown: stop accepting, drain in-flight
-    /// connections and queued jobs, stop the dispatchers and workers.
+    /// connections and queued requests, stop the workers and the admin
+    /// thread.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
     }
@@ -977,7 +959,7 @@ impl ServerHandle {
         Arc::clone(&self.shutdown)
     }
 
-    /// Blocks until the event loop, every dispatcher, and every worker
+    /// Blocks until the event loop, every worker, and the admin thread
     /// have exited. Idempotent.
     pub fn join(&mut self) {
         if let Some(t) = self.event_thread.take() {
@@ -986,8 +968,8 @@ impl ServerHandle {
     }
 }
 
-/// Binds the listener and spawns the event loop, dispatcher pool, and
-/// worker pool.
+/// Binds the listener and spawns the event loop, the worker pool, and
+/// the admin thread.
 ///
 /// `labels` are the human-readable names responses resolve label indices
 /// against (typically the corpus's `type_labels`).
@@ -1021,11 +1003,6 @@ pub fn start(
     let threads = explainti_pool::global().threads();
 
     let max_conns = cfg.max_conns.max(1);
-    // Handlers block on worker replies, so micro-batches only form when
-    // more dispatchers than workers run concurrently.
-    let dispatchers =
-        if cfg.dispatchers > 0 { cfg.dispatchers } else { (cfg.workers.max(1) * 4).clamp(4, 64) };
-
     let generations = GenerationHandle::new(model, labels);
     let boot = generations.current();
     explainti_obs::set_gauge("serve.swap.generation", boot.id as f64);
@@ -1033,13 +1010,11 @@ pub fn start(
         schema_version: SCHEMA_VERSION,
         workers: cfg.workers,
         threads,
-        queue_cap: cfg.queue_cap,
         max_batch: cfg.max_batch.max(1),
         cache_cap: cfg.cache_cap,
         deadline_ms: cfg.deadline_ms.max(1),
         top_k: cfg.top_k.max(1),
         max_conns,
-        dispatchers,
         read_timeout_ms: cfg.read_timeout_ms.max(1),
         idle_timeout_ms: cfg.idle_timeout_ms.max(1),
         shards,
@@ -1052,10 +1027,10 @@ pub fn start(
     let shutdown = Arc::new(AtomicBool::new(false));
     let shared = Arc::new(Shared {
         generations,
-        queue: BatchQueue::new(cfg.queue_cap),
-        // One in-flight request per connection bounds the dispatch
-        // queue, so size it to the connection limit.
-        dispatch: BatchQueue::new(max_conns + 16),
+        // One in-flight request per connection bounds the queue, so
+        // size it to the connection limit.
+        queue: BatchQueue::new(max_conns),
+        admin: BatchQueue::new(1),
         cache: OrderedMutex::new(&classes::SERVE_CACHE, LruCache::new(cfg.cache_cap)),
         shutdown: Arc::clone(&shutdown),
         top_k: cfg.top_k.max(1),
@@ -1077,15 +1052,12 @@ pub fn start(
                 .spawn(move || worker_loop(&shared))
         })
         .collect::<io::Result<_>>()?;
-
-    let dispatcher_threads: Vec<JoinHandle<()>> = (0..dispatchers)
-        .map(|i| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("serve-dispatch-{i}"))
-                .spawn(move || dispatch_loop(&shared))
-        })
-        .collect::<io::Result<_>>()?;
+    let admin = {
+        let shared = Arc::clone(&shared);
+        std::thread::Builder::new()
+            .name("serve-admin".to_string())
+            .spawn(move || admin_loop(&shared))?
+    };
 
     let loop_cfg = LoopCfg {
         max_conns,
@@ -1099,16 +1071,14 @@ pub fn start(
         std::thread::Builder::new().name("serve-eventloop".to_string()).spawn(move || {
             run_loop();
             // The loop drained every connection (or hit the grace
-            // bound): stop the dispatchers, then let the workers drain
-            // what is already queued and exit.
-            event_shared.dispatch.close();
-            for d in dispatcher_threads {
-                let _ = d.join();
-            }
+            // bound): let the workers answer what is already queued and
+            // exit, then stop the admin thread they hand swaps to.
             event_shared.queue.close();
             for w in workers {
                 let _ = w.join();
             }
+            event_shared.admin.close();
+            let _ = admin.join();
         })?;
 
     Ok(ServerHandle { addr, shutdown, event_thread: Some(event_thread) })

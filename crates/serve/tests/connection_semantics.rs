@@ -211,7 +211,7 @@ fn pipelined_requests_are_answered_in_order() {
     assert!(second.body.contains("\"label\""), "interpret second: {}", second.body);
     let third = client.read_response();
     assert_eq!(third.status, 200);
-    assert!(third.body.contains("\"queue_cap\""), "config third: {}", third.body);
+    assert!(third.body.contains("\"max_conns\""), "config third: {}", third.body);
 
     handle.shutdown();
     handle.join();

@@ -1,7 +1,7 @@
 //! Hostile-input robustness for `/v1/interpret`: malformed UTF-8,
-//! embedded NULs, pathological column counts, deep JSON nesting and
-//! empty tables must come back as clean 4xx errors — never a panic, a
-//! hung worker, a crashed process or a 500.
+//! embedded NULs, pathological column counts, deep JSON nesting, huge
+//! strings and empty tables must come back as clean 4xx errors — never a
+//! panic, a hung worker, a crashed process or a 500.
 
 // Integration tests may panic freely; the crate's unwrap/expect
 // lints target the request path (EA006), not test assertions.
@@ -10,6 +10,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 use explainti_core::{ExplainTi, ExplainTiConfig};
 use explainti_serve::{start, ServeConfig};
@@ -27,9 +28,13 @@ fn tiny_model() -> (Arc<ExplainTi>, Vec<String>) {
     (Arc::new(m), d.collection.type_labels.clone())
 }
 
+/// How long a client waits for any response before the test fails.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// One HTTP/1.1 exchange with an arbitrary (possibly non-UTF-8) body.
 fn exchange(addr: &std::net::SocketAddr, method: &str, path: &str, body: &[u8]) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
     let head = format!(
         "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
         body.len()
@@ -105,7 +110,7 @@ fn deep_json_nesting_answers_400_and_server_survives() {
     let addr = handle.addr();
 
     // 10,000 `[`: an unbounded recursive-descent parse overflows the
-    // dispatcher's stack, which aborts the process; the bounded parser
+    // worker's stack, which aborts the process; the bounded parser
     // must answer a typed 400 instead.
     let (status, body) = exchange(&addr, "POST", "/v1/interpret", &[b'['; 10_000]);
     assert_eq!(status, 400, "deep nesting must answer 400: {body}");
@@ -113,6 +118,32 @@ fn deep_json_nesting_answers_400_and_server_survives() {
 
     let (status, body) = exchange(&addr, "GET", "/v1/healthz", b"");
     assert_eq!(status, 200, "server must stay up after deep nesting: {body}");
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn body_cap_sized_string_answers_within_the_client_timeout() {
+    let (model, labels) = tiny_model();
+    let cfg = ServeConfig { workers: 1, ..Default::default() };
+    let mut handle = start(model, labels, cfg).expect("start server");
+    let addr = handle.addr();
+
+    // One JSON string filling the whole 4 MiB body cap. A parser that
+    // rescans the rest of the input per character takes minutes here;
+    // a linear one answers (a typed 400: a string is not a request)
+    // well inside the client timeout.
+    let n = explainti_serve::http::MAX_BODY_BYTES - 2;
+    let mut body = Vec::with_capacity(n + 2);
+    body.push(b'"');
+    body.extend(std::iter::repeat_n(b'x', n));
+    body.push(b'"');
+    let (status, reply) = exchange(&addr, "POST", "/v1/interpret", &body);
+    assert!(status == 200 || status == 400, "4 MiB string answered {status}: {reply}");
+
+    let (status, reply) = exchange(&addr, "GET", "/v1/healthz", b"");
+    assert_eq!(status, 200, "server must stay up after a 4 MiB string: {reply}");
 
     handle.shutdown();
     handle.join();

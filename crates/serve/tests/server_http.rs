@@ -96,7 +96,6 @@ fn serves_interpret_cache_metrics_errors_and_shutdown() {
     let (model, labels) = tiny_model();
     let cfg = ServeConfig {
         workers: 2,
-        queue_cap: 16,
         max_batch: 4,
         cache_cap: 32,
         deadline_ms: 30_000,
@@ -190,7 +189,6 @@ fn config_endpoint_reports_effective_knobs() {
     let (model, labels) = tiny_model();
     let cfg = ServeConfig {
         workers: 3,
-        queue_cap: 17,
         max_batch: 5,
         cache_cap: 33,
         deadline_ms: 12_345,
@@ -206,7 +204,6 @@ fn config_endpoint_reports_effective_knobs() {
     assert_eq!(config.schema_version, explainti_api::SCHEMA_VERSION);
     assert_eq!(config.workers, 3);
     assert_eq!(config.threads, 2);
-    assert_eq!(config.queue_cap, 17);
     assert_eq!(config.max_batch, 5);
     assert_eq!(config.cache_cap, 33);
     assert_eq!(config.deadline_ms, 12_345);
@@ -282,24 +279,25 @@ fn parallel_and_serial_serving_are_byte_identical() {
     explainti_pool::configure(explainti_pool::Threads::resolve(None).get());
 }
 
+/// A table is one queue entry, however many columns it has: a table at
+/// the per-request column limit answers on an idle default server, with
+/// every column in request order.
 #[test]
-fn full_queue_returns_503_without_hanging() {
+fn table_at_the_column_limit_answers_in_order() {
     let (model, labels) = tiny_model();
-    // No workers: nothing drains the queue, so capacity 2 overflows on
-    // the third column of a five-column table — deterministically.
-    let cfg = ServeConfig { workers: 0, queue_cap: 2, ..Default::default() };
-    let mut handle = start(model, labels, cfg).expect("start server");
+    let mut handle = start(model, labels, ServeConfig::default()).expect("start server");
     let addr = handle.addr();
 
-    let table = r#"{"title":"t","columns":[
-        {"header":"a","cells":["1"]},{"header":"b","cells":["2"]},
-        {"header":"c","cells":["3"]},{"header":"d","cells":["4"]},
-        {"header":"e","cells":["5"]}]}"#;
-    let raw = request_raw(&addr, "POST", "/v1/interpret", table);
-    assert!(raw.starts_with("HTTP/1.1 503"), "raw: {raw}");
-    assert!(raw.contains("QueueFull"), "raw: {raw}");
-    let tid = trace_id_of(&raw).expect("503 carries X-Trace-Id");
-    assert!(raw.contains(&format!("\"trace_id\":\"{tid}\"")), "503 body echoes id: {raw}");
+    let cols: Vec<String> =
+        (0..512).map(|i| format!(r#"{{"header":"c{i}","cells":["v{i}"]}}"#)).collect();
+    let table = format!(r#"{{"title":"wide","columns":[{}]}}"#, cols.join(","));
+    let (status, body) = request(&addr, "POST", "/v1/interpret", &table);
+    assert_eq!(status, 200, "512-column table failed: {}", &body[..body.len().min(300)]);
+    let resp: InterpretTableResponse = serde_json::from_str(&body).unwrap();
+    assert_eq!(resp.columns.len(), 512);
+    for (i, col) in resp.columns.iter().enumerate() {
+        assert_eq!(col.header, format!("c{i}"), "column {i} out of order");
+    }
 
     handle.shutdown();
     handle.join();
@@ -308,13 +306,7 @@ fn full_queue_returns_503_without_hanging() {
 #[test]
 fn concurrent_clients_all_get_answers() {
     let (model, labels) = tiny_model();
-    let cfg = ServeConfig {
-        workers: 2,
-        queue_cap: 32,
-        max_batch: 8,
-        deadline_ms: 60_000,
-        ..Default::default()
-    };
+    let cfg = ServeConfig { workers: 2, max_batch: 8, deadline_ms: 60_000, ..Default::default() };
     let mut handle = start(model, labels.clone(), cfg).expect("start server");
     let addr = handle.addr();
 

@@ -160,7 +160,7 @@ fn in_flight_request_finishes_on_the_old_generation() {
     // — while the swap loads and commits.
     faults::configure("serve.batch.slow", faults::Policy::Always);
     let inflight = std::thread::spawn(move || request_raw(&addr, "POST", "/v1/interpret", COL));
-    // Give the dispatcher time to pick the request up before swapping.
+    // Give the worker time to pick the request up before swapping.
     std::thread::sleep(std::time::Duration::from_millis(20));
     let swap_body = format!(
         r#"{{"model_dir":{}}}"#,

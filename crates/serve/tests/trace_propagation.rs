@@ -112,7 +112,6 @@ fn wide_events_cover_every_stage_and_join_on_trace_ids() {
     let (model, labels) = tiny_model();
     let cfg = ServeConfig {
         workers: 2,
-        queue_cap: 32,
         max_batch: 8,
         cache_cap: 32,
         deadline_ms: 60_000,

@@ -72,11 +72,11 @@ impl LockClass {
 pub mod classes {
     use super::LockClass;
 
-    /// Event-loop dirty set, written by dispatcher-side wakers.
+    /// Event-loop dirty set, written by worker-side wakers.
     pub static SERVE_WAKER_DIRTY: LockClass = LockClass::new("serve.waker.dirty", 10);
     /// Per-connection outbound byte queue (`ConnIo`).
     pub static SERVE_CONN_OUT: LockClass = LockClass::new("serve.conn.out", 20);
-    /// Bounded micro-batch queues (prediction + dispatch).
+    /// Bounded request queues (worker requests + admin swaps).
     pub static SERVE_QUEUE_BATCH: LockClass = LockClass::new("serve.queue.batch", 30);
     /// Server-wide LRU response cache.
     pub static SERVE_CACHE: LockClass = LockClass::new("serve.cache", 40);

@@ -7,9 +7,9 @@
 //! explainti interpret --model model-dir [--json] [--top-k N] file.csv [file2.csv …]
 //! explainti evaluate  --model model-dir
 //! explainti serve     --model model-dir [--addr host:port] [--workers N] [--max-batch N]
-//!                     [--queue-cap N] [--cache-cap N] [--deadline-ms N] [--top-k N]
+//!                     [--cache-cap N] [--deadline-ms N] [--top-k N]
 //!                     [--max-conns N] [--read-timeout-ms MS] [--idle-timeout-ms MS]
-//!                     [--dispatchers N] [--shards N] [--replicas N] [--no-swap-verify]
+//!                     [--shards N] [--replicas N] [--no-swap-verify]
 //! ```
 //!
 //! Every command accepts `--trace-out <trace.jsonl>` to stream telemetry
@@ -17,8 +17,8 @@
 //! Every command also accepts `--threads <N>` to size the shared kernel
 //! compute pool (default: `EXPLAINTI_THREADS`, then all cores). For
 //! `serve` the two thread knobs are distinct: `--workers` bounds how many
-//! requests are processed concurrently (HTTP/queue concurrency), while
-//! `--threads` bounds how many cores each micro-batch forward may use.
+//! requests are processed concurrently, while `--threads` bounds how
+//! many cores each batched forward may use.
 //! Results never depend on `--threads` — kernels are deterministic by
 //! construction — only latency does.
 //! Unless telemetry is off, a per-stage latency table prints to stderr at
@@ -90,9 +90,8 @@ fn all_specs() -> Vec<CommandSpec> {
             CommandSpec::new("serve", "run the micro-batching HTTP inference server")
                 .required_value("model", "DIR", "model directory from `train`")
                 .value("addr", "HOST:PORT", "bind address (default 127.0.0.1:7431)")
-                .value("workers", "N", "prediction worker threads (default 2)")
-                .value("max-batch", "N", "max columns per micro-batch (default 8)")
-                .value("queue-cap", "N", "bounded queue capacity; full → 503 (default 64)")
+                .value("workers", "N", "request worker threads (default 2)")
+                .value("max-batch", "N", "max requests per batched forward (default 8)")
                 .value("cache-cap", "N", "LRU response cache capacity (default 256)")
                 .value("deadline-ms", "MS", "per-request deadline; late → 504 (default 30000)")
                 .value("top-k", "N", "explanations per view in responses (default 3)")
@@ -107,11 +106,6 @@ fn all_specs() -> Vec<CommandSpec> {
                     "idle-timeout-ms",
                     "MS",
                     "idle keep-alive connection timeout (default 60000)",
-                )
-                .value(
-                    "dispatchers",
-                    "N",
-                    "request dispatcher threads (default: derived from workers)",
                 )
                 .value("shards", "N", "explanation-store shards per task (default 1)")
                 .value("replicas", "N", "replicas per stored embedding, 1..=shards (default 1)")
@@ -314,7 +308,6 @@ fn cmd_serve(args: &Parsed) -> Result<ExitCode, String> {
     let cfg = explainti::serve::ServeConfig {
         addr: args.get("addr").unwrap_or("127.0.0.1:7431").to_string(),
         workers: args.get_or("workers", 2usize).map_err(|e| e.to_string())?,
-        queue_cap: args.get_or("queue-cap", 64usize).map_err(|e| e.to_string())?,
         max_batch: args.get_or("max-batch", 8usize).map_err(|e| e.to_string())?,
         cache_cap: args.get_or("cache-cap", 256usize).map_err(|e| e.to_string())?,
         deadline_ms: args.get_or("deadline-ms", 30_000u64).map_err(|e| e.to_string())?,
@@ -325,8 +318,6 @@ fn cmd_serve(args: &Parsed) -> Result<ExitCode, String> {
         max_conns: args.get_or("max-conns", 1024usize).map_err(|e| e.to_string())?,
         read_timeout_ms: args.get_or("read-timeout-ms", 10_000u64).map_err(|e| e.to_string())?,
         idle_timeout_ms: args.get_or("idle-timeout-ms", 60_000u64).map_err(|e| e.to_string())?,
-        // 0 = derive from workers (handlers block on worker replies).
-        dispatchers: args.get_or("dispatchers", 0usize).map_err(|e| e.to_string())?,
         shards,
         replicas,
         swap_verify: !args.is_set("no-swap-verify"),
