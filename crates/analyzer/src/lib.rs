@@ -15,7 +15,7 @@
 //! | EA006 | no `unwrap`/`expect`/`panic!`-family macros or indexing-by-literal in the `crates/serve` request path |
 //! | EA007 | every lock acquisition maps to a class in `crates/sync/LOCKS.registry`, and no path through the [call graph](callgraph) inverts the declared rank order |
 //! | EA008 | the epoll reactor thread never blocks: no sleeps/joins/receives, no file I/O, no non-`reactor` lock classes in its transitive reach |
-//! | EA009 | the SIMD kernel paths never heap-allocate transitively — scratch comes from callers |
+//! | EA009 | the SIMD kernel paths and the inference encoder's `forward` never heap-allocate transitively — scratch comes from callers |
 //! | EA010 | every weakened atomic `Ordering::…` site carries a `// ORDERING:` justification (plus a machine-readable inventory) |
 //!
 //! EA007–EA009 run on the whole-workspace [call graph](callgraph) —

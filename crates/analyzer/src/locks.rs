@@ -14,8 +14,9 @@
 //!   registry. The epoll readiness wait itself (receiver `ep`/`epoll`)
 //!   is the one sanctioned block point.
 //! * **EA009** — hot-path allocation: the SIMD kernels
-//!   (`nn/src/simd.rs`) must not heap-allocate, transitively — scratch
-//!   comes from the caller.
+//!   (`nn/src/simd.rs`) and the tape-free inference encoder's `forward`
+//!   (`encoder/src/infer.rs`) must not heap-allocate, transitively —
+//!   scratch comes from the caller.
 //! * **EA010** — atomic-ordering audit: every non-`SeqCst`
 //!   `Ordering::…` site needs an adjacent `// ORDERING:` justification,
 //!   and every site is inventoried (the EA002 pattern, for memory
@@ -555,10 +556,12 @@ const ALLOC_METHODS: [&str; 11] = [
 ];
 
 /// Entry predicate: which functions anchor the hot-kernel reachability
-/// scan. Constructors (`from_*`) are excluded — they build state once,
-/// off the per-request path.
+/// scan — every SIMD kernel, and the tape-free inference encoder's
+/// `forward`, which runs on caller-made scratch. Constructors (`from_*`)
+/// are excluded — they build state once, off the per-request path.
 fn ea009_entry(func: &crate::callgraph::Func) -> bool {
-    func.rel_path.ends_with("nn/src/simd.rs") && !func.name.starts_with("from_")
+    (func.rel_path.ends_with("nn/src/simd.rs") && !func.name.starts_with("from_"))
+        || (func.rel_path.ends_with("encoder/src/infer.rs") && func.name == "forward")
 }
 
 /// EA009: no transitive heap allocation on the SIMD kernel paths.

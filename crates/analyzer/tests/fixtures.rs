@@ -279,6 +279,19 @@ fn ea009_flags_transitive_allocation_but_not_constructors() {
 }
 
 #[test]
+fn ea009_flags_allocation_two_calls_below_the_inference_engine() {
+    let report =
+        run(&fixture_cfg(&["ea009/encoder/src/infer.rs", "ea009/encoder/src/gather.rs"])).unwrap();
+    assert_eq!(
+        positions(&report),
+        vec![("EA009", "ea009/encoder/src/gather.rs".to_string(), 4, 7)]
+    );
+    // Reported against the helper with the chain from the engine entry;
+    // the non-entry `scratch` constructor's `vec!` is not reported.
+    assert!(report.diags[0].message.contains("`forward` → `attend` → `gather`"));
+}
+
+#[test]
 fn ea010_flags_undocumented_weak_orderings_and_inventories_all_sites() {
     let report = run(&fixture_cfg(&["ea010.rs"])).unwrap();
     assert_eq!(positions(&report), vec![("EA010", "ea010.rs".to_string(), 9, 20)]);

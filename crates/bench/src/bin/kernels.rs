@@ -1,13 +1,20 @@
 //! Kernel microbench — times four matmul arms per shape (naive,
 //! forced-scalar packed, runtime-dispatched SIMD at 1 thread and at N
-//! threads) plus the batched CLS-embedding path at 1 thread vs N
-//! threads, writes `BENCH_kernels.json`, and **exits non-zero** when
+//! threads), the GELU kernel over one feed-forward block (libm-`tanh`
+//! reference, dispatched, forced scalar) and the batched CLS-embedding
+//! path at 1 thread vs N threads, writes `BENCH_kernels.json`, and
+//! **exits non-zero** when
 //!
 //! - the parallel results diverge bytewise from the serial ones,
 //! - the SIMD arm's bytes differ from the forced-scalar fallback's
-//!   (they are designed bitwise-equal — divergence is a kernel bug), or
+//!   (they are designed bitwise-equal — divergence is a kernel bug), for
+//!   a matmul or for GELU, or
 //! - the host dispatches AVX2 but `simd_speedup` (forced-scalar time
 //!   over SIMD time, serial) lands under 1.2× on the two largest shapes.
+//!
+//! The first three matmul shapes are the encoder's own products (seq 32,
+//! d 32, d_ff 64) and carry no speedup floor; GELU records its max
+//! |Δ| to the libm reference.
 //!
 //! The JSON records which dispatch tier (`avx2`/`neon`/`scalar`)
 //! actually ran, so a flat speedup on a scalar-only container is
@@ -32,6 +39,16 @@ use std::time::Instant;
 /// The forced-scalar / SIMD speedup floor enforced on AVX2 hosts, on
 /// the gate shapes (the two largest).
 const SIMD_SPEEDUP_FLOOR: f64 = 1.2;
+
+/// `(m, k, n)` matmul shapes: the encoder's own products (Q/K/V/O,
+/// FF expansion, FF projection at seq 32), then three larger shapes.
+const SHAPES: [(usize, usize, usize); 6] =
+    [(32, 32, 32), (32, 32, 64), (32, 64, 32), (96, 128, 96), (192, 256, 192), (384, 256, 384)];
+/// The last `GATE_SHAPES` entries of [`SHAPES`] carry the AVX2 speedup
+/// floor.
+const GATE_SHAPES: usize = 2;
+/// The GELU block: one sequence's feed-forward expansion (seq × d_ff).
+const GELU_BLOCK: (usize, usize) = (32, 64);
 
 /// Best-of-`reps` wall time in milliseconds.
 fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
@@ -75,21 +92,20 @@ fn main() {
     // -- Matmul arms ------------------------------------------------------
     // Several shapes so a flat speedup is diagnosable from the artifact
     // alone: ns/flop separates "kernel got slower" from "problem too
-    // small to amortise fan-out". The last GATE_SHAPES entries carry the
-    // AVX2 speedup floor.
-    const SHAPES: [(usize, usize, usize); 3] = [(96, 128, 96), (192, 256, 192), (384, 256, 384)];
-    const GATE_SHAPES: usize = 2;
+    // small to amortise fan-out".
     let mut matmul_shapes = Vec::new();
     for (which, &(m, k, n)) in SHAPES.iter().enumerate() {
         let a = random_tensor(m, k, &mut rng);
         let b = random_tensor(k, n, &mut rng);
+        // Small products repeat more so best-of stays above timer noise.
+        let reps = (50_000_000 / (m * k * n)).clamp(5, 2000);
 
-        let (naive_ms, reference) = time_ms(5, || a.matmul_naive(&b));
+        let (naive_ms, reference) = time_ms(reps, || a.matmul_naive(&b));
         simd::force_tier(SimdTier::Scalar);
-        let (scalar_ms, scalar_out) = time_ms(5, || a.matmul_in(&b, &pool1));
+        let (scalar_ms, scalar_out) = time_ms(reps, || a.matmul_in(&b, &pool1));
         simd::force_tier(tier);
-        let (simd_ms, serial) = time_ms(5, || a.matmul_in(&b, &pool1));
-        let (parallel_ms, parallel) = time_ms(5, || a.matmul_in(&b, &pool_n));
+        let (simd_ms, serial) = time_ms(reps, || a.matmul_in(&b, &pool1));
+        let (parallel_ms, parallel) = time_ms(reps, || a.matmul_in(&b, &pool_n));
         simd::reset_tier();
 
         if !bits_equal(&serial, &parallel) {
@@ -126,12 +142,16 @@ fn main() {
             );
             failed = true;
         }
+        let us = |ms: f64| ms * 1e3;
         println!(
-            "matmul {m}x{k}x{n}:  naive {naive_ms:.2} ms | scalar@1 {scalar_ms:.2} ms | \
-             {}@1 {simd_ms:.2} ms | {}@{par_threads} {parallel_ms:.2} ms | \
-             simd {simd_speedup:.2}x | vs-naive {naive_speedup:.2}x",
+            "matmul {m}x{k}x{n}:  naive {:.1} µs | scalar@1 {:.1} µs | {}@1 {:.1} µs | \
+             {}@{par_threads} {:.1} µs | simd {simd_speedup:.2}x | vs-naive {naive_speedup:.2}x",
+            us(naive_ms),
+            us(scalar_ms),
             tier.name(),
-            tier.name()
+            us(simd_ms),
+            tier.name(),
+            us(parallel_ms)
         );
         matmul_shapes.push(json!({
             "shape": json!([m, k, n]),
@@ -152,6 +172,47 @@ fn main() {
         }));
     }
 
+    // -- GELU over one feed-forward block ----------------------------------
+    let (gr, gc) = GELU_BLOCK;
+    let x = random_tensor(gr, gc, &mut rng);
+    let mut x4 = x.clone();
+    x4.scale_assign(4.0);
+    let xs = x4.as_slice();
+    let values = xs.len();
+    let mut out = vec![0.0f32; values];
+    let (libm_ms, reference) = time_ms(2000, || {
+        xs.iter()
+            .map(|&v| 0.5 * v * (1.0 + (0.797_884_6f32 * (v + 0.044_715 * v * v * v)).tanh()))
+            .collect::<Vec<f32>>()
+    });
+    simd::force_tier(SimdTier::Scalar);
+    let (gelu_scalar_ms, gelu_scalar) = time_ms(2000, || {
+        simd::gelu(xs, &mut out);
+        out.clone()
+    });
+    simd::force_tier(tier);
+    let (gelu_simd_ms, gelu_simd) = time_ms(2000, || {
+        simd::gelu(xs, &mut out);
+        out.clone()
+    });
+    simd::reset_tier();
+    let gelu_bitwise = gelu_simd.iter().zip(&gelu_scalar).all(|(a, b)| a.to_bits() == b.to_bits());
+    if !gelu_bitwise {
+        eprintln!("FAIL: {} gelu is not bitwise-equal to the scalar fallback", tier.name());
+        failed = true;
+    }
+    let gelu_max_diff =
+        gelu_simd.iter().zip(&reference).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
+    let ns_per_value = |ms: f64| ms * 1e6 / values as f64;
+    println!(
+        "gelu {gr}x{gc} on [-4, 4):  libm tanh {:.2} ns/value | scalar {:.2} | {} {:.2} | \
+         max |Δ| vs libm {gelu_max_diff:.2e}",
+        ns_per_value(libm_ms),
+        ns_per_value(gelu_scalar_ms),
+        tier.name(),
+        ns_per_value(gelu_simd_ms)
+    );
+
     // -- Batched CLS embedding (the serving hot path) ---------------------
     let dataset = generate_wiki(&WikiConfig { num_tables: 60, seed: 777, ..Default::default() });
     let tokenizer = build_tokenizer(&dataset, VOCAB_CAP);
@@ -163,11 +224,10 @@ fn main() {
     let batch = encs.len();
 
     explainti_pool::configure(1);
-    let (embed_serial_ms, embeds_serial) =
-        time_ms(3, || encoder.embed_cls_batch(&store, &encs, &mut rng.clone()));
+    let (embed_serial_ms, embeds_serial) = time_ms(3, || encoder.embed_cls_batch(&store, &encs));
     explainti_pool::configure(par_threads);
     let (embed_parallel_ms, embeds_parallel) =
-        time_ms(3, || encoder.embed_cls_batch(&store, &encs, &mut rng.clone()));
+        time_ms(3, || encoder.embed_cls_batch(&store, &encs));
     explainti_pool::configure(explainti_pool::Threads::resolve(None).get());
     if embeds_serial != embeds_parallel {
         eprintln!("FAIL: parallel embed_cls_batch diverges from serial");
@@ -185,6 +245,15 @@ fn main() {
         "dispatch_tier": tier.name(),
         "simd_speedup_floor": SIMD_SPEEDUP_FLOOR,
         "matmul": json!(matmul_shapes),
+        "gelu": json!({
+            "block": [gr, gc],
+            "input_range": [-4.0, 4.0],
+            "libm_ns_per_value": ns_per_value(libm_ms),
+            "scalar_ns_per_value": ns_per_value(gelu_scalar_ms),
+            "simd_ns_per_value": ns_per_value(gelu_simd_ms),
+            "max_abs_diff_vs_libm": gelu_max_diff,
+            "bitwise_equal_to_scalar": gelu_bitwise,
+        }),
         "embed_cls_batch": json!({
             "batch": batch,
             "max_seq": MAX_SEQ,

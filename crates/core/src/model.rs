@@ -26,7 +26,7 @@ use crate::data::{build_tokenizer, TaskData};
 use crate::explain::{Explanation, GlobalInfluence, LocalSpan, Prediction, StructuralNeighbor};
 use crate::store::EmbeddingStore;
 use explainti_corpus::{Dataset, Split};
-use explainti_encoder::TransformerEncoder;
+use explainti_encoder::{InferenceEncoder, Scratch, TransformerEncoder};
 use explainti_metrics::{f1_scores, F1Scores};
 use explainti_nn::{kl_divergence, softmax, Graph, Linear, NodeId, ParamStore, Tensor};
 use explainti_tokenizer::Tokenizer;
@@ -62,19 +62,6 @@ pub(crate) struct SampleForward {
     /// Local logits `l_L`, when LE is enabled and windows exist.
     pub l_l: Option<NodeId>,
     /// Global logits `l_G`, when GE is enabled and `Q` is non-empty.
-    pub l_g: Option<NodeId>,
-    pub local_spans: Vec<LocalSpan>,
-    pub global_infl: Vec<GlobalInfluence>,
-    pub structural: Vec<StructuralNeighbor>,
-}
-
-/// One sample's node ids and explanation bundles on a *shared* tape —
-/// what [`ExplainTi::forward_encoded_in`] returns so batched inference
-/// can forward many samples through one [`Graph`] (amortising the
-/// parameter snapshots that dominate small-model forward cost).
-pub(crate) struct ForwardViews {
-    pub final_logits: NodeId,
-    pub l_l: Option<NodeId>,
     pub l_g: Option<NodeId>,
     pub local_spans: Vec<LocalSpan>,
     pub global_infl: Vec<GlobalInfluence>,
@@ -221,64 +208,78 @@ impl ExplainTi {
     /// Runs the encoder over every training sample of `task` and rebuilds
     /// the embedding store `Q` (Algorithm 2's initialisation/refresh).
     ///
-    /// Samples go through [`TransformerEncoder::embed_cls_batch`] in
-    /// chunks so each chunk shares one tape (and one snapshot of the
-    /// encoder weights) instead of re-materialising them per sample.
+    /// One [`TransformerEncoder::embed_cls_batch`] call embeds the whole
+    /// split on the tape-free inference encoder.
     pub fn refresh_store(&mut self, task: usize) {
         let _span = explainti_obs::span!("store.refresh");
-        const CHUNK: usize = 32;
-        let train: Vec<usize> = self.tasks[task].data.train_idx.clone();
-        for chunk in train.chunks(CHUNK) {
-            let encs: Vec<explainti_tokenizer::Encoded> = chunk
-                .iter()
-                .map(|&idx| self.tasks[task].data.samples[idx].encoded.clone())
-                .collect();
-            let cls = self.encoder.embed_cls_batch(&self.store, &encs, &mut self.rng);
-            for (&idx, cls) in chunk.iter().zip(cls) {
-                let label = self.tasks[task].data.samples[idx].label;
-                self.tasks[task].q.set(idx, cls, label);
-            }
+        let data = &self.tasks[task].data;
+        let encs: Vec<explainti_tokenizer::Encoded> =
+            data.train_idx.iter().map(|&idx| data.samples[idx].encoded.clone()).collect();
+        let cls = self.encoder.embed_cls_batch(&self.store, &encs);
+        let state = &mut self.tasks[task];
+        for (&idx, cls) in state.data.train_idx.iter().zip(cls) {
+            state.q.set(idx, cls, state.data.samples[idx].label);
         }
-        self.tasks[task].q.rebuild_index();
+        state.q.rebuild_index();
     }
 
-    /// Full forward pass over one sample, producing all logits and
-    /// explanation bundles. Training advances the model RNG (dropout
-    /// masks, SE neighbour draws); inference paths leave it untouched.
+    /// Full tape forward over one sample, producing all logits and
+    /// explanation bundles: the training path, which back-propagates
+    /// through the encoder. Training advances the model RNG (dropout
+    /// masks, SE neighbour draws).
     pub(crate) fn forward_sample(
         &mut self,
         task: usize,
         sample_idx: usize,
         training: bool,
     ) -> SampleForward {
+        let _span = explainti_obs::span!("model.forward");
         let encoded = self.tasks[task].data.samples[sample_idx].encoded.clone();
         let mut rng = self.rng.clone();
-        let fwd = self.forward_encoded(task, &encoded, Some(sample_idx), training, true, &mut rng);
+        let mut g = Graph::new();
+        let emb = self.encoder.forward(&mut g, &self.store, &encoded, training, &mut rng);
+        let fwd = self.heads(g, emb, task, &encoded, Some(sample_idx), training, true, &mut rng);
         self.rng = rng;
         fwd
     }
 
-    /// Logits-only forward (no LE/GE work): LE and GE contribute training
-    /// losses and explanations but never the final logits, so evaluation
-    /// sweeps skip them. [`Self::predict`] keeps the full bundle.
-    fn forward_logits_only(&self, task: usize, sample_idx: usize) -> SampleForward {
-        let encoded = &self.tasks[task].data.samples[sample_idx].encoded;
-        let mut rng = self.inference_rng();
-        self.forward_encoded(task, encoded, Some(sample_idx), false, false, &mut rng)
-    }
-
-    /// RNG for inference forwards. Inference never consumes randomness
-    /// (dropout is off and SE's eval path derives its own per-node
-    /// deterministic draw), but the forward signature threads one through
-    /// for the training path, so hand it a fixed-seed throwaway.
-    fn inference_rng(&self) -> SmallRng {
-        SmallRng::seed_from_u64(self.cfg.seed)
-    }
-
-    /// Forward pass over an arbitrary encoded sequence on a fresh tape.
-    /// See [`Self::forward_encoded_in`] for the `node` semantics.
-    pub(crate) fn forward_encoded(
+    /// Inference forward over one encoded sequence: the tape-free
+    /// `engine`, then the heads on a fresh tape seeded with its output.
+    /// `with_views = false` skips LE and GE, which contribute training
+    /// losses and explanations but never the final logits.
+    fn infer(
         &self,
+        engine: &InferenceEncoder<'_>,
+        scratch: &mut Scratch,
+        task: usize,
+        encoded: &explainti_tokenizer::Encoded,
+        node: Option<usize>,
+        with_views: bool,
+    ) -> SampleForward {
+        let _span = explainti_obs::span!("model.forward");
+        let e = engine.forward(encoded, scratch);
+        let mut g = Graph::new();
+        let emb = g.input(Tensor::from_vec(encoded.ids.len(), engine.d_model(), e.to_vec()));
+        // Inference consumes no randomness (SE's eval path derives its own
+        // per-node draw), but the heads thread one through for training.
+        let mut rng = SmallRng::seed_from_u64(self.cfg.seed);
+        self.heads(g, emb, task, encoded, node, false, with_views, &mut rng)
+    }
+
+    /// The heads over the encoder output `emb` on tape `g`. `node` is the
+    /// sample's column-graph node when it exists in the task data; ad-hoc
+    /// inputs (e.g. freshly ingested CSV columns) pass `None`, in which
+    /// case SE falls back to self-attention and GE retrieves without
+    /// self-exclusion.
+    ///
+    /// Takes `&self`: the prediction path reads shared state only, so
+    /// concurrent callers (the inference server's worker pool) can share
+    /// one model behind an `Arc` without locking.
+    #[allow(clippy::too_many_arguments)]
+    fn heads(
+        &self,
+        mut graph: Graph,
+        emb: NodeId,
         task: usize,
         encoded: &explainti_tokenizer::Encoded,
         node: Option<usize>,
@@ -286,42 +287,8 @@ impl ExplainTi {
         with_views: bool,
         rng: &mut SmallRng,
     ) -> SampleForward {
-        let mut g = Graph::new();
-        let v = self.forward_encoded_in(&mut g, task, encoded, node, training, with_views, rng);
-        SampleForward {
-            graph: g,
-            final_logits: v.final_logits,
-            l_l: v.l_l,
-            l_g: v.l_g,
-            local_spans: v.local_spans,
-            global_infl: v.global_infl,
-            structural: v.structural,
-        }
-    }
-
-    /// Forward pass over an arbitrary encoded sequence on a caller-owned
-    /// (possibly shared) tape. `node` is the sample's column-graph node
-    /// when it exists in the task data; ad-hoc inputs (e.g. freshly
-    /// ingested CSV columns) pass `None`, in which case SE falls back to
-    /// self-attention and GE retrieves without self-exclusion.
-    ///
-    /// Takes `&self`: the prediction path reads shared state only, so
-    /// concurrent callers (the inference server's worker pool) can share
-    /// one model behind an `Arc` without locking.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn forward_encoded_in(
-        &self,
-        g: &mut Graph,
-        task: usize,
-        encoded: &explainti_tokenizer::Encoded,
-        node: Option<usize>,
-        training: bool,
-        with_views: bool,
-        rng: &mut SmallRng,
-    ) -> ForwardViews {
-        let _span = explainti_obs::span!("model.forward");
         let kind = self.tasks[task].data.kind;
-        let emb = self.encoder.forward(g, &self.store, encoded, training, rng);
+        let g = &mut graph;
         let cls = self.encoder.cls(g, emb);
         let cls_value = g.value(cls).clone();
 
@@ -350,7 +317,7 @@ impl ExplainTi {
             (None, Vec::new())
         };
 
-        ForwardViews { final_logits, l_l, l_g, local_spans, global_infl, structural }
+        SampleForward { graph, final_logits, l_l, l_g, local_spans, global_infl, structural }
     }
 
     /// Algorithm 1: sliding-window relevance scores and local logits.
@@ -691,50 +658,46 @@ impl ExplainTi {
     /// multi-view explanations.
     pub fn predict_encoded(&self, encoded: &explainti_tokenizer::Encoded) -> Prediction {
         let task = self.task_index(TaskKind::Type).expect("type task not registered");
-        let mut rng = self.inference_rng();
-        let fwd = self.forward_encoded(task, encoded, None, false, true, &mut rng);
-        Self::prediction_from(fwd)
+        self.predict_one(task, encoded, None)
     }
 
     /// Predicts a micro-batch of pre-encoded ad-hoc columns (type task)
-    /// through **one shared tape**, so the encoder's weight snapshots
-    /// amortise across the batch — the entry point the inference server's
-    /// batching collector drains into. Results are in input order and
-    /// identical to per-sample [`Self::predict_encoded`] calls.
+    /// on one inference-engine build — the entry point the inference
+    /// server's batching collector drains into. Results are in input
+    /// order and identical to per-sample [`Self::predict_encoded`] calls.
     pub fn predict_encoded_batch(&self, encs: &[explainti_tokenizer::Encoded]) -> Vec<Prediction> {
         let _span = explainti_obs::span!("model.predict_batch");
         let task = self.task_index(TaskKind::Type).expect("type task not registered");
+        let engine = InferenceEncoder::new(&self.encoder, &self.store);
         let pool = explainti_pool::global();
         let chunks = pool.threads().min(encs.len());
         if chunks <= 1 {
-            return self.predict_encoded_chunk(task, encs);
+            return self.predict_encoded_chunk(&engine, task, encs);
         }
         // Per-sequence forwards are independent (each chunk gets its own
-        // tape; `inference_rng` is a fixed-seed throwaway that inference
-        // never advances), so splitting the batch across the pool yields
-        // byte-identical predictions to the serial path in input order.
+        // scratch, each sample its own head tape), so splitting the batch
+        // across the pool yields byte-identical predictions to the serial
+        // path in input order.
         let chunk_len = encs.len().div_ceil(chunks);
         let slices: Vec<&[explainti_tokenizer::Encoded]> = encs.chunks(chunk_len).collect();
         explainti_obs::set_gauge("model.predict_batch.chunks", slices.len() as f64);
-        pool.map(slices.len(), |i| self.predict_encoded_chunk(task, slices[i]))
+        pool.map(slices.len(), |i| self.predict_encoded_chunk(&engine, task, slices[i]))
             .into_iter()
             .flatten()
             .collect()
     }
 
-    /// Single-tape worker for [`Self::predict_encoded_batch`]: one shared
-    /// graph per chunk so the encoder's weight snapshots amortise.
+    /// One scratch per chunk: the worker of [`Self::predict_encoded_batch`].
     fn predict_encoded_chunk(
         &self,
+        engine: &InferenceEncoder<'_>,
         task: usize,
         encs: &[explainti_tokenizer::Encoded],
     ) -> Vec<Prediction> {
-        let mut rng = self.inference_rng();
-        let mut g = Graph::new();
+        let mut scratch = engine.scratch();
         encs.iter()
             .map(|enc| {
-                let v = self.forward_encoded_in(&mut g, task, enc, None, false, true, &mut rng);
-                Self::prediction_from_views(&g, v)
+                Self::prediction_from(self.infer(engine, &mut scratch, task, enc, None, true))
             })
             .collect()
     }
@@ -742,26 +705,22 @@ impl ExplainTi {
     /// Predicts one sample with full multi-view explanations.
     pub fn predict(&self, kind: TaskKind, sample_idx: usize) -> Prediction {
         let task = self.task_index(kind).expect("task not registered");
-        let encoded = &self.tasks[task].data.samples[sample_idx].encoded;
-        let mut rng = self.inference_rng();
-        let fwd = self.forward_encoded(task, encoded, Some(sample_idx), false, true, &mut rng);
-        Self::prediction_from(fwd)
+        self.predict_one(task, &self.tasks[task].data.samples[sample_idx].encoded, Some(sample_idx))
+    }
+
+    fn predict_one(
+        &self,
+        task: usize,
+        encoded: &explainti_tokenizer::Encoded,
+        node: Option<usize>,
+    ) -> Prediction {
+        let engine = InferenceEncoder::new(&self.encoder, &self.store);
+        let mut scratch = engine.scratch();
+        Self::prediction_from(self.infer(&engine, &mut scratch, task, encoded, node, true))
     }
 
     fn prediction_from(fwd: SampleForward) -> Prediction {
-        let views = ForwardViews {
-            final_logits: fwd.final_logits,
-            l_l: fwd.l_l,
-            l_g: fwd.l_g,
-            local_spans: fwd.local_spans,
-            global_infl: fwd.global_infl,
-            structural: fwd.structural,
-        };
-        Self::prediction_from_views(&fwd.graph, views)
-    }
-
-    fn prediction_from_views(g: &Graph, views: ForwardViews) -> Prediction {
-        let logits = g.value(views.final_logits).as_slice().to_vec();
+        let logits = fwd.graph.value(fwd.final_logits).as_slice().to_vec();
         let probs = softmax(&logits);
         let label = probs
             .iter()
@@ -774,9 +733,9 @@ impl ExplainTi {
             confidence: probs[label],
             probs,
             explanation: Explanation {
-                local: views.local_spans,
-                global: views.global_infl,
-                structural: views.structural,
+                local: fwd.local_spans,
+                global: fwd.global_infl,
+                structural: fwd.structural,
             },
         }
     }
@@ -787,10 +746,13 @@ impl ExplainTi {
         let task = self.task_index(kind).expect("task not registered");
         let indices = self.tasks[task].data.indices(split).to_vec();
         let num_classes = self.tasks[task].data.num_classes;
+        let engine = InferenceEncoder::new(&self.encoder, &self.store);
+        let mut scratch = engine.scratch();
         let mut preds = Vec::with_capacity(indices.len());
         let mut actual = Vec::with_capacity(indices.len());
         for idx in indices {
-            let fwd = self.forward_logits_only(task, idx);
+            let encoded = &self.tasks[task].data.samples[idx].encoded;
+            let fwd = self.infer(&engine, &mut scratch, task, encoded, Some(idx), false);
             let logits = fwd.graph.value(fwd.final_logits);
             preds.push(logits.argmax_row(0));
             actual.push(self.tasks[task].data.samples[idx].label);
@@ -921,6 +883,48 @@ mod tests {
                 assert_eq!(bl.relevance, sl.relevance);
             }
         }
+    }
+
+    /// Engines are built per call from the live store, so after a
+    /// weight update `predict` and `evaluate` give the tape's answers
+    /// for the new weights.
+    #[test]
+    fn inference_follows_a_weight_update_like_the_tape() {
+        let mut m = model();
+        m.refresh_store(0);
+        let probe = m.tasks[0].data.train_idx[0];
+        let before = m.predict(TaskKind::Type, probe);
+
+        let label = m.tasks[0].data.samples[probe].label;
+        let fwd = m.forward_sample(0, probe, true);
+        let mut g = fwd.graph;
+        let loss = g.cross_entropy(fwd.final_logits, &[label]);
+        g.backward(loss);
+        g.flush_grads(m.store_mut());
+        explainti_nn::AdamW::new(explainti_nn::LinearSchedule::constant(0.05)).step(m.store_mut());
+
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let after = m.predict(TaskKind::Type, probe);
+        let tape = m.forward_sample(0, probe, false);
+        assert_ne!(bits(&after.probs), bits(&before.probs), "the update moved the prediction");
+        assert_eq!(
+            bits(&after.probs),
+            bits(&softmax(tape.graph.value(tape.final_logits).as_slice()))
+        );
+        let spans = |s: &[LocalSpan]| {
+            s.iter().map(|l| (l.start, l.relevance.to_bits())).collect::<Vec<_>>()
+        };
+        assert_eq!(spans(&after.explanation.local), spans(&tape.local_spans));
+
+        let split = Split::Test;
+        let (mut preds, mut actual) = (Vec::new(), Vec::new());
+        for &idx in m.tasks[0].data.indices(split).to_vec().iter() {
+            let f = m.forward_sample(0, idx, false);
+            preds.push(f.graph.value(f.final_logits).argmax_row(0));
+            actual.push(m.tasks[0].data.samples[idx].label);
+        }
+        let want = f1_scores(&preds, &actual, m.tasks[0].data.num_classes);
+        assert_eq!(m.evaluate(TaskKind::Type, split), want);
     }
 
     #[test]

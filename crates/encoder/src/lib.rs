@@ -12,7 +12,10 @@
 
 #![warn(missing_docs)]
 
+pub mod infer;
 pub mod mlm;
+
+pub use infer::{InferenceEncoder, Scratch};
 
 use explainti_nn::{
     Dropout, Embedding, FeedForward, Graph, LayerNorm, MultiHeadAttention, NodeId, ParamStore,
@@ -184,90 +187,39 @@ impl TransformerEncoder {
         (x, sum)
     }
 
-    /// Runs the encoder over a batch of sequences sharing one tape.
-    ///
-    /// Within a single [`Graph`], parameter snapshots are memoised, so
-    /// the embedding tables and every layer's attention/FF weights are
-    /// materialised once per batch instead of once per sequence — the
-    /// batch-friendly entry point the inference server's micro-batching
-    /// collector drains into. Returns one `max_seq x d_model` node per
-    /// sequence, in input order.
-    pub fn forward_batch(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        encs: &[Encoded],
-        training: bool,
-        rng: &mut SmallRng,
-    ) -> Vec<NodeId> {
-        let _span = explainti_obs::span!("encoder.forward_batch");
-        encs.iter().map(|enc| self.forward(g, store, enc, training, rng)).collect()
-    }
-
     /// Extracts `E_[CLS]` (row 0) from a full-forward output node.
     pub fn cls(&self, g: &mut Graph, embeddings: NodeId) -> NodeId {
         g.rows_range(embeddings, 0, 1)
     }
 
-    /// Convenience inference pass returning the CLS embedding as a tensor.
-    pub fn embed_cls(&self, store: &ParamStore, enc: &Encoded, rng: &mut SmallRng) -> Tensor {
+    /// Convenience inference pass returning the CLS embedding as a
+    /// tensor, on the tape-free [`InferenceEncoder`]. Inference consumes
+    /// no randomness; `rng` keeps the tape forward's signature.
+    pub fn embed_cls(&self, store: &ParamStore, enc: &Encoded, _rng: &mut SmallRng) -> Tensor {
         let _span = explainti_obs::span!("encoder.embed_cls");
-        let mut g = Graph::new();
-        let e = self.forward(&mut g, store, enc, false, rng);
-        let cls = self.cls(&mut g, e);
-        g.value(cls).clone()
+        let engine = InferenceEncoder::new(self, store);
+        embed_cls_chunk(&engine, std::slice::from_ref(enc)).remove(0)
     }
 
-    /// Batched variant of [`Self::embed_cls`]: one shared tape per batch,
-    /// so weight snapshots amortise across the sequences (used by the
-    /// embedding-store refresh and the serving path).
-    pub fn embed_cls_batch(
-        &self,
-        store: &ParamStore,
-        encs: &[Encoded],
-        rng: &mut SmallRng,
-    ) -> Vec<Tensor> {
+    /// Batched [`Self::embed_cls`] (the embedding-store refresh): one
+    /// engine build for the whole batch, whose sequences split over the
+    /// global pool in input order.
+    pub fn embed_cls_batch(&self, store: &ParamStore, encs: &[Encoded]) -> Vec<Tensor> {
         let _span = explainti_obs::span!("encoder.embed_cls_batch");
+        let engine = InferenceEncoder::new(self, store);
         let pool = explainti_pool::global();
         let chunks = pool.threads().min(encs.len());
         if chunks <= 1 {
-            return self.embed_cls_chunk(store, encs, rng);
+            return embed_cls_chunk(&engine, encs);
         }
-        // Each chunk runs an independent forward on its own tape, so the
-        // per-sequence results are identical to the single-tape path (the
-        // tape only memoises read-only weight snapshots). Inference
-        // consumes no randomness — dropout is a no-op with
-        // `training = false` — so cloning the caller's RNG per chunk is
-        // observably equivalent while satisfying the pool's `Fn + Sync`
-        // closure bound.
-        let proto = rng.clone();
+        // Each chunk runs independent forwards on its own scratch, so the
+        // per-sequence results equal the serial path's.
         let chunk_len = encs.len().div_ceil(chunks);
         let slices: Vec<&[Encoded]> = encs.chunks(chunk_len).collect();
         explainti_obs::set_gauge("encoder.batch.chunks", slices.len() as f64);
-        pool.map(slices.len(), |i| {
-            let mut rng = proto.clone();
-            self.embed_cls_chunk(store, slices[i], &mut rng)
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-
-    /// Single-tape worker for [`Self::embed_cls_batch`]: one shared
-    /// graph per chunk so weight snapshots amortise across sequences.
-    fn embed_cls_chunk(
-        &self,
-        store: &ParamStore,
-        encs: &[Encoded],
-        rng: &mut SmallRng,
-    ) -> Vec<Tensor> {
-        let mut g = Graph::new();
-        let outs = self.forward_batch(&mut g, store, encs, false, rng);
-        outs.into_iter()
-            .map(|e| {
-                let cls = self.cls(&mut g, e);
-                g.value(cls).clone()
-            })
+        pool.map(slices.len(), |i| embed_cls_chunk(&engine, slices[i]))
+            .into_iter()
+            .flatten()
             .collect()
     }
 
@@ -297,6 +249,14 @@ impl TransformerEncoder {
         }
         assert_eq!(offset, flat.len(), "checkpoint size mismatch");
     }
+}
+
+/// CLS rows of `encs` on one scratch: the per-chunk worker of
+/// [`TransformerEncoder::embed_cls_batch`].
+fn embed_cls_chunk(engine: &InferenceEncoder<'_>, encs: &[Encoded]) -> Vec<Tensor> {
+    let mut scratch = engine.scratch();
+    let d = engine.d_model();
+    encs.iter().map(|enc| Tensor::row(engine.forward(enc, &mut scratch)[..d].to_vec())).collect()
 }
 
 #[cfg(test)]
@@ -359,7 +319,7 @@ mod tests {
         let e1 = encode_column(&tok, "alpha", "beta", &["gamma", "delta"], 16);
         let e2 = encode_column(&tok, "one", "two", &["three"], 16);
         let singles = [enc.embed_cls(&store, &e1, &mut rng), enc.embed_cls(&store, &e2, &mut rng)];
-        let batch = enc.embed_cls_batch(&store, &[e1, e2], &mut rng);
+        let batch = enc.embed_cls_batch(&store, &[e1, e2]);
         assert_eq!(batch.len(), 2);
         assert_eq!(batch[0], singles[0]);
         assert_eq!(batch[1], singles[1]);
@@ -367,14 +327,14 @@ mod tests {
 
     #[test]
     fn batch_embed_is_identical_across_pool_widths() {
-        let (tok, enc, store, mut rng) = setup();
+        let (tok, enc, store, _) = setup();
         let words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"];
         let encs: Vec<_> =
             words.iter().map(|w| encode_column(&tok, w, "header", &["cell"], 16)).collect();
         explainti_pool::configure(1);
-        let serial = enc.embed_cls_batch(&store, &encs, &mut rng);
+        let serial = enc.embed_cls_batch(&store, &encs);
         explainti_pool::configure(4);
-        let parallel = enc.embed_cls_batch(&store, &encs, &mut rng);
+        let parallel = enc.embed_cls_batch(&store, &encs);
         explainti_pool::configure(explainti_pool::Threads::resolve(None).get());
         assert_eq!(serial, parallel, "pool width must not change embeddings");
     }

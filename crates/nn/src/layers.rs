@@ -43,6 +43,16 @@ impl Linear {
         self.out_dim
     }
 
+    /// The `in_dim x out_dim` weight's store id.
+    pub fn weight(&self) -> ParamId {
+        self.w
+    }
+
+    /// The `1 x out_dim` bias's store id.
+    pub fn bias(&self) -> ParamId {
+        self.b
+    }
+
     /// Applies the layer to a `rows x in_dim` node.
     pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: NodeId) -> NodeId {
         let w = g.param(store, self.w);
@@ -83,6 +93,11 @@ impl Embedding {
         self.dim
     }
 
+    /// The `vocab x dim` table's store id.
+    pub fn table(&self) -> ParamId {
+        self.table
+    }
+
     /// Gathers embeddings for `ids`, producing a `ids.len() x dim` node.
     pub fn forward(&self, g: &mut Graph, store: &ParamStore, ids: &[usize]) -> NodeId {
         let table = g.param(store, self.table);
@@ -103,6 +118,11 @@ impl LayerNorm {
         let gain = store.add_ones(&format!("{name}.gain"), 1, dim);
         let bias = store.add_zeros(&format!("{name}.bias"), 1, dim);
         Self { gain, bias }
+    }
+
+    /// Store ids of the gain and bias rows.
+    pub fn params(&self) -> (ParamId, ParamId) {
+        (self.gain, self.bias)
     }
 
     /// Normalises each row of `x`.
@@ -163,6 +183,11 @@ impl FeedForward {
         }
     }
 
+    /// The expansion and projection layers, in application order.
+    pub fn layers(&self) -> (&Linear, &Linear) {
+        (&self.fc1, &self.fc2)
+    }
+
     /// Applies the block.
     pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: NodeId) -> NodeId {
         let h = self.fc1.forward(g, store, x);
@@ -203,6 +228,11 @@ impl MultiHeadAttention {
             heads,
             head_dim: dim / heads,
         }
+    }
+
+    /// The Q, K, V and output projections.
+    pub fn projections(&self) -> [&Linear; 4] {
+        [&self.wq, &self.wk, &self.wv, &self.wo]
     }
 
     /// Self-attention over a `seq x dim` node.

@@ -19,9 +19,16 @@
 //! that depends only on the shapes — **results are byte-identical for
 //! every thread count and every dispatch tier**, which the serve
 //! integration tests, `tests/simd_kernels.rs`, and the `kernels` bench
-//! binary all assert. The pre-existing single-threaded triple loops
-//! survive as `matmul_naive`/`matmul_tn_naive`/`matmul_nt_naive`, the
-//! references the property tests compare against.
+//! binary all assert. Below `PACK_MIN` rows (columns for `Aᵀ·B`) the
+//! single-threaded loops `matmul_naive`/`matmul_tn_naive` run instead:
+//! they are live small-shape fallbacks as well as the references the
+//! property tests compare against. `A·Bᵀ` has no fallback; its naive
+//! reference lives in `tests/matmul_kernels.rs`.
+//!
+//! [`matmul_packed_into`] and [`matmul_nt_into`] expose the `A·B` and
+//! `A·Bᵀ` kernels on slices, `A·B` from a pre-packed `Bᵀ`, so the
+//! tape-free inference encoder packs each weight once per build and
+//! still gets the tape's bits.
 
 use explainti_pool::ThreadPool;
 use std::fmt;
@@ -143,6 +150,83 @@ where
         };
         body(start, end, rows_out);
     });
+}
+
+/// The packed kernel behind every blocked product: `out[i][j] =
+/// dot(a_i, b_j)` over row-major `a` (`rows × k`) and `b` (`n × k`),
+/// output rows paired over the shared panel and row blocks split over
+/// `pool` (or the global pool when the product is large enough).
+fn nt_rows(a: &[f32], b: &[f32], k: usize, n: usize, pool: Option<&ThreadPool>, out: &mut [f32]) {
+    note_dispatch();
+    let rows = out.len() / n;
+    let body = |start: usize, _end: usize, rows_out: &mut [f32]| {
+        let a_row = |i: usize| &a[(start + i) * k..(start + i + 1) * k];
+        paired_rows(
+            rows_out,
+            n,
+            |bi, out_row| crate::simd::row_times_rows(a_row(bi), b, k, out_row),
+            |bi, out0, out1| {
+                crate::simd::rows2_times_rows(a_row(bi), a_row(bi + 1), b, k, out0, out1)
+            },
+        );
+    };
+    match pool {
+        Some(p) => for_row_blocks_in(p, rows, n, out, body),
+        None => for_row_blocks(rows, n, rows * k * n, out, body),
+    }
+}
+
+/// Checks `a` (`rows × k`), `b` (`n × k`) and `out` (`rows × n`) agree
+/// and returns `rows`.
+fn product_rows(a: &[f32], b: &[f32], k: usize, n: usize, out: &[f32]) -> usize {
+    let rows = out.len().checked_div(n).or(a.len().checked_div(k)).unwrap_or(0);
+    assert!(
+        a.len() == rows * k && b.len() == n * k && out.len() == rows * n,
+        "packed product shape mismatch: a {} b {} out {} for k {k} n {n}",
+        a.len(),
+        b.len(),
+        out.len()
+    );
+    rows
+}
+
+/// `out = A·Bᵀ` for row-major `a` (`rows × k`) and `b` (`n × k`): the
+/// kernel [`Tensor::matmul_nt`] runs, on slices, so a tape-free caller
+/// gets the same bits.
+pub fn matmul_nt_into(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    product_rows(a, b, k, n, out);
+    if n > 0 {
+        nt_rows(a, b, k, n, None, out);
+    }
+}
+
+/// `out = A·B` for row-major `a` (`rows × k`) from a pre-packed `bt =
+/// Bᵀ` (`n × k`): the kernel [`Tensor::matmul`] runs once it has packed
+/// `Bᵀ`, so a caller that packs a weight once gets the same bits on
+/// every product. Below `PACK_MIN` rows it runs [`Tensor::matmul_naive`]'s
+/// loop: each element accumulates `a[i][k]·b[k][j]` from `0.0` in
+/// ascending `k`, skipping zero `a` entries, read here from `Bᵀ`.
+pub fn matmul_packed_into(a: &[f32], bt: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    let rows = product_rows(a, bt, k, n, out);
+    if n == 0 {
+        return;
+    }
+    if rows >= PACK_MIN {
+        nt_rows(a, bt, k, n, None, out);
+        return;
+    }
+    for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+        let a_row = &a[i * k..(i + 1) * k];
+        for (j, out_v) in out_row.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for (&x, &y) in a_row.iter().zip(&bt[j * k..(j + 1) * k]) {
+                if x != 0.0 {
+                    acc += x * y;
+                }
+            }
+            *out_v = acc;
+        }
+    }
 }
 
 /// A dense, row-major `rows x cols` matrix of `f32`.
@@ -298,40 +382,9 @@ impl Tensor {
         if self.rows < PACK_MIN || other.cols == 0 {
             return self.matmul_naive(other);
         }
-        note_dispatch();
         let bt = other.transpose();
-        let n = other.cols;
-        let mut out = Tensor::zeros(self.rows, n);
-        let flops = self.rows * self.cols * n;
-        let k = self.cols;
-        let body = |start: usize, _end: usize, rows_out: &mut [f32]| {
-            paired_rows(
-                rows_out,
-                n,
-                |bi, out_row| {
-                    crate::simd::row_times_rows(
-                        self.row_slice(start + bi),
-                        bt.as_slice(),
-                        k,
-                        out_row,
-                    )
-                },
-                |bi, out0, out1| {
-                    crate::simd::rows2_times_rows(
-                        self.row_slice(start + bi),
-                        self.row_slice(start + bi + 1),
-                        bt.as_slice(),
-                        k,
-                        out0,
-                        out1,
-                    )
-                },
-            );
-        };
-        match pool {
-            Some(p) => for_row_blocks_in(p, self.rows, n, &mut out.data, body),
-            None => for_row_blocks(self.rows, n, flops, &mut out.data, body),
-        }
+        let mut out = Tensor::zeros(self.rows, other.cols);
+        nt_rows(&self.data, &bt.data, self.cols, other.cols, pool, &mut out.data);
         out
     }
 
@@ -456,61 +509,7 @@ impl Tensor {
         if n == 0 {
             return out;
         }
-        note_dispatch();
-        let flops = self.rows * self.cols * n;
-        let k = self.cols;
-        let body = |start: usize, _end: usize, rows_out: &mut [f32]| {
-            paired_rows(
-                rows_out,
-                n,
-                |bi, out_row| {
-                    crate::simd::row_times_rows(
-                        self.row_slice(start + bi),
-                        other.as_slice(),
-                        k,
-                        out_row,
-                    )
-                },
-                |bi, out0, out1| {
-                    crate::simd::rows2_times_rows(
-                        self.row_slice(start + bi),
-                        self.row_slice(start + bi + 1),
-                        other.as_slice(),
-                        k,
-                        out0,
-                        out1,
-                    )
-                },
-            );
-        };
-        match pool {
-            Some(p) => for_row_blocks_in(p, self.rows, n, &mut out.data, body),
-            None => for_row_blocks(self.rows, n, flops, &mut out.data, body),
-        }
-        out
-    }
-
-    /// Reference `A·Bᵀ` kernel: the original single-threaded
-    /// one-accumulator dot loop (ground truth for the property tests).
-    pub fn matmul_nt_naive(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_nt shape mismatch: {}x{} * {}x{} ^T",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Tensor::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a_row = self.row_slice(i);
-            let out_row = out.row_slice_mut(i);
-            for (j, out_v) in out_row.iter_mut().enumerate() {
-                let b_row = other.row_slice(j);
-                let mut acc = 0.0;
-                for k in 0..self.cols {
-                    acc += a_row[k] * b_row[k];
-                }
-                *out_v = acc;
-            }
-        }
+        nt_rows(&self.data, &other.data, self.cols, n, pool, &mut out.data);
         out
     }
 
@@ -616,6 +615,37 @@ impl Tensor {
         }
         best
     }
+}
+
+/// Layer-normalises one row: `out[c] = gain[c]·x̂[c] + bias[c]` with
+/// `x̂ = (x − mean)/√(var + 1e-5)`. Writes `x̂` into `xhat` when given
+/// (the tape keeps it for backward) and returns `1/√(var + 1e-5)`.
+/// [`crate::Graph::layer_norm`] and the tape-free inference encoder
+/// both normalise through this function.
+pub fn layer_norm_row(
+    x: &[f32],
+    gain: &[f32],
+    bias: &[f32],
+    out: &mut [f32],
+    mut xhat: Option<&mut [f32]>,
+) -> f32 {
+    const EPS: f32 = 1e-5;
+    let cols = x.len();
+    assert!(
+        gain.len() == cols && bias.len() == cols && out.len() == cols,
+        "layer_norm_row width mismatch"
+    );
+    let mean = x.iter().sum::<f32>() / cols as f32;
+    let var = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
+    let istd = 1.0 / (var + EPS).sqrt();
+    for c in 0..cols {
+        let h = (x[c] - mean) * istd;
+        if let Some(xh) = xhat.as_deref_mut() {
+            xh[c] = h;
+        }
+        out[c] = gain[c] * h + bias[c];
+    }
+    istd
 }
 
 /// Numerically stable softmax of a slice, written into `out`.

@@ -32,6 +32,23 @@ fn assert_exact_eq(a: &Tensor, b: &Tensor, what: &str) {
     }
 }
 
+/// Reference `A·Bᵀ`: the single-threaded one-accumulator dot loop the
+/// blocked kernel replaced (its only use is as this test's ground truth).
+fn matmul_nt_naive(a: &Tensor, b: &Tensor) -> Tensor {
+    assert_eq!(a.cols(), b.cols(), "matmul_nt_naive shape mismatch");
+    let mut out = Tensor::zeros(a.rows(), b.rows());
+    for i in 0..a.rows() {
+        for j in 0..b.rows() {
+            let mut acc = 0.0;
+            for (x, y) in a.row_slice(i).iter().zip(b.row_slice(j)) {
+                acc += x * y;
+            }
+            out.set(i, j, acc);
+        }
+    }
+    out
+}
+
 fn assert_close(a: &Tensor, b: &Tensor, tol: f32, what: &str) {
     assert_eq!(a.shape(), b.shape(), "{what}: shape mismatch");
     for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
@@ -87,7 +104,7 @@ fn blocked_matmul_nt_matches_naive_reference() {
         let b = fill(n, k, 6);
         assert_exact_eq(
             &a.matmul_nt(&b),
-            &a.matmul_nt_naive(&b),
+            &matmul_nt_naive(&a, &b),
             &format!("matmul_nt {r}x{k}x{n}"),
         );
     }

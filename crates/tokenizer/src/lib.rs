@@ -208,7 +208,16 @@ pub struct Encoded {
 impl Encoded {
     /// Attention pad mask: `0.0` for real tokens, `-1e9` for padding.
     pub fn pad_mask(&self) -> Vec<f32> {
-        (0..self.ids.len()).map(|i| if i < self.len { 0.0 } else { -1e9 }).collect()
+        (0..self.ids.len()).map(|i| self.pad_mask_at(i)).collect()
+    }
+
+    /// Entry `i` of [`Self::pad_mask`], without building the vector.
+    pub fn pad_mask_at(&self, i: usize) -> f32 {
+        if i < self.len {
+            0.0
+        } else {
+            -1e9
+        }
     }
 }
 
