@@ -6,11 +6,12 @@
 //! Algorithm 2 with faiss's `IndexHNSW`; this crate provides a from-scratch
 //! [HNSW](https://arxiv.org/abs/1603.09320) implementation
 //! ([`HnswIndex`]) plus an exact [`BruteForceIndex`] used both as the
-//! correctness oracle in tests and as the ablation baseline in the
-//! `ge_retrieval` bench.
+//! correctness oracle in tests and as the full-sort reference of the
+//! `kernels` bench's GE retrieval arm.
 //!
-//! Both indexes implement [`VectorIndex`], so the embedding store can swap
-//! backends (DESIGN.md §6).
+//! Both indexes implement [`VectorIndex`]. The embedding store retrieves
+//! by an exact flat scan at the served store sizes; HNSW is kept to be
+//! measured against it at paper scale (DESIGN.md §2).
 
 #![warn(missing_docs)]
 
@@ -119,7 +120,7 @@ impl VectorIndex for BruteForceIndex {
 }
 
 /// Recall@k of an approximate index against the exact oracle over a query
-/// set (used by tests and the `ge_retrieval` bench).
+/// set (used by tests and the `kernels` bench).
 pub fn recall_at_k(
     approx: &dyn VectorIndex,
     exact: &dyn VectorIndex,

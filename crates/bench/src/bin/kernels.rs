@@ -1,20 +1,24 @@
 //! Kernel microbench — times four matmul arms per shape (naive,
 //! forced-scalar packed, runtime-dispatched SIMD at 1 thread and at N
 //! threads), the GELU kernel over one feed-forward block (libm-`tanh`
-//! reference, dispatched, forced scalar) and the batched CLS-embedding
-//! path at 1 thread vs N threads, writes `BENCH_kernels.json`, and
+//! reference, dispatched, forced scalar), the batched CLS-embedding
+//! path at 1 thread vs N threads and GE retrieval (the store's flat
+//! exact scan vs an HNSW index), writes `BENCH_kernels.json`, and
 //! **exits non-zero** when
 //!
 //! - the parallel results diverge bytewise from the serial ones,
 //! - the SIMD arm's bytes differ from the forced-scalar fallback's
 //!   (they are designed bitwise-equal — divergence is a kernel bug), for
-//!   a matmul or for GELU, or
+//!   a matmul or for GELU,
+//! - the store's top-k differs in bits from a full sort of every
+//!   similarity, or
 //! - the host dispatches AVX2 but `simd_speedup` (forced-scalar time
 //!   over SIMD time, serial) lands under 1.2× on the two largest shapes.
 //!
 //! The first three matmul shapes are the encoder's own products (seq 32,
 //! d 32, d_ff 64) and carry no speedup floor; GELU records its max
-//! |Δ| to the libm reference.
+//! |Δ| to the libm reference. Retrieval records query p50s, the HNSW
+//! build time and its recall@k, with no speed floor.
 //!
 //! The JSON records which dispatch tier (`avx2`/`neon`/`scalar`)
 //! actually ran, so a flat speedup on a scalar-only container is
@@ -24,8 +28,11 @@
 //! recorded as `"skipped"`: an oversubscribed pool measures contention,
 //! not scaling. The bitwise parallel == serial checks run regardless.
 
+use explainti_ann::{
+    recall_at_k, BruteForceIndex, HnswConfig, HnswIndex, Metric, Neighbor, VectorIndex,
+};
 use explainti_bench::{write_json, MAX_SEQ, VOCAB_CAP};
-use explainti_core::{build_tokenizer, TaskData};
+use explainti_core::{build_tokenizer, EmbeddingStore, TaskData};
 use explainti_corpus::{generate_wiki, WikiConfig};
 use explainti_encoder::{EncoderConfig, TransformerEncoder};
 use explainti_nn::simd::{self, SimdTier};
@@ -49,6 +56,13 @@ const SHAPES: [(usize, usize, usize); 6] =
 const GATE_SHAPES: usize = 2;
 /// The GELU block: one sequence's feed-forward expansion (seq × d_ff).
 const GELU_BLOCK: (usize, usize) = (32, 64);
+/// GE retrieval store sizes: the served type store (1,209 training
+/// samples), then a store well past it.
+const RETRIEVAL_SIZES: [usize; 2] = [1_209, 20_000];
+/// GE retrieval: embedding width (the encoder's d), top-k and queries.
+const RETRIEVAL_DIM: usize = 32;
+const RETRIEVAL_K: usize = 10;
+const RETRIEVAL_QUERIES: usize = 200;
 
 /// Best-of-`reps` wall time in milliseconds.
 fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
@@ -68,6 +82,12 @@ fn random_tensor(rows: usize, cols: usize, rng: &mut SmallRng) -> Tensor {
 
 fn bits_equal(a: &Tensor, b: &Tensor) -> bool {
     a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Median of per-query timings, in microseconds.
+fn p50_us(mut secs: Vec<f64>) -> f64 {
+    secs.sort_by(f64::total_cmp);
+    secs[secs.len() / 2] * 1e6
 }
 
 fn main() {
@@ -239,6 +259,66 @@ fn main() {
          {par_threads} threads {embed_parallel_ms:.2} ms | speedup {embed_speedup:.2}x"
     );
 
+    // -- GE retrieval: flat store scan vs HNSW ------------------------------
+    // The oracle is a full sort: every similarity, ordered (similarity
+    // descending, id ascending) and truncated to k.
+    let bits =
+        |v: &[Neighbor]| v.iter().map(|nb| (nb.id, nb.similarity.to_bits())).collect::<Vec<_>>();
+    let mut retrieval = Vec::new();
+    for n in RETRIEVAL_SIZES {
+        let mut vector =
+            || -> Vec<f32> { (0..RETRIEVAL_DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect() };
+        let vectors: Vec<Vec<f32>> = (0..n).map(|_| vector()).collect();
+        let queries: Vec<Vec<f32>> = (0..RETRIEVAL_QUERIES).map(|_| vector()).collect();
+        let mut store = EmbeddingStore::with_shards(RETRIEVAL_DIM, 1, 1);
+        let mut oracle = BruteForceIndex::new(Metric::Cosine);
+        for (id, v) in vectors.iter().enumerate() {
+            store.set(id, v, 0);
+            oracle.add(id, v);
+        }
+        let t = Instant::now();
+        let mut hnsw = HnswIndex::new(Metric::Cosine, HnswConfig::default());
+        for (id, v) in vectors.iter().enumerate() {
+            hnsw.add(id, v);
+        }
+        let build_ms = t.elapsed().as_secs_f64() * 1e3;
+
+        let (mut flat_s, mut hnsw_s) = (Vec::new(), Vec::new());
+        let mut flat_exact = true;
+        for q in &queries {
+            let query = Tensor::row(q.clone());
+            let t = Instant::now();
+            let flat = std::hint::black_box(store.top_k(&query, RETRIEVAL_K, None));
+            flat_s.push(t.elapsed().as_secs_f64());
+            let t = Instant::now();
+            std::hint::black_box(hnsw.search(q, RETRIEVAL_K));
+            hnsw_s.push(t.elapsed().as_secs_f64());
+            flat_exact &= bits(&flat) == bits(&oracle.search(q, RETRIEVAL_K));
+        }
+        if !flat_exact {
+            eprintln!("FAIL: store top_k at n={n} differs in bits from a full sort");
+            failed = true;
+        }
+        let recall = recall_at_k(&hnsw, &oracle, &queries, RETRIEVAL_K);
+        let (flat_us, hnsw_us) = (p50_us(flat_s), p50_us(hnsw_s));
+        println!(
+            "retrieval n={n} d={RETRIEVAL_DIM} k={RETRIEVAL_K}:  flat p50 {flat_us:.1} µs | \
+             hnsw p50 {hnsw_us:.1} µs | hnsw build {build_ms:.1} ms | \
+             hnsw recall@{RETRIEVAL_K} {recall:.3}"
+        );
+        retrieval.push(json!({
+            "n": n,
+            "dim": RETRIEVAL_DIM,
+            "k": RETRIEVAL_K,
+            "queries": RETRIEVAL_QUERIES,
+            "flat_us_p50": flat_us,
+            "hnsw_us_p50": hnsw_us,
+            "hnsw_build_ms": build_ms,
+            "hnsw_recall_at_k": recall,
+            "flat_matches_full_sort": flat_exact,
+        }));
+    }
+
     let summary = json!({
         "available_parallelism": cores,
         "threads_parallel": par_threads,
@@ -262,6 +342,7 @@ fn main() {
             "speedup": scaling(embed_speedup),
             "thread_efficiency": scaling(embed_speedup / par_threads as f64),
         }),
+        "retrieval": json!(retrieval),
         "parallel_matches_serial": !failed,
     });
     write_json("BENCH_kernels", &summary);

@@ -3,10 +3,10 @@
 //! (count, p50, p90, p99, max, total) straight from the `explainti-obs`
 //! histograms.
 //!
-//! Unlike the criterion micro-benches this measures the stages *in situ*,
-//! with their real call frequencies inside Algorithm 5, so the JSON is
-//! the machine-readable counterpart of the stderr table every CLI run
-//! prints (and of DESIGN.md §8's span-to-Table-V mapping).
+//! It measures the stages *in situ*, with their real call frequencies
+//! inside Algorithm 5, so the JSON is the machine-readable counterpart
+//! of the stderr table every CLI run prints (and of DESIGN.md §8's
+//! span-to-Table-V mapping).
 
 use explainti_bench::{explainti_config, scale, wiki_dataset, write_json};
 use explainti_core::{ExplainTi, TaskKind};

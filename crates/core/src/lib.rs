@@ -9,8 +9,8 @@
 //! prediction carries three explanation views —
 //!
 //! * **local** (Algorithm 1): relevance-scored sliding windows,
-//! * **global** (Algorithm 2): top-K influential training samples via an
-//!   HNSW-indexed embedding store,
+//! * **global** (Algorithm 2): top-K influential training samples by an
+//!   exact scan of the sharded embedding store,
 //! * **structural** (Algorithm 4): graph-attention over column-graph
 //!   neighbours, which also feeds the final classifier (Eq. 9).
 //!

@@ -13,8 +13,8 @@
 //!   scores — summing logits instead keeps the op set minimal (DESIGN.md).
 //! * **GE (Algorithm 2)** — cosine influence scores (Eq. 4) are computed
 //!   in-graph against ℓ2-normalised stored embeddings (norms detached), so
-//!   the GE loss shapes the encoder, with retrieval through the HNSW
-//!   index.
+//!   the GE loss shapes the encoder, with retrieval by an exact scan of
+//!   the embedding store.
 //! * **SE (Algorithm 4)** — dot-product attention over `r` neighbours
 //!   sampled from the column graph, restricted to nodes present in the
 //!   embedding store; the attended context is concatenated with `E_[CLS]`
@@ -78,7 +78,7 @@ pub struct ExplainTi {
     pub(crate) encoder: TransformerEncoder,
     pub(crate) tasks: Vec<TaskState>,
     pub(crate) rng: SmallRng,
-    /// Set when the GE/ANN store could not be (re)built at load time;
+    /// Set when the GE store could not be refreshed at load time;
     /// serving continues with `global: []` and reports the flag through
     /// `/v1/healthz` and `/v1/metrics` (DESIGN.md §11).
     degraded: std::sync::atomic::AtomicBool,
@@ -137,7 +137,7 @@ impl ExplainTi {
         }
     }
 
-    /// Whether the model is serving in degraded mode (GE/ANN store
+    /// Whether the model is serving in degraded mode (GE store
     /// unavailable — global explanations come back empty).
     pub fn is_degraded(&self) -> bool {
         // ORDERING: Relaxed — degraded mode is a lone advisory flag; the
@@ -205,8 +205,9 @@ impl ExplainTi {
         self.encoder.import_weights(&mut self.store, checkpoint);
     }
 
-    /// Runs the encoder over every training sample of `task` and rebuilds
-    /// the embedding store `Q` (Algorithm 2's initialisation/refresh).
+    /// Runs the encoder over every training sample of `task` and rewrites
+    /// each sample's row in the embedding store `Q` (Algorithm 2's
+    /// initialisation/refresh).
     ///
     /// One [`TransformerEncoder::embed_cls_batch`] call embeds the whole
     /// split on the tape-free inference encoder.
@@ -218,9 +219,8 @@ impl ExplainTi {
         let cls = self.encoder.embed_cls_batch(&self.store, &encs);
         let state = &mut self.tasks[task];
         for (&idx, cls) in state.data.train_idx.iter().zip(cls) {
-            state.q.set(idx, cls, state.data.samples[idx].label);
+            state.q.set(idx, cls.as_slice(), state.data.samples[idx].label);
         }
-        state.q.rebuild_index();
     }
 
     /// Full tape forward over one sample, producing all logits and
@@ -493,9 +493,10 @@ impl ExplainTi {
         let mut q_hat = Tensor::zeros(kn, d);
         for (r, n) in found.iter().enumerate() {
             let e = self.tasks[task].q.get(n.id).expect("retrieved neighbour must be stored");
-            q_raw.row_slice_mut(r).copy_from_slice(e.as_slice());
-            let norm = e.norm().max(1e-6);
-            for (dst, &src) in q_hat.row_slice_mut(r).iter_mut().zip(e.as_slice()) {
+            q_raw.row_slice_mut(r).copy_from_slice(e);
+            // `Tensor::norm`'s sequential f32 sum, so the bits match it.
+            let norm = e.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-6);
+            for (dst, &src) in q_hat.row_slice_mut(r).iter_mut().zip(e) {
                 *dst = src / norm;
             }
         }
@@ -568,7 +569,7 @@ impl ExplainTi {
         } else {
             let mut m = Tensor::zeros(sampled.len(), d);
             for (row, &n) in sampled.iter().enumerate() {
-                m.row_slice_mut(row).copy_from_slice(self.tasks[task].q.get(n).unwrap().as_slice());
+                m.row_slice_mut(row).copy_from_slice(self.tasks[task].q.get(n).unwrap());
             }
             (m, sampled)
         };

@@ -408,7 +408,7 @@ impl ExplainTi {
             file: "weights.bin".to_string(),
             detail: format!("{e}"),
         })?;
-        // Chaos site: the GE/ANN store is rebuilt (not persisted); when a
+        // Chaos site: the GE store is re-embedded (not persisted); when a
         // drill marks it unavailable, serve predictions with `global: []`
         // instead of failing the whole load.
         if explainti_faults::triggered("persist.load.ge") {

@@ -1,107 +1,93 @@
 //! The embedding store `Q` of Algorithm 2, sharded for scale.
 //!
 //! Holds the `E_[CLS]` embedding of every *training* sample, refreshed
-//! every few epochs during fine-tuning, plus an HNSW index per shard for
-//! `O(log N)` top-K influential-sample retrieval. The SE module reads
-//! neighbour embeddings from the same store.
+//! every few epochs during fine-tuning. Top-K influential-sample
+//! retrieval is an exact scan: each shard keeps its embeddings in one
+//! contiguous `rows × dim` slab and scores every row with the SIMD cosine
+//! kernel. The SE module reads neighbour embeddings from the same store.
 //!
 //! Samples are partitioned across N [`StoreShard`]s by a consistent hash
 //! (Lamping–Veach jump hash) of the sample id, with each sample written
 //! to `replicas` consecutive shards so a single unavailable shard cannot
 //! lose retrieval coverage. Top-K queries fan out over the global thread
 //! pool and merge per-shard results deterministically (similarity
-//! descending, id ascending, first-wins dedup), so the merged list is
-//! byte-identical between the single-shard and multi-shard layouts
-//! whenever every shard answers exactly — which it does below
-//! [`EXACT_SCAN_CUTOFF`], where a brute scan both beats graph traversal
-//! and removes the approximation. Past the cutoff, HNSW takes over and
-//! the equality becomes a recall property.
+//! descending, id ascending, first-wins dedup). Every shard answers
+//! exactly, so the merged list is byte-identical between the
+//! single-shard and multi-shard layouts at any store size.
 //!
 //! Algorithm 2 refreshes `Q` wholesale: [`EmbeddingStore::set`] every
-//! sample, then [`EmbeddingStore::rebuild_index`] builds each shard's
-//! index anew.
+//! sample, which overwrites its row in place; the next query sees it.
 
-use explainti_ann::{HnswConfig, HnswIndex, Metric, Neighbor, VectorIndex};
+use explainti_ann::Neighbor;
 use explainti_nn::Tensor;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-/// Shards at or below this many live entries answer queries with an
-/// exact scan even when an index is built: at this size the scan is both
-/// faster than graph traversal and exact, which is what makes the
-/// N=1 vs N>1 merge byte-identical at seed scale.
-const EXACT_SCAN_CUTOFF: usize = 1024;
-
-/// One partition of the store: a `BTreeMap` of live embeddings plus an
-/// optional HNSW index over them.
+/// One partition of the store: its embeddings as one contiguous slab,
+/// with the sample id and label of each row.
 pub struct StoreShard {
-    entries: BTreeMap<usize, (Tensor, usize)>,
-    index: Option<HnswIndex>,
+    dim: usize,
+    /// `ids.len() × dim` embeddings; row `r` belongs to sample `ids[r]`.
+    slab: Vec<f32>,
+    ids: Vec<usize>,
+    labels: Vec<usize>,
+    /// Sample id → row.
+    rows: BTreeMap<usize, usize>,
 }
 
 impl StoreShard {
-    fn new() -> Self {
-        Self { entries: BTreeMap::new(), index: None }
+    fn new(dim: usize) -> Self {
+        Self { dim, slab: Vec::new(), ids: Vec::new(), labels: Vec::new(), rows: BTreeMap::new() }
     }
 
-    fn set(&mut self, idx: usize, embedding: Tensor, label: usize) {
-        self.entries.insert(idx, (embedding, label));
+    fn set(&mut self, idx: usize, embedding: &[f32], label: usize) {
+        match self.rows.get(&idx) {
+            Some(&r) => {
+                self.slab[r * self.dim..(r + 1) * self.dim].copy_from_slice(embedding);
+                self.labels[r] = label;
+            }
+            None => {
+                self.rows.insert(idx, self.ids.len());
+                self.ids.push(idx);
+                self.labels.push(label);
+                self.slab.extend_from_slice(embedding);
+            }
+        }
+    }
+
+    fn row(&self, r: usize) -> &[f32] {
+        &self.slab[r * self.dim..(r + 1) * self.dim]
     }
 
     fn stored(&self) -> usize {
-        self.entries.len()
+        self.ids.len()
     }
 
-    /// Rebuilds this shard's index. Returns false when the
-    /// `store.rebuild.partial` chaos site fired mid-loop, leaving an
-    /// index that covers only a prefix of the shard.
-    fn rebuild(&mut self) -> bool {
-        let mut index = HnswIndex::new(Metric::Cosine, HnswConfig::default());
-        for (&idx, (embedding, _)) in &self.entries {
-            // Chaos site: abandon the rebuild partway, leaving an index
-            // that covers only a prefix of the stored embeddings (what a
-            // crash mid-rebuild would produce if the index were mmap'd).
-            if explainti_faults::triggered("store.rebuild.partial") {
-                self.index = Some(index);
-                return false;
-            }
-            index.add(idx, embedding.as_slice());
-        }
-        self.index = Some(index);
-        true
-    }
-
-    /// Up to `fetch` most similar entries in this shard, exact below
-    /// [`EXACT_SCAN_CUTOFF`] (or with no index), HNSW above it.
+    /// The `fetch` most similar rows of this shard in [`order_neighbors`]
+    /// order: every row is scored, and a sorted buffer of at most `fetch`
+    /// keeps the best, so the answer equals a full sort truncated to
+    /// `fetch`.
     fn top_k_local(&self, query: &[f32], fetch: usize) -> Vec<Neighbor> {
-        if fetch == 0 || self.entries.is_empty() {
-            return Vec::new();
+        let mut best: Vec<Neighbor> = Vec::with_capacity(fetch.min(self.stored()) + 1);
+        if fetch == 0 {
+            return best;
         }
-        if let Some(index) = &self.index {
-            if self.entries.len() > EXACT_SCAN_CUTOFF {
-                return index.search(query, fetch);
+        for (r, &id) in self.ids.iter().enumerate() {
+            let nb = Neighbor { id, similarity: explainti_nn::simd::cosine(query, self.row(r)) };
+            if best.len() == fetch && order_neighbors(&nb, &best[fetch - 1]) != Ordering::Less {
+                continue;
             }
+            let at = best.partition_point(|b| order_neighbors(b, &nb) == Ordering::Less);
+            best.insert(at, nb);
+            best.truncate(fetch);
         }
-        let metric = Metric::Cosine;
-        let mut all: Vec<Neighbor> = self
-            .entries
-            .iter()
-            .map(|(&id, (e, _))| Neighbor {
-                id,
-                similarity: metric.similarity(query, e.as_slice()),
-            })
-            .collect();
-        all.sort_by(order_neighbors);
-        all.truncate(fetch);
-        all
+        best
     }
 }
 
 /// Deterministic neighbour order: similarity descending, id ascending.
-fn order_neighbors(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
-    b.similarity
-        .partial_cmp(&a.similarity)
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then_with(|| a.id.cmp(&b.id))
+fn order_neighbors(a: &Neighbor, b: &Neighbor) -> Ordering {
+    b.similarity.partial_cmp(&a.similarity).unwrap_or(Ordering::Equal).then_with(|| a.id.cmp(&b.id))
 }
 
 /// Finalizer from splitmix64 — spreads dense sample ids over the key
@@ -135,19 +121,12 @@ pub struct EmbeddingStore {
     replicas: usize,
     /// Distinct stored sample count (replicas counted once).
     distinct: usize,
-    /// Monotonic version, bumped on every rebuild (diagnostics).
-    version: u64,
 }
 
 impl EmbeddingStore {
-    /// Creates a single-shard store for embeddings of dimension `dim`
-    /// (the layout every store had before sharding landed).
-    pub fn new(_num_samples: usize, dim: usize) -> Self {
-        Self::with_shards(dim, 1, 1)
-    }
-
-    /// Creates a store partitioned over `shards` with each sample
-    /// written to `replicas` consecutive shards.
+    /// Creates a store for embeddings of dimension `dim`, partitioned
+    /// over `shards` with each sample written to `replicas` consecutive
+    /// shards.
     ///
     /// # Panics
     /// Panics unless `1 <= replicas <= shards`.
@@ -157,12 +136,12 @@ impl EmbeddingStore {
             (1..=shards).contains(&replicas),
             "replicas must be in 1..=shards (got {replicas} over {shards})"
         );
+        explainti_obs::set_gauge("store.shards", shards as f64);
         Self {
             dim,
-            shards: (0..shards).map(|_| StoreShard::new()).collect(),
+            shards: (0..shards).map(|_| StoreShard::new(dim)).collect(),
             replicas,
             distinct: 0,
-            version: 0,
         }
     }
 
@@ -181,17 +160,20 @@ impl EmbeddingStore {
         self.replicas
     }
 
-    /// Primary shard of sample `idx`.
-    fn primary(&self, idx: usize) -> usize {
-        jump_hash(mix64(idx as u64), self.shards.len())
-    }
-
-    /// The shards holding sample `idx`: the primary plus the next
-    /// `replicas - 1` shards (mod N).
+    /// The shards holding sample `idx`: its primary shard (jump hash)
+    /// plus the next `replicas - 1` shards (mod N).
     fn targets(&self, idx: usize) -> impl Iterator<Item = usize> {
         let n = self.shards.len();
-        let primary = self.primary(idx);
+        let primary = jump_hash(mix64(idx as u64), n);
         (0..self.replicas).map(move |r| (primary + r) % n)
+    }
+
+    /// The first replica shard holding sample `idx`, with its row there.
+    fn locate(&self, idx: usize) -> Option<(&StoreShard, usize)> {
+        self.targets(idx).find_map(|t| {
+            let shard = &self.shards[t];
+            shard.rows.get(&idx).map(|&r| (shard, r))
+        })
     }
 
     /// Checks the `store.shard.unavailable` chaos site for one shard
@@ -217,69 +199,40 @@ impl EmbeddingStore {
         self.shards.iter().map(StoreShard::stored).collect()
     }
 
-    /// Stores (or replaces) the embedding of sample `idx` on every
-    /// replica shard. Offline path: the indexes pick the write up on the
-    /// next [`Self::rebuild_index`].
+    /// Stores (or overwrites in place) the embedding of sample `idx` on
+    /// every replica shard.
     ///
     /// # Panics
-    /// Panics if the embedding is not a `1 x dim` row.
-    pub fn set(&mut self, idx: usize, embedding: Tensor, label: usize) {
-        assert_eq!(embedding.shape(), (1, self.dim), "embedding shape mismatch");
-        if !self.shards[self.primary(idx)].entries.contains_key(&idx) {
+    /// Panics if the embedding is not `dim` long.
+    pub fn set(&mut self, idx: usize, embedding: &[f32], label: usize) {
+        assert_eq!(embedding.len(), self.dim, "embedding length mismatch");
+        if self.locate(idx).is_none() {
             self.distinct += 1;
         }
         let targets: Vec<usize> = self.targets(idx).collect();
         for t in targets {
-            self.shards[t].set(idx, embedding.clone(), label);
+            self.shards[t].set(idx, embedding, label);
         }
     }
 
     /// The stored embedding of sample `idx`, if any.
-    pub fn get(&self, idx: usize) -> Option<&Tensor> {
-        let n = self.shards.len();
-        let primary = self.primary(idx);
-        (0..self.replicas)
-            .map(|r| (primary + r) % n)
-            .find_map(|t| self.shards[t].entries.get(&idx).map(|(e, _)| e))
+    pub fn get(&self, idx: usize) -> Option<&[f32]> {
+        self.locate(idx).map(|(shard, r)| shard.row(r))
     }
 
     /// Label recorded with the stored embedding.
     pub fn label(&self, idx: usize) -> Option<usize> {
-        let n = self.shards.len();
-        let primary = self.primary(idx);
-        (0..self.replicas)
-            .map(|r| (primary + r) % n)
-            .find_map(|t| self.shards[t].entries.get(&idx).map(|(_, l)| *l))
+        self.locate(idx).map(|(shard, r)| shard.labels[r])
     }
 
     /// Whether sample `idx` has a stored embedding.
     pub fn has(&self, idx: usize) -> bool {
-        self.get(idx).is_some()
+        self.locate(idx).is_some()
     }
 
     /// Number of distinct stored embeddings (replicas counted once).
     pub fn stored(&self) -> usize {
         self.distinct
-    }
-
-    /// Rebuild version (increases on every [`Self::rebuild_index`]).
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Rebuilds every shard's HNSW index over its stored embeddings.
-    /// Call after a refresh pass (every `refresh_epochs` epochs, per the
-    /// paper).
-    pub fn rebuild_index(&mut self) {
-        let _span = explainti_obs::span!("store.rebuild_index");
-        for shard in &mut self.shards {
-            if !shard.rebuild() {
-                break;
-            }
-        }
-        self.version += 1;
-        explainti_obs::set_gauge("store.indexed_embeddings", self.stored() as f64);
-        explainti_obs::set_gauge("store.shards", self.shards.len() as f64);
     }
 
     /// Top-`k` most similar stored samples to `query`, optionally
@@ -330,20 +283,21 @@ mod tests {
 
     #[test]
     fn set_get_roundtrip() {
-        let mut q = EmbeddingStore::new(4, 2);
-        q.set(1, row(vec![1.0, 0.0]), 7);
+        let mut q = EmbeddingStore::with_shards(2, 1, 1);
+        q.set(1, &[1.0, 0.0], 7);
         assert!(q.has(1));
         assert!(!q.has(0));
+        assert_eq!(q.get(1), Some(&[1.0, 0.0][..]));
         assert_eq!(q.label(1), Some(7));
         assert_eq!(q.stored(), 1);
     }
 
     #[test]
-    fn top_k_without_index_falls_back_to_scan() {
-        let mut q = EmbeddingStore::new(3, 2);
-        q.set(0, row(vec![1.0, 0.0]), 0);
-        q.set(1, row(vec![0.0, 1.0]), 1);
-        q.set(2, row(vec![0.9, 0.1]), 0);
+    fn top_k_ranks_by_cosine() {
+        let mut q = EmbeddingStore::with_shards(2, 1, 1);
+        q.set(0, &[1.0, 0.0], 0);
+        q.set(1, &[0.0, 1.0], 1);
+        q.set(2, &[0.9, 0.1], 0);
         let res = q.top_k(&row(vec![1.0, 0.0]), 2, None);
         assert_eq!(res[0].id, 0);
         assert_eq!(res[1].id, 2);
@@ -351,32 +305,34 @@ mod tests {
 
     #[test]
     fn exclusion_drops_the_query_sample() {
-        let mut q = EmbeddingStore::new(3, 2);
-        q.set(0, row(vec![1.0, 0.0]), 0);
-        q.set(1, row(vec![0.99, 0.01]), 0);
-        q.rebuild_index();
+        let mut q = EmbeddingStore::with_shards(2, 1, 1);
+        q.set(0, &[1.0, 0.0], 0);
+        q.set(1, &[0.99, 0.01], 0);
         let res = q.top_k(&row(vec![1.0, 0.0]), 1, Some(0));
         assert_eq!(res.len(), 1);
         assert_eq!(res[0].id, 1);
     }
 
     #[test]
-    fn rebuild_bumps_version_and_indexes_all() {
-        let mut q = EmbeddingStore::new(10, 2);
+    fn set_overwrites_in_place() {
+        let mut q = EmbeddingStore::with_shards(2, 4, 2);
         for i in 0..10 {
-            q.set(i, row(vec![i as f32, 1.0]), i);
+            q.set(i, &[i as f32, 1.0], i);
         }
-        assert_eq!(q.version(), 0);
-        q.rebuild_index();
-        assert_eq!(q.version(), 1);
-        let res = q.top_k(&row(vec![9.0, 1.0]), 3, None);
+        q.set(3, &[5.0, 0.0], 8);
+        assert_eq!(q.stored(), 10);
+        assert_eq!(q.shard_sizes().iter().sum::<usize>(), 20);
+        assert_eq!(q.get(3), Some(&[5.0, 0.0][..]));
+        assert_eq!(q.label(3), Some(8));
+        let res = q.top_k(&row(vec![1.0, 0.0]), 3, None);
         assert_eq!(res.len(), 3);
-        assert_eq!(res[0].id, 9);
+        assert_eq!(res[0].id, 3);
+        assert_eq!(res[1].id, 9);
     }
 
     #[test]
     fn empty_store_returns_nothing() {
-        let q = EmbeddingStore::new(5, 3);
+        let q = EmbeddingStore::with_shards(3, 1, 1);
         assert!(q.top_k(&row(vec![1.0, 0.0, 0.0]), 4, None).is_empty());
     }
 
@@ -386,32 +342,45 @@ mod tests {
             let v: Vec<f32> = (0..dim)
                 .map(|d| ((mix64((i * dim + d) as u64) % 1000) as f32 / 500.0) - 1.0)
                 .collect();
-            q.set(i, row(v), i % 5);
+            q.set(i, &v, i % 5);
         }
     }
 
+    /// Every layout answers every probe exactly: each answer equals a
+    /// full sort of all stored similarities, bit for bit. The 2,000-row
+    /// case puts the single shard past 1,024 rows while each of four
+    /// shards stays under it, so any size-dependent switch to an
+    /// approximate search shows up as a layout divergence.
     #[test]
     fn sharded_merge_is_byte_identical_to_single_shard() {
-        let (n, dim, k) = (257, 8, 7);
-        let mut single = EmbeddingStore::with_shards(dim, 1, 1);
-        let mut sharded = EmbeddingStore::with_shards(dim, 4, 1);
-        let mut replicated = EmbeddingStore::with_shards(dim, 4, 2);
-        fill(&mut single, n, dim);
-        fill(&mut sharded, n, dim);
-        fill(&mut replicated, n, dim);
-        single.rebuild_index();
-        sharded.rebuild_index();
-        replicated.rebuild_index();
-        for probe in [0usize, 31, 100, 256] {
-            let query = single.get(probe).unwrap().clone();
-            let a = single.top_k(&query, k, Some(probe));
-            let b = sharded.top_k(&query, k, Some(probe));
-            let c = replicated.top_k(&query, k, Some(probe));
-            let bits = |v: &Vec<Neighbor>| {
-                v.iter().map(|nb| (nb.id, nb.similarity.to_bits())).collect::<Vec<_>>()
-            };
-            assert_eq!(bits(&a), bits(&b), "1-shard vs 4-shard merge diverged");
-            assert_eq!(bits(&a), bits(&c), "replicated merge diverged");
+        let bits = |v: &[Neighbor]| {
+            v.iter().map(|nb| (nb.id, nb.similarity.to_bits())).collect::<Vec<_>>()
+        };
+        let cases: [(usize, usize, usize, Vec<usize>); 2] =
+            [(257, 8, 7, vec![0, 31, 100, 256]), (2_000, 32, 10, (0..2_000).collect())];
+        for (n, dim, k, probes) in cases {
+            let layouts = [(1, 1), (4, 1), (4, 2)].map(|(shards, replicas)| {
+                let mut q = EmbeddingStore::with_shards(dim, shards, replicas);
+                fill(&mut q, n, dim);
+                q
+            });
+            let rows: Vec<&[f32]> = (0..n).map(|id| layouts[0].get(id).unwrap()).collect();
+            for probe in probes {
+                let mut want: Vec<Neighbor> = (0..n)
+                    .filter(|&id| id != probe)
+                    .map(|id| Neighbor {
+                        id,
+                        similarity: explainti_nn::simd::cosine(rows[probe], rows[id]),
+                    })
+                    .collect();
+                want.sort_by(order_neighbors);
+                want.truncate(k);
+                let query = row(rows[probe].to_vec());
+                for (layout, q) in ["1-shard", "4-shard", "4x2 replicated"].iter().zip(&layouts) {
+                    let got = q.top_k(&query, k, Some(probe));
+                    assert_eq!(bits(&got), bits(&want), "{layout} n={n} probe {probe} diverged");
+                }
+            }
         }
     }
 

@@ -30,7 +30,7 @@ fn fill(q: &mut EmbeddingStore, n: usize, dim: usize) {
     for i in 0..n {
         let v: Vec<f32> =
             (0..dim).map(|d| ((mix((i * dim + d) as u64) % 1000) as f32 / 500.0) - 1.0).collect();
-        q.set(i, Tensor::row(v), i % 5);
+        q.set(i, &v, i % 5);
     }
 }
 
@@ -45,7 +45,6 @@ fn replicated_store_answers_identically_with_one_shard_down() {
     let (n, dim, k) = (120, 8, 6);
     let mut q = EmbeddingStore::with_shards(dim, 4, 2);
     fill(&mut q, n, dim);
-    q.rebuild_index();
 
     let baseline = q.top_k(&query(dim), k, None);
     assert_eq!(baseline.len(), k);
@@ -76,7 +75,6 @@ fn unreplicated_shard_loss_degrades_without_panicking() {
     let (n, dim, k) = (120, 8, 6);
     let mut q = EmbeddingStore::with_shards(dim, 4, 1);
     fill(&mut q, n, dim);
-    q.rebuild_index();
 
     // No replicas: losing a shard loses its samples for this query. The
     // store must still answer cleanly with what the other shards hold.
