@@ -69,10 +69,19 @@ pub const DEFAULT_TOP_K: usize = 3;
 /// per-column prediction queue were deleted, so [`ConfigResponse`] lost
 /// `dispatchers` and `queue_cap` (the request queue is sized by
 /// `max_conns`, and `max_batch` now counts requests). The unused online
-/// store maintenance was deleted too, so [`ShardStatus`] and
+/// store maintenance was deleted too, so `ShardStatus` and
 /// [`StoreStatusResponse`] lost their `tombstones` fields. Every other
 /// body is unchanged apart from `schema_version`.
-pub const SCHEMA_VERSION: u32 = 6;
+///
+/// **v7** (one unsharded store): the embedding store is one flat slab,
+/// so its shard/replica layout is gone. [`ConfigResponse`] lost
+/// `shards` and `replicas`; [`StoreStatusResponse`] lost `shards`, and
+/// `ShardStatus` was deleted with it; [`ErrorCode`] lost
+/// `ShardUnavailable`, since no shard can be down. `GET
+/// /v1/admin/store` reports `generation`, `stored` and
+/// `swap_in_progress`. Every other body is unchanged apart from
+/// `schema_version`.
+pub const SCHEMA_VERSION: u32 = 7;
 
 // ---- Requests ---------------------------------------------------------
 
@@ -306,10 +315,6 @@ pub struct ConfigResponse {
     pub read_timeout_ms: u64,
     /// Idle keep-alive connections are closed after this long.
     pub idle_timeout_ms: u64,
-    /// Number of embedding-store shards (consistent-hash partitions).
-    pub shards: usize,
-    /// Store replication factor (each sample on this many shards).
-    pub replicas: usize,
     /// Whether a swap runs a smoke prediction on the candidate
     /// generation before committing it.
     pub swap_verify: bool,
@@ -343,26 +348,15 @@ pub struct SwapResponse {
     pub verified: bool,
 }
 
-/// Per-shard occupancy inside a [`StoreStatusResponse`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardStatus {
-    /// Shard index (consistent-hash bucket).
-    pub shard: usize,
-    /// Live embeddings stored on the shard (replicas included).
-    pub stored: usize,
-}
-
 /// `GET /v1/admin/store` response: the live generation's explanation
-/// store, shard by shard.
+/// store.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoreStatusResponse {
     /// Wire-format version ([`SCHEMA_VERSION`]).
     pub schema_version: u32,
     /// Id of the generation whose store is being reported.
     pub generation: u64,
-    /// Per-shard sizes, shard order.
-    pub shards: Vec<ShardStatus>,
-    /// Distinct stored embeddings (replicas counted once).
+    /// Stored embeddings (one per training sample of the type task).
     pub stored: usize,
     /// True while a swap is loading/verifying in the background.
     pub swap_in_progress: bool,
@@ -398,9 +392,6 @@ pub enum ErrorCode {
     /// A model swap is already loading or verifying — retry after the
     /// body's `retry_after_s`.
     SwapInProgress,
-    /// An explanation-store shard did not answer and replication could
-    /// not cover for it — retry after the body's `retry_after_s`.
-    ShardUnavailable,
 }
 
 impl ErrorCode {
@@ -411,7 +402,7 @@ impl ErrorCode {
             ErrorCode::NotFound => 404,
             ErrorCode::MethodNotAllowed => 405,
             ErrorCode::PayloadTooLarge => 413,
-            ErrorCode::QueueFull | ErrorCode::ShuttingDown | ErrorCode::ShardUnavailable => 503,
+            ErrorCode::QueueFull | ErrorCode::ShuttingDown => 503,
             ErrorCode::DeadlineExceeded => 504,
             ErrorCode::Internal => 500,
             ErrorCode::TooManyConnections => 429,
@@ -470,11 +461,6 @@ impl ApiError {
     /// A `SwapInProgress` error (HTTP 409) with its retry hint.
     pub fn swap_in_progress(message: impl Into<String>, retry_after_s: u64) -> Self {
         Self::new(ErrorCode::SwapInProgress, message).with_retry_after(retry_after_s)
-    }
-
-    /// A `ShardUnavailable` error (HTTP 503) with its retry hint.
-    pub fn shard_unavailable(message: impl Into<String>, retry_after_s: u64) -> Self {
-        Self::new(ErrorCode::ShardUnavailable, message).with_retry_after(retry_after_s)
     }
 
     /// The HTTP status of this error.
@@ -583,7 +569,7 @@ mod tests {
             "{\"pair_start\":null,\"relevance\":0.25,\"start\":3,\"text\":\"costa rica\",\"window\":4},",
             "{\"pair_start\":1,\"relevance\":0.125,\"start\":9,\"text\":\"norway\",\"window\":2}",
             "],",
-            "\"schema_version\":6,",
+            "\"schema_version\":7,",
             "\"structural\":[{\"attention\":0.5,\"label\":4,\"node\":7}]",
             "}",
         );
@@ -605,17 +591,13 @@ mod tests {
             concat!(
                 "{\"generation\":2,",
                 "\"previous_generation\":1,",
-                "\"schema_version\":6,",
+                "\"schema_version\":7,",
                 "\"verified\":true}",
             ),
         );
         let status = StoreStatusResponse {
             schema_version: SCHEMA_VERSION,
             generation: 2,
-            shards: vec![
-                ShardStatus { shard: 0, stored: 40 },
-                ShardStatus { shard: 1, stored: 41 },
-            ],
             stored: 81,
             swap_in_progress: false,
         };
@@ -623,11 +605,7 @@ mod tests {
             serde_json::to_string(&status).unwrap(),
             concat!(
                 "{\"generation\":2,",
-                "\"schema_version\":6,",
-                "\"shards\":[",
-                "{\"shard\":0,\"stored\":40},",
-                "{\"shard\":1,\"stored\":41}",
-                "],",
+                "\"schema_version\":7,",
                 "\"stored\":81,",
                 "\"swap_in_progress\":false}",
             ),
@@ -636,8 +614,8 @@ mod tests {
         assert_eq!(req.model_dir, "/models/next");
     }
 
-    /// Freezes the v3 error bodies for the two new admin codes, retry
-    /// hints included.
+    /// Freezes the v3 error body of the swap admin code, retry hint
+    /// included.
     #[test]
     fn golden_json_freezes_v3_error_bodies() {
         let swap = ApiError::swap_in_progress("swap already loading", 2);
@@ -650,16 +628,6 @@ mod tests {
             ),
         );
         assert_eq!(swap.status(), 409);
-        let shard = ApiError::shard_unavailable("shard 2 unavailable", 1);
-        assert_eq!(
-            serde_json::to_string(&shard).unwrap(),
-            concat!(
-                "{\"code\":\"ShardUnavailable\",",
-                "\"message\":\"shard 2 unavailable\",",
-                "\"retry_after_s\":1}",
-            ),
-        );
-        assert_eq!(shard.status(), 503);
     }
 
     /// Freezes the v2 error bodies: every error carries `retry_after_s`
@@ -738,8 +706,6 @@ mod tests {
             max_conns: 1024,
             read_timeout_ms: 10_000,
             idle_timeout_ms: 60_000,
-            shards: 4,
-            replicas: 2,
             swap_verify: true,
             model: ModelInfo {
                 d_model: 32,
@@ -756,11 +722,9 @@ mod tests {
         assert_eq!(back, cfg);
         assert!(json.contains("\"threads\":8"));
         assert!(json.contains("\"max_conns\":1024"));
-        assert!(json.contains("\"shards\":4"));
-        assert!(json.contains("\"replicas\":2"));
         assert!(json.contains("\"swap_verify\":true"));
         assert!(json.contains("\"generation\":1"));
-        assert!(json.contains("\"schema_version\":6"));
+        assert!(json.contains("\"schema_version\":7"));
     }
 
     #[test]

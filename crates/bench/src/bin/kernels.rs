@@ -270,7 +270,7 @@ fn main() {
             || -> Vec<f32> { (0..RETRIEVAL_DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect() };
         let vectors: Vec<Vec<f32>> = (0..n).map(|_| vector()).collect();
         let queries: Vec<Vec<f32>> = (0..RETRIEVAL_QUERIES).map(|_| vector()).collect();
-        let mut store = EmbeddingStore::with_shards(RETRIEVAL_DIM, 1, 1);
+        let mut store = EmbeddingStore::new(RETRIEVAL_DIM);
         let mut oracle = BruteForceIndex::new(Metric::Cosine);
         for (id, v) in vectors.iter().enumerate() {
             store.set(id, v, 0);

@@ -1,6 +1,6 @@
 //! Zero-downtime swap drill — CI's `swap-smoke` gate.
 //!
-//! Boots a self-hosted sharded server, drives keep-alive interpret
+//! Boots a self-hosted server, drives keep-alive interpret
 //! traffic from `--conns` clients, and performs `--swaps` model swaps
 //! *while the traffic is running*. The gate is strict:
 //!
@@ -36,8 +36,6 @@ swapdrill — zero-downtime model-swap drill for the ExplainTI server
   --conns N               keep-alive serving clients (default 4)
   --phase-s S             seconds of traffic between swaps (default 2)
   --workers N             prediction workers (default 2)
-  --shards N              store shards for the boot model (default 4)
-  --replicas N            replicas per sample (default 2)
   --swaps N               swaps driven under load (default 2)
   --failpoints SPEC       arm failpoints before the first swap,
                           e.g. 'serve.swap.commit=always'
@@ -50,8 +48,6 @@ struct Args {
     conns: usize,
     phase_s: u64,
     workers: usize,
-    shards: usize,
-    replicas: usize,
     swaps: usize,
     failpoints: Option<String>,
     expect_swap_failures: bool,
@@ -63,8 +59,6 @@ fn parse_args() -> Result<Args, String> {
         conns: 4,
         phase_s: 2,
         workers: 2,
-        shards: 4,
-        replicas: 2,
         swaps: 2,
         failpoints: None,
         expect_swap_failures: false,
@@ -82,8 +76,6 @@ fn parse_args() -> Result<Args, String> {
             "--conns" => args.conns = int(value(&mut i)?, "--conns")?,
             "--phase-s" => args.phase_s = int(value(&mut i)?, "--phase-s")? as u64,
             "--workers" => args.workers = int(value(&mut i)?, "--workers")?,
-            "--shards" => args.shards = int(value(&mut i)?, "--shards")?,
-            "--replicas" => args.replicas = int(value(&mut i)?, "--replicas")?,
             "--swaps" => args.swaps = int(value(&mut i)?, "--swaps")?,
             "--failpoints" => args.failpoints = Some(value(&mut i)?),
             "--expect-swap-failures" => args.expect_swap_failures = true,
@@ -102,10 +94,9 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn tiny(seed: u64, shards: usize, replicas: usize) -> (ExplainTi, Dataset) {
+fn tiny(seed: u64) -> (ExplainTi, Dataset) {
     let d = generate_wiki(&WikiConfig { num_tables: 16, seed, ..Default::default() });
-    let cfg = ExplainTiConfig::bert_like(2048, 32).with_store_layout(shards, replicas);
-    let mut m = ExplainTi::new(&d, cfg);
+    let mut m = ExplainTi::new(&d, ExplainTiConfig::bert_like(2048, 32));
     for t in 0..m.tasks().len() {
         m.refresh_store(t);
     }
@@ -121,7 +112,7 @@ fn candidate_dirs(swaps: usize) -> Vec<std::path::PathBuf> {
             let dir = std::env::temp_dir()
                 .join(format!("explainti-swapdrill-{seed}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
-            let (model, dataset) = tiny(seed, 1, 1);
+            let (model, dataset) = tiny(seed);
             model.save_to_dir(&dir, &dataset).expect("save swap candidate");
             dir
         })
@@ -294,25 +285,18 @@ fn main() {
     let candidates = candidate_dirs(args.swaps);
     eprintln!("[saved {} swap candidate(s)]", candidates.len());
 
-    let (model, dataset) = tiny(4242, args.shards, args.replicas);
+    let (model, dataset) = tiny(4242);
     let labels = dataset.collection.type_labels.clone();
     let serve_cfg = ServeConfig {
         workers: args.workers.max(1),
         max_batch: 8,
         cache_cap: 512,
         deadline_ms: 60_000,
-        shards: args.shards,
-        replicas: args.replicas,
         ..Default::default()
     };
     let handle = start(Arc::new(model), labels, serve_cfg).expect("self-hosted server");
     let addr = handle.addr();
-    eprintln!(
-        "[serving on {addr} — {} shard(s) x{} replica(s), {} worker(s)]",
-        args.shards,
-        args.replicas,
-        args.workers.max(1)
-    );
+    eprintln!("[serving on {addr} — {} worker(s)]", args.workers.max(1));
 
     if let Some(spec) = &args.failpoints {
         match explainti_faults::configure_from_spec(spec) {
@@ -454,8 +438,6 @@ fn main() {
     let report = json!({
         "mode": if args.expect_swap_failures { "chaos" } else { "normal" },
         "conns": args.conns,
-        "shards": args.shards,
-        "replicas": args.replicas,
         "swaps_requested": args.swaps,
         "swap_statuses": swap_statuses,
         "serving": serving,

@@ -104,12 +104,6 @@ pub struct ExplainTiConfig {
     pub use_pp: bool,
     /// RNG seed for initialisation, dropout, sampling.
     pub seed: u64,
-    /// Number of embedding-store shards the GE store `Q` is partitioned
-    /// across (consistent hash of sample id; 1 = the unsharded layout).
-    pub store_shards: usize,
-    /// Replication factor of the store: each sample is written to this
-    /// many consecutive shards. Must be in `1..=store_shards`.
-    pub store_replicas: usize,
 }
 
 impl ExplainTiConfig {
@@ -145,16 +139,7 @@ impl ExplainTiConfig {
             use_se: true,
             use_pp: false,
             seed: 0xe271,
-            store_shards: 1,
-            store_replicas: 1,
         }
-    }
-
-    /// Sets the embedding-store shard layout.
-    pub fn with_store_layout(mut self, shards: usize, replicas: usize) -> Self {
-        self.store_shards = shards;
-        self.store_replicas = replicas;
-        self
     }
 
     /// Ablation helper: disables a module by Table III row name

@@ -10,7 +10,7 @@
 //!
 //! * **local** (Algorithm 1): relevance-scored sliding windows,
 //! * **global** (Algorithm 2): top-K influential training samples by an
-//!   exact scan of the sharded embedding store,
+//!   exact scan of the embedding store,
 //! * **structural** (Algorithm 4): graph-attention over column-graph
 //!   neighbours, which also feeds the final classifier (Eq. 9).
 //!
@@ -49,5 +49,5 @@ pub use persist::{
     decode_weights, encode_weights, fnv1a64, Manifest, ManifestFile, PersistError, MANIFEST_NAME,
     SNAPSHOT_FORMAT_VERSION,
 };
-pub use store::{EmbeddingStore, StoreShard};
+pub use store::EmbeddingStore;
 pub use train::{EpochLog, TrainReport};

@@ -13,8 +13,8 @@
 //!   scores — summing logits instead keeps the op set minimal (DESIGN.md).
 //! * **GE (Algorithm 2)** — cosine influence scores (Eq. 4) are computed
 //!   in-graph against ℓ2-normalised stored embeddings (norms detached), so
-//!   the GE loss shapes the encoder, with retrieval by an exact scan of
-//!   the embedding store.
+//!   the GE loss shapes the encoder, with retrieval by one exact scan of
+//!   the embedding store's flat slab.
 //! * **SE (Algorithm 4)** — dot-product attention over `r` neighbours
 //!   sampled from the column graph, restricted to nodes present in the
 //!   embedding store; the attended context is concatenated with `E_[CLS]`
@@ -108,7 +108,7 @@ impl ExplainTi {
                 w_g: Linear::new(&mut store, "type.w_g", d, type_data.num_classes, &mut rng),
                 w_s: Linear::new(&mut store, "type.w_s", 2 * d, type_data.num_classes, &mut rng),
             },
-            q: EmbeddingStore::with_shards(d, cfg.store_shards, cfg.store_replicas),
+            q: EmbeddingStore::new(d),
             data: type_data,
         });
         if !dataset.collection.annotated_pairs().is_empty() {
@@ -121,7 +121,7 @@ impl ExplainTi {
                     w_g: Linear::new(&mut store, "rel.w_g", d, rel_data.num_classes, &mut rng),
                     w_s: Linear::new(&mut store, "rel.w_s", 2 * d, rel_data.num_classes, &mut rng),
                 },
-                q: EmbeddingStore::with_shards(d, cfg.store_shards, cfg.store_replicas),
+                q: EmbeddingStore::new(d),
                 data: rel_data,
             });
         }

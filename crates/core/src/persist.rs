@@ -292,19 +292,6 @@ impl ExplainTi {
     /// manifest still describes it) is what gets loaded, by construction
     /// of [`Self::save_to_dir`].
     pub fn load_from_dir(dir: &Path) -> Result<(ExplainTi, Dataset), PersistError> {
-        Self::load_from_dir_with(dir, 1, 1)
-    }
-
-    /// [`Self::load_from_dir`] with an explicit embedding-store layout:
-    /// the loaded model's GE store is partitioned over `shards` with
-    /// each sample on `replicas` consecutive shards. The snapshot format
-    /// is layout-agnostic (the store is rebuilt from the weights), so
-    /// any snapshot can be loaded under any layout.
-    pub fn load_from_dir_with(
-        dir: &Path,
-        shards: usize,
-        replicas: usize,
-    ) -> Result<(ExplainTi, Dataset), PersistError> {
         let _span = explainti_obs::span!("persist.load_dir");
         let manifest_path = dir.join(MANIFEST_NAME);
         let manifest_text = match std::fs::read_to_string(&manifest_path) {
@@ -400,8 +387,7 @@ impl ExplainTi {
             ExplainTiConfig::roberta_like(2048, 32)
         } else {
             ExplainTiConfig::bert_like(2048, 32)
-        }
-        .with_store_layout(shards, replicas);
+        };
         let mut model = ExplainTi::new(&dataset, cfg);
         let weight_bytes = take(&mut verified, "weights.bin")?;
         model.load_weight_bytes(&weight_bytes).map_err(|e| PersistError::Corrupt {

@@ -213,10 +213,17 @@ pub struct RequestTrace {
 impl RequestTrace {
     /// Starts the request clock under `id`.
     pub fn new(id: TraceId) -> Self {
+        Self::starting_at(id, Instant::now())
+    }
+
+    /// Starts the request clock under `id` at `start`, e.g. when the
+    /// request's first byte arrived, so stages timed from then on fall
+    /// inside the request's total.
+    pub fn starting_at(id: TraceId, start: Instant) -> Self {
         crate::epoch(); // pin the trace origin before the first measurement
         Self {
             id,
-            start: Instant::now(),
+            start,
             endpoint: "",
             status: 0,
             cache_hits: 0,

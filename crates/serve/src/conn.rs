@@ -371,7 +371,8 @@ impl Conn {
     }
 
     /// Reads everything the socket has, then pumps the parser: complete
-    /// requests land in `pending` with their `parse_ns` stamped.
+    /// requests land in `pending` with `parse_ns` and `received_at`
+    /// stamped.
     pub fn on_readable(&mut self) -> ReadOutcome {
         let mut scratch = [0u8; READ_CHUNK];
         if self.failed_since.is_some() {
@@ -429,6 +430,7 @@ impl Conn {
                         .saturating_duration_since(started)
                         .as_nanos()
                         .min(u64::MAX as u128) as u64;
+                    request.received_at = Some(started);
                     self.buf.drain(..consumed);
                     if !self.buf.is_empty() {
                         // The next pipelined request is already arriving.

@@ -10,6 +10,8 @@
 //! keeps the module trivially testable and lets the event loop own all
 //! I/O (and its readiness bookkeeping) in one place.
 
+use std::time::Instant;
+
 use explainti_api::{ApiError, ErrorCode};
 
 /// Upper bound on a request body; larger payloads get 413.
@@ -41,6 +43,10 @@ pub struct Request {
     /// completing — the wide-event `parse` stage, stamped by the event
     /// loop (0 until it does).
     pub parse_ns: u64,
+    /// When the request's first byte arrived: the start of its
+    /// wide-event clock, stamped by the event loop with `parse_ns`
+    /// (`None` until it does).
+    pub received_at: Option<Instant>,
 }
 
 /// Outcome of a parse attempt over a connection's read buffer.
@@ -187,7 +193,16 @@ pub fn parse_request(buf: &[u8]) -> Parse {
     }
     let body = buf[head_len..total].to_vec();
     Parse::Complete {
-        request: Request { method, path, query, body, keep_alive, http11, parse_ns: 0 },
+        request: Request {
+            method,
+            path,
+            query,
+            body,
+            keep_alive,
+            http11,
+            parse_ns: 0,
+            received_at: None,
+        },
         consumed: total,
     }
 }

@@ -26,8 +26,9 @@
 //! Endpoints: `POST /v1/interpret` (a whole table or a single column,
 //! as [`explainti_api`] DTOs), `GET /v1/healthz`, `GET /v1/metrics`
 //! (the `explainti-obs` registry snapshot), `GET /v1/config`, and the
-//! admin routes `POST /v1/admin/swap`, `GET /v1/admin/store` and
-//! `POST /v1/admin/shutdown`.
+//! admin routes `POST /v1/admin/swap`, `GET /v1/admin/store` (the live
+//! generation, its stored-embedding count and whether a swap is in
+//! flight) and `POST /v1/admin/shutdown`.
 
 #![warn(missing_docs)]
 

@@ -40,8 +40,8 @@ use std::time::{Duration, Instant};
 
 use explainti_api::{
     ApiError, ColumnData, ColumnPrediction, ConfigResponse, ErrorCode, InterpretTableRequest,
-    ModelInfo, PredictRequest, PredictResponse, ShardStatus, StoreStatusResponse, SwapRequest,
-    SwapResponse, SCHEMA_VERSION,
+    ModelInfo, PredictRequest, PredictResponse, StoreStatusResponse, SwapRequest, SwapResponse,
+    SCHEMA_VERSION,
 };
 use explainti_core::{ExplainTi, Generation, GenerationHandle};
 use explainti_tokenizer::Encoded;
@@ -88,11 +88,6 @@ pub struct ServeConfig {
     pub read_timeout_ms: u64,
     /// Keep-alive connections idle longer than this are closed.
     pub idle_timeout_ms: u64,
-    /// Store shards per task (consistent-hash buckets); swapped-in
-    /// generations are loaded with the same layout. `1` = unsharded.
-    pub shards: usize,
-    /// Replicas per stored embedding; must satisfy `1 ≤ replicas ≤ shards`.
-    pub replicas: usize,
     /// Smoke-verify a swap candidate with one prediction before commit.
     pub swap_verify: bool,
 }
@@ -111,8 +106,6 @@ impl Default for ServeConfig {
             max_conns: 1024,
             read_timeout_ms: 10_000,
             idle_timeout_ms: 60_000,
-            shards: 1,
-            replicas: 1,
             swap_verify: true,
         }
     }
@@ -141,8 +134,8 @@ fn ns_since(earlier: Instant, later: Instant) -> u64 {
 pub(crate) struct Job {
     request: http::Request,
     sink: ResponseSink,
-    /// Started when the event loop enqueued the request, so queue time
-    /// counts toward the request's total.
+    /// Started when the request's first byte arrived, so its HTTP parse
+    /// and queue time count toward the request's total.
     rtrace: explainti_obs::RequestTrace,
     /// When the job last entered the queue (wide-event `queue_wait`).
     enqueued_at: Instant,
@@ -157,7 +150,8 @@ impl Job {
     /// Wraps a request parsed on connection `conn_id`.
     pub(crate) fn new(conn_id: u64, request: http::Request, io: Arc<ConnIo>, waker: Waker) -> Self {
         let trace_id = explainti_obs::next_trace_id();
-        let mut rtrace = explainti_obs::RequestTrace::new(trace_id);
+        let start = request.received_at.unwrap_or_else(Instant::now);
+        let mut rtrace = explainti_obs::RequestTrace::starting_at(trace_id, start);
         rtrace.add_stage("parse", request.parse_ns);
         explainti_obs::counter!("serve.requests", 1);
         let sink = ResponseSink::new(
@@ -215,9 +209,6 @@ pub(crate) struct Shared {
     /// Held (CAS) from a swap's admission until it finishes; a second
     /// concurrent swap answers a typed 409 instead of queueing.
     swap_lock: AtomicBool,
-    /// Store layout swapped-in generations are loaded with.
-    shards: usize,
-    replicas: usize,
     swap_verify: bool,
     /// Effective knobs, frozen at startup for `/v1/config`; the `model`
     /// block is refreshed per request from the live generation.
@@ -497,15 +488,11 @@ fn run_batch(shared: &Shared, mut batch: Vec<Pending>) {
         retry(shared, &gen, batch);
         return;
     };
-    let le_ns = capture.get("explain.le");
-    let ge_ns = capture.get("explain.ge");
-    let se_ns = capture.get("explain.se");
-    // Disjoint stages: predict is the batch forward net of the three
-    // explanation views, so the stage fields sum to (at most) the
-    // observed span total.
-    let predict_ns = capture
-        .get("model.predict_batch")
-        .saturating_sub(le_ns.saturating_add(ge_ns).saturating_add(se_ns));
+    let (predict_ns, [le_ns, ge_ns, se_ns]) = forward_stages(
+        capture.get("model.predict_batch"),
+        capture.get("model.forward"),
+        ["explain.le", "explain.ge", "explain.se"].map(|view| capture.get(view)),
+    );
 
     let resps: Vec<Arc<PredictResponse>> = preds
         .iter()
@@ -536,6 +523,24 @@ fn run_batch(shared: &Shared, mut batch: Vec<Pending>) {
             if past_deadline(shared, &job) { Err(expire()) } else { respond(&mut job, work) };
         finish(shared, job, result, true);
     }
+}
+
+/// Splits a batch forward's wall time `wall_ns` between `predict` and
+/// the three explanation views (LE, GE, SE). The views' captured span
+/// sums are thread time across the kernel pool and can exceed the wall
+/// time, so each view gets the share of the wall that its thread time
+/// has of the forwards' thread time `forward_ns` (the views run inside
+/// `model.forward`); `predict` keeps the rest. The four stages are
+/// disjoint and sum to `wall_ns`, and `predict` is positive whenever
+/// the encoder ran.
+fn forward_stages(wall_ns: u64, forward_ns: u64, views_ns: [u64; 3]) -> (u64, [u64; 3]) {
+    let thread_ns = forward_ns.max(views_ns.iter().sum());
+    if thread_ns == 0 {
+        return (wall_ns, [0; 3]);
+    }
+    let views =
+        views_ns.map(|ns| (u128::from(wall_ns) * u128::from(ns) / u128::from(thread_ns)) as u64);
+    (wall_ns - views.iter().sum::<u64>(), views)
 }
 
 /// Re-enqueues the requests of a panicked forward once, on the
@@ -711,10 +716,7 @@ fn handle_shutdown(
     Ok(())
 }
 
-/// `GET /v1/admin/store`: the live generation's explanation store,
-/// shard by shard. While the `store.shard.unavailable` failpoint holds
-/// a shard down this answers a typed 503 with `retry_after_s`, the same
-/// signal `/v1/interpret` degrades around via replica failover.
+/// `GET /v1/admin/store`: the live generation's explanation store.
 fn handle_store(
     shared: &Shared,
     gen: &Arc<Generation>,
@@ -725,21 +727,10 @@ fn handle_store(
     let Some(task) = gen.model.tasks().first() else {
         return Err(ApiError::internal("model has no tasks"));
     };
-    let store = &task.q;
-    if let Some(shard) = store.probe_unavailable() {
-        return Err(ApiError::shard_unavailable(format!("shard {shard} is unavailable"), 1));
-    }
-    let shards = store
-        .shard_sizes()
-        .into_iter()
-        .enumerate()
-        .map(|(shard, stored)| ShardStatus { shard, stored })
-        .collect();
     let resp = StoreStatusResponse {
         schema_version: SCHEMA_VERSION,
         generation: gen.id,
-        shards,
-        stored: store.stored(),
+        stored: task.q.stored(),
         swap_in_progress: shared.swap_lock.load(Ordering::SeqCst),
     };
     sink.send_json(200, &serde_json::to_string(&resp).unwrap_or_default());
@@ -795,7 +786,7 @@ fn run_swap(shared: &Shared, model_dir: &str) -> Result<(u64, u64, bool), ApiErr
         if explainti_faults::triggered("serve.swap.load") {
             return Err(ApiError::bad_request("injected swap load failure"));
         }
-        ExplainTi::load_from_dir_with(Path::new(model_dir), shared.shards, shared.replicas)
+        ExplainTi::load_from_dir(Path::new(model_dir))
             .map_err(|e| ApiError::bad_request(format!("load {model_dir}: {e}")))?
     };
     let labels = dataset.collection.type_labels.clone();
@@ -978,14 +969,6 @@ pub fn start(
     labels: Vec<String>,
     cfg: ServeConfig,
 ) -> io::Result<ServerHandle> {
-    let shards = cfg.shards.max(1);
-    let replicas = cfg.replicas.max(1);
-    if replicas > shards {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("replicas ({replicas}) must not exceed shards ({shards})"),
-        ));
-    }
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
 
@@ -1017,8 +1000,6 @@ pub fn start(
         max_conns,
         read_timeout_ms: cfg.read_timeout_ms.max(1),
         idle_timeout_ms: cfg.idle_timeout_ms.max(1),
-        shards,
-        replicas,
         swap_verify: cfg.swap_verify,
         model: model_info(&boot),
     };
@@ -1038,8 +1019,6 @@ pub fn start(
         deadline: Duration::from_millis(cfg.deadline_ms.max(1)),
         slo: explainti_obs::SloWindow::new(cfg.slo_window_s.max(1)),
         swap_lock: AtomicBool::new(false),
-        shards,
-        replicas,
         swap_verify: cfg.swap_verify,
         config,
     });
@@ -1082,4 +1061,24 @@ pub fn start(
         })?;
 
     Ok(ServerHandle { addr, shutdown, event_thread: Some(event_thread) })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::forward_stages;
+
+    #[test]
+    fn forward_stages_split_the_wall_time_when_views_outrun_it() {
+        // Two pool threads: 3,000 ns of forwards in 1,000 ns of wall
+        // time, with 2,700 ns of views — more than the wall itself.
+        let (predict, views) = forward_stages(1_000, 3_000, [900, 1_200, 600]);
+        assert_eq!(views, [300, 400, 200]);
+        assert_eq!(predict, 100);
+        // Floors never push the views past the wall.
+        let (predict, views) = forward_stages(1_001, 3_001, [1_000, 1_000, 1_000]);
+        assert_eq!(predict + views.iter().sum::<u64>(), 1_001);
+        assert!(predict > 0);
+        // No forward captured: the wall is all predict.
+        assert_eq!(forward_stages(500, 0, [0; 3]), (500, [0; 3]));
+    }
 }

@@ -9,7 +9,7 @@
 //! explainti serve     --model model-dir [--addr host:port] [--workers N] [--max-batch N]
 //!                     [--cache-cap N] [--deadline-ms N] [--top-k N]
 //!                     [--max-conns N] [--read-timeout-ms MS] [--idle-timeout-ms MS]
-//!                     [--shards N] [--replicas N] [--no-swap-verify]
+//!                     [--no-swap-verify]
 //! ```
 //!
 //! Every command accepts `--trace-out <trace.jsonl>` to stream telemetry
@@ -107,8 +107,6 @@ fn all_specs() -> Vec<CommandSpec> {
                     "MS",
                     "idle keep-alive connection timeout (default 60000)",
                 )
-                .value("shards", "N", "explanation-store shards per task (default 1)")
-                .value("replicas", "N", "replicas per stored embedding, 1..=shards (default 1)")
                 .switch("no-swap-verify", "skip the smoke prediction before a swap commits"),
         ),
     ]
@@ -294,17 +292,9 @@ fn install_ctrl_c_flag() {
 fn install_ctrl_c_flag() {}
 
 fn cmd_serve(args: &Parsed) -> Result<ExitCode, String> {
-    let shards = args.get_or("shards", 1usize).map_err(|e| e.to_string())?;
-    let replicas = args.get_or("replicas", 1usize).map_err(|e| e.to_string())?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".to_string());
-    }
-    if replicas == 0 || replicas > shards {
-        return Err(format!("--replicas must be in 1..={shards} (got {replicas})"));
-    }
     let dir = PathBuf::from(args.get("model").expect("required"));
-    let (model, dataset) = ExplainTi::load_from_dir_with(&dir, shards, replicas)
-        .map_err(|e| format!("load model from {dir:?}: {e}"))?;
+    let (model, dataset) =
+        ExplainTi::load_from_dir(&dir).map_err(|e| format!("load model from {dir:?}: {e}"))?;
     let cfg = explainti::serve::ServeConfig {
         addr: args.get("addr").unwrap_or("127.0.0.1:7431").to_string(),
         workers: args.get_or("workers", 2usize).map_err(|e| e.to_string())?,
@@ -318,8 +308,6 @@ fn cmd_serve(args: &Parsed) -> Result<ExitCode, String> {
         max_conns: args.get_or("max-conns", 1024usize).map_err(|e| e.to_string())?,
         read_timeout_ms: args.get_or("read-timeout-ms", 10_000u64).map_err(|e| e.to_string())?,
         idle_timeout_ms: args.get_or("idle-timeout-ms", 60_000u64).map_err(|e| e.to_string())?,
-        shards,
-        replicas,
         swap_verify: !args.is_set("no-swap-verify"),
     };
     let labels = dataset.collection.type_labels.clone();
