@@ -16,13 +16,8 @@ use crate::{fnv1a64, Config, Diag, SourceFile, UnsafeSite};
 /// Crates whose `src/` is the deterministic inference/explanation path:
 /// LE/GE/SE scores and golden responses must be bit-stable, so wall
 /// clocks, entropy, and hash-order iteration are banned here (EA001).
-const DETERMINISM_SCOPE: [&str; 5] = [
-    "crates/core/src/",
-    "crates/nn/src/",
-    "crates/encoder/src/",
-    "crates/ann/src/",
-    "crates/tokenizer/src/",
-];
+const DETERMINISM_SCOPE: [&str; 4] =
+    ["crates/core/src/", "crates/nn/src/", "crates/encoder/src/", "crates/tokenizer/src/"];
 
 /// The serving request path (EA006): every failure must map to a typed
 /// `ApiError` response, so panicking shortcuts are banned.

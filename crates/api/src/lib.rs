@@ -81,7 +81,13 @@ pub const DEFAULT_TOP_K: usize = 3;
 /// /v1/admin/store` reports `generation`, `stored` and
 /// `swap_in_progress`. Every other body is unchanged apart from
 /// `schema_version`.
-pub const SCHEMA_VERSION: u32 = 7;
+///
+/// **v8** (every swap verifies): the switch that skipped a swap's
+/// pre-commit smoke prediction was deleted, so [`ConfigResponse`] lost
+/// `swap_verify` and [`SwapResponse`] lost `verified` (it could only be
+/// true). A candidate that fails verification still answers 400. Every
+/// other body is unchanged apart from `schema_version`.
+pub const SCHEMA_VERSION: u32 = 8;
 
 // ---- Requests ---------------------------------------------------------
 
@@ -315,9 +321,6 @@ pub struct ConfigResponse {
     pub read_timeout_ms: u64,
     /// Idle keep-alive connections are closed after this long.
     pub idle_timeout_ms: u64,
-    /// Whether a swap runs a smoke prediction on the candidate
-    /// generation before committing it.
-    pub swap_verify: bool,
     /// Facts about the loaded model.
     pub model: ModelInfo,
 }
@@ -334,7 +337,8 @@ pub struct SwapRequest {
     pub model_dir: String,
 }
 
-/// `POST /v1/admin/swap` success response.
+/// `POST /v1/admin/swap` success response. The candidate passed its
+/// pre-commit smoke prediction; one that fails answers 400 instead.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SwapResponse {
     /// Wire-format version ([`SCHEMA_VERSION`]).
@@ -343,9 +347,6 @@ pub struct SwapResponse {
     pub generation: u64,
     /// Id of the generation that was serving before the swap.
     pub previous_generation: u64,
-    /// Whether the candidate passed the pre-commit smoke verification
-    /// (false when the server runs with verification disabled).
-    pub verified: bool,
 }
 
 /// `GET /v1/admin/store` response: the live generation's explanation
@@ -569,7 +570,7 @@ mod tests {
             "{\"pair_start\":null,\"relevance\":0.25,\"start\":3,\"text\":\"costa rica\",\"window\":4},",
             "{\"pair_start\":1,\"relevance\":0.125,\"start\":9,\"text\":\"norway\",\"window\":2}",
             "],",
-            "\"schema_version\":7,",
+            "\"schema_version\":8,",
             "\"structural\":[{\"attention\":0.5,\"label\":4,\"node\":7}]",
             "}",
         );
@@ -580,20 +581,11 @@ mod tests {
     /// part of the frozen wire surface from the moment they ship.
     #[test]
     fn golden_json_freezes_v3_admin_dtos() {
-        let swap = SwapResponse {
-            schema_version: SCHEMA_VERSION,
-            generation: 2,
-            previous_generation: 1,
-            verified: true,
-        };
+        let swap =
+            SwapResponse { schema_version: SCHEMA_VERSION, generation: 2, previous_generation: 1 };
         assert_eq!(
             serde_json::to_string(&swap).unwrap(),
-            concat!(
-                "{\"generation\":2,",
-                "\"previous_generation\":1,",
-                "\"schema_version\":7,",
-                "\"verified\":true}",
-            ),
+            "{\"generation\":2,\"previous_generation\":1,\"schema_version\":8}",
         );
         let status = StoreStatusResponse {
             schema_version: SCHEMA_VERSION,
@@ -605,7 +597,7 @@ mod tests {
             serde_json::to_string(&status).unwrap(),
             concat!(
                 "{\"generation\":2,",
-                "\"schema_version\":7,",
+                "\"schema_version\":8,",
                 "\"stored\":81,",
                 "\"swap_in_progress\":false}",
             ),
@@ -706,7 +698,6 @@ mod tests {
             max_conns: 1024,
             read_timeout_ms: 10_000,
             idle_timeout_ms: 60_000,
-            swap_verify: true,
             model: ModelInfo {
                 d_model: 32,
                 layers: 2,
@@ -722,9 +713,8 @@ mod tests {
         assert_eq!(back, cfg);
         assert!(json.contains("\"threads\":8"));
         assert!(json.contains("\"max_conns\":1024"));
-        assert!(json.contains("\"swap_verify\":true"));
         assert!(json.contains("\"generation\":1"));
-        assert!(json.contains("\"schema_version\":7"));
+        assert!(json.contains("\"schema_version\":8"));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! forced-scalar packed, runtime-dispatched SIMD at 1 thread and at N
 //! threads), the GELU kernel over one feed-forward block (libm-`tanh`
 //! reference, dispatched, forced scalar), the batched CLS-embedding
-//! path at 1 thread vs N threads and GE retrieval (the store's flat
-//! exact scan vs an HNSW index), writes `BENCH_kernels.json`, and
+//! path at 1 thread vs N threads and GE retrieval (the embedding
+//! store's exact top-k scan), writes `BENCH_kernels.json`, and
 //! **exits non-zero** when
 //!
 //! - the parallel results diverge bytewise from the serial ones,
@@ -12,13 +12,20 @@
 //!   a matmul or for GELU,
 //! - the store's top-k differs in bits from a full sort of every
 //!   similarity, or
-//! - the host dispatches AVX2 but `simd_speedup` (forced-scalar time
-//!   over SIMD time, serial) lands under 1.2× on the two largest shapes.
+//! - the host dispatches AVX2 but the median `simd_speedup`
+//!   (forced-scalar time over SIMD time, serial) lands under 1.2× on the
+//!   two largest shapes.
+//!
+//! Every arm runs once in each of [`ROUNDS`] interleaved rounds (every
+//! arm of round r before any arm of round r + 1), so a slow spell on a
+//! shared host spreads over all arms instead of landing on one. Each
+//! timing and speedup is recorded as `{median, q1, q3}` over the rounds,
+//! and the bitwise checks run in every round.
 //!
 //! The first three matmul shapes are the encoder's own products (seq 32,
 //! d 32, d_ff 64) and carry no speedup floor; GELU records its max
-//! |Δ| to the libm reference. Retrieval records query p50s, the HNSW
-//! build time and its recall@k, with no speed floor.
+//! |Δ| to the libm reference. Retrieval records each round's per-query
+//! p50, with no speed floor.
 //!
 //! The JSON records which dispatch tier (`avx2`/`neon`/`scalar`)
 //! actually ran, so a flat speedup on a scalar-only container is
@@ -28,11 +35,8 @@
 //! recorded as `"skipped"`: an oversubscribed pool measures contention,
 //! not scaling. The bitwise parallel == serial checks run regardless.
 
-use explainti_ann::{
-    recall_at_k, BruteForceIndex, HnswConfig, HnswIndex, Metric, Neighbor, VectorIndex,
-};
 use explainti_bench::{write_json, MAX_SEQ, VOCAB_CAP};
-use explainti_core::{build_tokenizer, EmbeddingStore, TaskData};
+use explainti_core::{build_tokenizer, EmbeddingStore, Neighbor, TaskData};
 use explainti_corpus::{generate_wiki, WikiConfig};
 use explainti_encoder::{EncoderConfig, TransformerEncoder};
 use explainti_nn::simd::{self, SimdTier};
@@ -40,12 +44,16 @@ use explainti_nn::{ParamStore, Tensor};
 use explainti_pool::ThreadPool;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde_json::json;
+use serde_json::{json, Value};
 use std::time::Instant;
 
 /// The forced-scalar / SIMD speedup floor enforced on AVX2 hosts, on
-/// the gate shapes (the two largest).
+/// the gate shapes (the two largest), against the median over rounds.
 const SIMD_SPEEDUP_FLOOR: f64 = 1.2;
+
+/// Interleaved rounds per arm; every recorded figure is a median with
+/// its quartiles over these.
+const ROUNDS: usize = 5;
 
 /// `(m, k, n)` matmul shapes: the encoder's own products (Q/K/V/O,
 /// FF expansion, FF projection at seq 32), then three larger shapes.
@@ -84,10 +92,71 @@ fn bits_equal(a: &Tensor, b: &Tensor) -> bool {
     a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Median of per-query timings, in microseconds.
-fn p50_us(mut secs: Vec<f64>) -> f64 {
-    secs.sort_by(f64::total_cmp);
-    secs[secs.len() / 2] * 1e6
+/// The `p`-quantile of `values` (nearest rank).
+fn quantile(values: &[f64], p: f64) -> f64 {
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    v[((v.len() - 1) as f64 * p).round() as usize]
+}
+
+/// `{median, q1, q3}` of one figure's per-round values.
+fn spread(values: &[f64]) -> Value {
+    json!({
+        "median": quantile(values, 0.5),
+        "q1": quantile(values, 0.25),
+        "q3": quantile(values, 0.75),
+    })
+}
+
+/// Element-wise `a / b` of two per-round series.
+fn ratios(a: &[f64], b: &[f64]) -> Vec<f64> {
+    a.iter().zip(b).map(|(x, y)| x / y).collect()
+}
+
+/// The full-sort reference for the store's top-k: every similarity,
+/// ordered similarity descending, then id ascending, truncated to `k`.
+fn full_sort(vectors: &[Vec<f32>], query: &[f32], k: usize) -> Vec<(usize, u32)> {
+    let mut all: Vec<Neighbor> = vectors
+        .iter()
+        .enumerate()
+        .map(|(id, v)| Neighbor { id, similarity: simd::cosine(query, v) })
+        .collect();
+    all.sort_by(|a, b| {
+        b.similarity
+            .partial_cmp(&a.similarity)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.id.cmp(&b.id))
+    });
+    all.truncate(k);
+    bits(&all)
+}
+
+/// Each neighbour's id and similarity bits, for bitwise comparison.
+fn bits(v: &[Neighbor]) -> Vec<(usize, u32)> {
+    v.iter().map(|nb| (nb.id, nb.similarity.to_bits())).collect()
+}
+
+/// One matmul shape: its inputs and per-round best-of-`reps` times.
+struct MatmulArm {
+    shape: (usize, usize, usize),
+    a: Tensor,
+    b: Tensor,
+    reps: usize,
+    naive_ms: Vec<f64>,
+    scalar_ms: Vec<f64>,
+    simd_ms: Vec<f64>,
+    parallel_ms: Vec<f64>,
+}
+
+/// One retrieval store size: the store, its queries, each query's
+/// full-sort answer and the per-round per-query p50s.
+struct RetrievalArm {
+    n: usize,
+    store: EmbeddingStore,
+    queries: Vec<Tensor>,
+    want: Vec<Vec<(usize, u32)>>,
+    p50_us: Vec<f64>,
+    exact: bool,
 }
 
 fn main() {
@@ -96,11 +165,12 @@ fn main() {
     // bitwise parallel == serial checks always see a multi-thread pool;
     // the scaling numbers are only reported when the cores exist.
     let par_threads = cores.max(4);
-    let scaling = |x: f64| if cores >= par_threads { json!(x) } else { json!("skipped") };
+    let scaling = |x: Value| if cores >= par_threads { x } else { json!("skipped") };
     simd::reset_tier();
     let tier = simd::tier();
     println!(
-        "kernel microbench — dispatch tier {} — 1 thread vs {par_threads} ({cores} cores)",
+        "kernel microbench — dispatch tier {} — 1 thread vs {par_threads} ({cores} cores), \
+         {ROUNDS} rounds",
         tier.name()
     );
 
@@ -109,131 +179,36 @@ fn main() {
     let mut rng = SmallRng::seed_from_u64(0xbe9c);
     let mut failed = false;
 
-    // -- Matmul arms ------------------------------------------------------
-    // Several shapes so a flat speedup is diagnosable from the artifact
-    // alone: ns/flop separates "kernel got slower" from "problem too
-    // small to amortise fan-out".
-    let mut matmul_shapes = Vec::new();
-    for (which, &(m, k, n)) in SHAPES.iter().enumerate() {
-        let a = random_tensor(m, k, &mut rng);
-        let b = random_tensor(k, n, &mut rng);
-        // Small products repeat more so best-of stays above timer noise.
-        let reps = (50_000_000 / (m * k * n)).clamp(5, 2000);
+    // -- Inputs, drawn once and shared by every round -----------------------
+    // Several matmul shapes so a flat speedup is diagnosable from the
+    // artifact alone: ns/flop separates "kernel got slower" from "problem
+    // too small to amortise fan-out".
+    let mut matmul: Vec<MatmulArm> = SHAPES
+        .iter()
+        .map(|&(m, k, n)| MatmulArm {
+            shape: (m, k, n),
+            a: random_tensor(m, k, &mut rng),
+            b: random_tensor(k, n, &mut rng),
+            // Small products repeat more so best-of stays above timer noise.
+            reps: (50_000_000 / (m * k * n)).clamp(5, 2000),
+            naive_ms: Vec::new(),
+            scalar_ms: Vec::new(),
+            simd_ms: Vec::new(),
+            parallel_ms: Vec::new(),
+        })
+        .collect();
 
-        let (naive_ms, reference) = time_ms(reps, || a.matmul_naive(&b));
-        simd::force_tier(SimdTier::Scalar);
-        let (scalar_ms, scalar_out) = time_ms(reps, || a.matmul_in(&b, &pool1));
-        simd::force_tier(tier);
-        let (simd_ms, serial) = time_ms(reps, || a.matmul_in(&b, &pool1));
-        let (parallel_ms, parallel) = time_ms(reps, || a.matmul_in(&b, &pool_n));
-        simd::reset_tier();
-
-        if !bits_equal(&serial, &parallel) {
-            eprintln!("FAIL: parallel matmul {m}x{k}x{n} diverges from serial");
-            failed = true;
-        }
-        if !bits_equal(&serial, &scalar_out) {
-            eprintln!(
-                "FAIL: {} matmul {m}x{k}x{n} is not bitwise-equal to the scalar fallback",
-                tier.name()
-            );
-            failed = true;
-        }
-        let worst_err = serial
-            .as_slice()
-            .iter()
-            .zip(reference.as_slice())
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0f32, f32::max);
-        if worst_err > 1e-3 {
-            eprintln!("FAIL: packed matmul drifts from the naive reference by {worst_err}");
-            failed = true;
-        }
-
-        let flops = 2.0 * m as f64 * k as f64 * n as f64;
-        let simd_speedup = scalar_ms / simd_ms;
-        let naive_speedup = naive_ms / simd_ms;
-        let par_speedup = simd_ms / parallel_ms;
-        let gated = which + GATE_SHAPES >= SHAPES.len();
-        if gated && tier == SimdTier::Avx2 && simd_speedup < SIMD_SPEEDUP_FLOOR {
-            eprintln!(
-                "FAIL: avx2 simd_speedup {simd_speedup:.2}x < {SIMD_SPEEDUP_FLOOR}x \
-                 on gate shape {m}x{k}x{n}"
-            );
-            failed = true;
-        }
-        let us = |ms: f64| ms * 1e3;
-        println!(
-            "matmul {m}x{k}x{n}:  naive {:.1} µs | scalar@1 {:.1} µs | {}@1 {:.1} µs | \
-             {}@{par_threads} {:.1} µs | simd {simd_speedup:.2}x | vs-naive {naive_speedup:.2}x",
-            us(naive_ms),
-            us(scalar_ms),
-            tier.name(),
-            us(simd_ms),
-            tier.name(),
-            us(parallel_ms)
-        );
-        matmul_shapes.push(json!({
-            "shape": json!([m, k, n]),
-            "flops": flops,
-            "dispatch_tier": tier.name(),
-            "naive_ms": naive_ms,
-            "scalar_serial_ms": scalar_ms,
-            "simd_serial_ms": simd_ms,
-            "simd_parallel_ms": parallel_ms,
-            "ns_per_flop_naive": naive_ms * 1e6 / flops,
-            "ns_per_flop_scalar": scalar_ms * 1e6 / flops,
-            "ns_per_flop_simd": simd_ms * 1e6 / flops,
-            "simd_speedup": simd_speedup,
-            "simd_speedup_vs_naive": naive_speedup,
-            "parallel_speedup": scaling(par_speedup),
-            "thread_efficiency": scaling(par_speedup / par_threads as f64),
-            "speedup_gated": gated,
-        }));
-    }
-
-    // -- GELU over one feed-forward block ----------------------------------
     let (gr, gc) = GELU_BLOCK;
-    let x = random_tensor(gr, gc, &mut rng);
-    let mut x4 = x.clone();
+    let mut x4 = random_tensor(gr, gc, &mut rng);
     x4.scale_assign(4.0);
     let xs = x4.as_slice();
     let values = xs.len();
     let mut out = vec![0.0f32; values];
-    let (libm_ms, reference) = time_ms(2000, || {
-        xs.iter()
-            .map(|&v| 0.5 * v * (1.0 + (0.797_884_6f32 * (v + 0.044_715 * v * v * v)).tanh()))
-            .collect::<Vec<f32>>()
-    });
-    simd::force_tier(SimdTier::Scalar);
-    let (gelu_scalar_ms, gelu_scalar) = time_ms(2000, || {
-        simd::gelu(xs, &mut out);
-        out.clone()
-    });
-    simd::force_tier(tier);
-    let (gelu_simd_ms, gelu_simd) = time_ms(2000, || {
-        simd::gelu(xs, &mut out);
-        out.clone()
-    });
-    simd::reset_tier();
-    let gelu_bitwise = gelu_simd.iter().zip(&gelu_scalar).all(|(a, b)| a.to_bits() == b.to_bits());
-    if !gelu_bitwise {
-        eprintln!("FAIL: {} gelu is not bitwise-equal to the scalar fallback", tier.name());
-        failed = true;
-    }
-    let gelu_max_diff =
-        gelu_simd.iter().zip(&reference).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
-    let ns_per_value = |ms: f64| ms * 1e6 / values as f64;
-    println!(
-        "gelu {gr}x{gc} on [-4, 4):  libm tanh {:.2} ns/value | scalar {:.2} | {} {:.2} | \
-         max |Δ| vs libm {gelu_max_diff:.2e}",
-        ns_per_value(libm_ms),
-        ns_per_value(gelu_scalar_ms),
-        tier.name(),
-        ns_per_value(gelu_simd_ms)
-    );
+    // Per-round ms: libm reference, forced scalar, dispatched.
+    let mut gelu_ms: [Vec<f64>; 3] = Default::default();
+    let mut gelu_bitwise = true;
+    let mut gelu_max_diff = 0.0f32;
 
-    // -- Batched CLS embedding (the serving hot path) ---------------------
     let dataset = generate_wiki(&WikiConfig { num_tables: 60, seed: 777, ..Default::default() });
     let tokenizer = build_tokenizer(&dataset, VOCAB_CAP);
     let cfg = EncoderConfig::bert_like(tokenizer.vocab_size(), MAX_SEQ);
@@ -242,105 +217,258 @@ fn main() {
     let type_data = TaskData::prepare_type(&dataset, &tokenizer, MAX_SEQ, false);
     let encs: Vec<_> = type_data.samples.iter().take(48).map(|s| s.encoded.clone()).collect();
     let batch = encs.len();
+    // Per-round ms: 1 thread, N threads.
+    let mut embed_ms: [Vec<f64>; 2] = Default::default();
 
-    explainti_pool::configure(1);
-    let (embed_serial_ms, embeds_serial) = time_ms(3, || encoder.embed_cls_batch(&store, &encs));
-    explainti_pool::configure(par_threads);
-    let (embed_parallel_ms, embeds_parallel) =
-        time_ms(3, || encoder.embed_cls_batch(&store, &encs));
-    explainti_pool::configure(explainti_pool::Threads::resolve(None).get());
-    if embeds_serial != embeds_parallel {
-        eprintln!("FAIL: parallel embed_cls_batch diverges from serial");
-        failed = true;
-    }
-    let embed_speedup = embed_serial_ms / embed_parallel_ms;
-    println!(
-        "embed_cls_batch x{batch}:  1 thread {embed_serial_ms:.2} ms | \
-         {par_threads} threads {embed_parallel_ms:.2} ms | speedup {embed_speedup:.2}x"
-    );
+    let mut retrieval: Vec<RetrievalArm> = RETRIEVAL_SIZES
+        .iter()
+        .map(|&n| {
+            let mut vector = || -> Vec<f32> {
+                (0..RETRIEVAL_DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+            };
+            let vectors: Vec<Vec<f32>> = (0..n).map(|_| vector()).collect();
+            let queries: Vec<Vec<f32>> = (0..RETRIEVAL_QUERIES).map(|_| vector()).collect();
+            let mut store = EmbeddingStore::new(RETRIEVAL_DIM);
+            for (id, v) in vectors.iter().enumerate() {
+                store.set(id, v, 0);
+            }
+            let want = queries.iter().map(|q| full_sort(&vectors, q, RETRIEVAL_K)).collect();
+            let queries = queries.into_iter().map(Tensor::row).collect();
+            RetrievalArm { n, store, queries, want, p50_us: Vec::new(), exact: true }
+        })
+        .collect();
 
-    // -- GE retrieval: flat store scan vs HNSW ------------------------------
-    // The oracle is a full sort: every similarity, ordered (similarity
-    // descending, id ascending) and truncated to k.
-    let bits =
-        |v: &[Neighbor]| v.iter().map(|nb| (nb.id, nb.similarity.to_bits())).collect::<Vec<_>>();
-    let mut retrieval = Vec::new();
-    for n in RETRIEVAL_SIZES {
-        let mut vector =
-            || -> Vec<f32> { (0..RETRIEVAL_DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect() };
-        let vectors: Vec<Vec<f32>> = (0..n).map(|_| vector()).collect();
-        let queries: Vec<Vec<f32>> = (0..RETRIEVAL_QUERIES).map(|_| vector()).collect();
-        let mut store = EmbeddingStore::new(RETRIEVAL_DIM);
-        let mut oracle = BruteForceIndex::new(Metric::Cosine);
-        for (id, v) in vectors.iter().enumerate() {
-            store.set(id, v, 0);
-            oracle.add(id, v);
-        }
-        let t = Instant::now();
-        let mut hnsw = HnswIndex::new(Metric::Cosine, HnswConfig::default());
-        for (id, v) in vectors.iter().enumerate() {
-            hnsw.add(id, v);
-        }
-        let build_ms = t.elapsed().as_secs_f64() * 1e3;
+    for round in 1..=ROUNDS {
+        // -- Matmul arms --------------------------------------------------
+        for arm in &mut matmul {
+            let (m, k, n) = arm.shape;
+            let (a, b) = (&arm.a, &arm.b);
+            let (naive_ms, reference) = time_ms(arm.reps, || a.matmul_naive(b));
+            simd::force_tier(SimdTier::Scalar);
+            let (scalar_ms, scalar_out) = time_ms(arm.reps, || a.matmul_in(b, &pool1));
+            simd::force_tier(tier);
+            let (simd_ms, serial) = time_ms(arm.reps, || a.matmul_in(b, &pool1));
+            let (parallel_ms, parallel) = time_ms(arm.reps, || a.matmul_in(b, &pool_n));
+            simd::reset_tier();
 
-        let (mut flat_s, mut hnsw_s) = (Vec::new(), Vec::new());
-        let mut flat_exact = true;
-        for q in &queries {
-            let query = Tensor::row(q.clone());
-            let t = Instant::now();
-            let flat = std::hint::black_box(store.top_k(&query, RETRIEVAL_K, None));
-            flat_s.push(t.elapsed().as_secs_f64());
-            let t = Instant::now();
-            std::hint::black_box(hnsw.search(q, RETRIEVAL_K));
-            hnsw_s.push(t.elapsed().as_secs_f64());
-            flat_exact &= bits(&flat) == bits(&oracle.search(q, RETRIEVAL_K));
+            if !bits_equal(&serial, &parallel) {
+                eprintln!("FAIL: round {round}: parallel matmul {m}x{k}x{n} diverges from serial");
+                failed = true;
+            }
+            if !bits_equal(&serial, &scalar_out) {
+                eprintln!(
+                    "FAIL: round {round}: {} matmul {m}x{k}x{n} is not bitwise-equal to the \
+                     scalar fallback",
+                    tier.name()
+                );
+                failed = true;
+            }
+            let worst_err = serial
+                .as_slice()
+                .iter()
+                .zip(reference.as_slice())
+                .map(|(x, y)| (x - y).abs())
+                .fold(0.0f32, f32::max);
+            if worst_err > 1e-3 {
+                eprintln!("FAIL: packed matmul drifts from the naive reference by {worst_err}");
+                failed = true;
+            }
+            arm.naive_ms.push(naive_ms);
+            arm.scalar_ms.push(scalar_ms);
+            arm.simd_ms.push(simd_ms);
+            arm.parallel_ms.push(parallel_ms);
         }
-        if !flat_exact {
-            eprintln!("FAIL: store top_k at n={n} differs in bits from a full sort");
+
+        // -- GELU over one feed-forward block -------------------------------
+        let (libm_ms, reference) = time_ms(2000, || {
+            xs.iter()
+                .map(|&v| 0.5 * v * (1.0 + (0.797_884_6f32 * (v + 0.044_715 * v * v * v)).tanh()))
+                .collect::<Vec<f32>>()
+        });
+        simd::force_tier(SimdTier::Scalar);
+        let (scalar_ms, gelu_scalar) = time_ms(2000, || {
+            simd::gelu(xs, &mut out);
+            out.clone()
+        });
+        simd::force_tier(tier);
+        let (simd_ms, gelu_simd) = time_ms(2000, || {
+            simd::gelu(xs, &mut out);
+            out.clone()
+        });
+        simd::reset_tier();
+        if !gelu_simd.iter().zip(&gelu_scalar).all(|(a, b)| a.to_bits() == b.to_bits()) {
+            eprintln!(
+                "FAIL: round {round}: {} gelu is not bitwise-equal to the scalar fallback",
+                tier.name()
+            );
+            gelu_bitwise = false;
             failed = true;
         }
-        let recall = recall_at_k(&hnsw, &oracle, &queries, RETRIEVAL_K);
-        let (flat_us, hnsw_us) = (p50_us(flat_s), p50_us(hnsw_s));
+        gelu_max_diff = gelu_simd
+            .iter()
+            .zip(&reference)
+            .map(|(a, b)| (a - b).abs())
+            .fold(gelu_max_diff, f32::max);
+        for (series, ms) in gelu_ms.iter_mut().zip([libm_ms, scalar_ms, simd_ms]) {
+            series.push(ms);
+        }
+
+        // -- Batched CLS embedding (the serving hot path) -------------------
+        explainti_pool::configure(1);
+        let (serial_ms, embeds_serial) = time_ms(3, || encoder.embed_cls_batch(&store, &encs));
+        explainti_pool::configure(par_threads);
+        let (parallel_ms, embeds_parallel) = time_ms(3, || encoder.embed_cls_batch(&store, &encs));
+        explainti_pool::configure(explainti_pool::Threads::resolve(None).get());
+        if embeds_serial != embeds_parallel {
+            eprintln!("FAIL: round {round}: parallel embed_cls_batch diverges from serial");
+            failed = true;
+        }
+        embed_ms[0].push(serial_ms);
+        embed_ms[1].push(parallel_ms);
+
+        // -- GE retrieval: the store's exact scan ---------------------------
+        for arm in &mut retrieval {
+            let mut secs = Vec::with_capacity(arm.queries.len());
+            let mut exact = true;
+            for (query, want) in arm.queries.iter().zip(&arm.want) {
+                let t = Instant::now();
+                let got = std::hint::black_box(arm.store.top_k(query, RETRIEVAL_K, None));
+                secs.push(t.elapsed().as_secs_f64());
+                exact &= bits(&got) == *want;
+            }
+            if !exact {
+                eprintln!(
+                    "FAIL: round {round}: store top_k at n={} differs in bits from a full sort",
+                    arm.n
+                );
+                arm.exact = false;
+                failed = true;
+            }
+            arm.p50_us.push(quantile(&secs, 0.5) * 1e6);
+        }
+    }
+
+    // -- Summaries over the rounds ------------------------------------------
+    let median = |v: &[f64]| quantile(v, 0.5);
+    let mut matmul_shapes = Vec::new();
+    for (which, arm) in matmul.iter().enumerate() {
+        let (m, k, n) = arm.shape;
+        let flops = 2.0 * m as f64 * k as f64 * n as f64;
+        let simd_speedup = ratios(&arm.scalar_ms, &arm.simd_ms);
+        let naive_speedup = ratios(&arm.naive_ms, &arm.simd_ms);
+        let par_speedup = ratios(&arm.simd_ms, &arm.parallel_ms);
+        let efficiency: Vec<f64> = par_speedup.iter().map(|s| s / par_threads as f64).collect();
+        let gated = which + GATE_SHAPES >= SHAPES.len();
+        if gated && tier == SimdTier::Avx2 && median(&simd_speedup) < SIMD_SPEEDUP_FLOOR {
+            eprintln!(
+                "FAIL: avx2 median simd_speedup {:.2}x < {SIMD_SPEEDUP_FLOOR}x \
+                 on gate shape {m}x{k}x{n}",
+                median(&simd_speedup)
+            );
+            failed = true;
+        }
+        let us = |v: &[f64]| median(v) * 1e3;
         println!(
-            "retrieval n={n} d={RETRIEVAL_DIM} k={RETRIEVAL_K}:  flat p50 {flat_us:.1} µs | \
-             hnsw p50 {hnsw_us:.1} µs | hnsw build {build_ms:.1} ms | \
-             hnsw recall@{RETRIEVAL_K} {recall:.3}"
+            "matmul {m}x{k}x{n}:  naive {:.1} µs | scalar@1 {:.1} µs | {}@1 {:.1} µs | \
+             {}@{par_threads} {:.1} µs | simd {:.2}x | vs-naive {:.2}x",
+            us(&arm.naive_ms),
+            us(&arm.scalar_ms),
+            tier.name(),
+            us(&arm.simd_ms),
+            tier.name(),
+            us(&arm.parallel_ms),
+            median(&simd_speedup),
+            median(&naive_speedup),
         );
-        retrieval.push(json!({
-            "n": n,
-            "dim": RETRIEVAL_DIM,
-            "k": RETRIEVAL_K,
-            "queries": RETRIEVAL_QUERIES,
-            "flat_us_p50": flat_us,
-            "hnsw_us_p50": hnsw_us,
-            "hnsw_build_ms": build_ms,
-            "hnsw_recall_at_k": recall,
-            "flat_matches_full_sort": flat_exact,
+        let ns_per_flop = |v: &[f64]| median(v) * 1e6 / flops;
+        matmul_shapes.push(json!({
+            "shape": json!([m, k, n]),
+            "flops": flops,
+            "dispatch_tier": tier.name(),
+            "naive_ms": spread(&arm.naive_ms),
+            "scalar_serial_ms": spread(&arm.scalar_ms),
+            "simd_serial_ms": spread(&arm.simd_ms),
+            "simd_parallel_ms": spread(&arm.parallel_ms),
+            "ns_per_flop_naive": ns_per_flop(&arm.naive_ms),
+            "ns_per_flop_scalar": ns_per_flop(&arm.scalar_ms),
+            "ns_per_flop_simd": ns_per_flop(&arm.simd_ms),
+            "simd_speedup": spread(&simd_speedup),
+            "simd_speedup_vs_naive": spread(&naive_speedup),
+            "parallel_speedup": scaling(spread(&par_speedup)),
+            "thread_efficiency": scaling(spread(&efficiency)),
+            "speedup_gated": gated,
         }));
     }
+
+    let ns_per_value: Vec<Vec<f64>> = gelu_ms
+        .iter()
+        .map(|series| series.iter().map(|ms| ms * 1e6 / values as f64).collect())
+        .collect();
+    println!(
+        "gelu {gr}x{gc} on [-4, 4):  libm tanh {:.2} ns/value | scalar {:.2} | {} {:.2} | \
+         max |Δ| vs libm {gelu_max_diff:.2e}",
+        median(&ns_per_value[0]),
+        median(&ns_per_value[1]),
+        tier.name(),
+        median(&ns_per_value[2])
+    );
+
+    let embed_speedup = ratios(&embed_ms[0], &embed_ms[1]);
+    let embed_efficiency: Vec<f64> = embed_speedup.iter().map(|s| s / par_threads as f64).collect();
+    println!(
+        "embed_cls_batch x{batch}:  1 thread {:.2} ms | {par_threads} threads {:.2} ms | \
+         speedup {:.2}x",
+        median(&embed_ms[0]),
+        median(&embed_ms[1]),
+        median(&embed_speedup)
+    );
+
+    let retrieval: Vec<Value> = retrieval
+        .iter()
+        .map(|arm| {
+            println!(
+                "retrieval n={} d={RETRIEVAL_DIM} k={RETRIEVAL_K}:  p50 {:.1} µs \
+                 [{:.1}–{:.1}] | full-sort bits {}",
+                arm.n,
+                median(&arm.p50_us),
+                quantile(&arm.p50_us, 0.25),
+                quantile(&arm.p50_us, 0.75),
+                if arm.exact { "equal" } else { "DIFFER" }
+            );
+            json!({
+                "n": arm.n,
+                "dim": RETRIEVAL_DIM,
+                "k": RETRIEVAL_K,
+                "queries": RETRIEVAL_QUERIES,
+                "us_p50": spread(&arm.p50_us),
+                "matches_full_sort": arm.exact,
+            })
+        })
+        .collect();
 
     let summary = json!({
         "available_parallelism": cores,
         "threads_parallel": par_threads,
         "dispatch_tier": tier.name(),
+        "rounds": ROUNDS,
         "simd_speedup_floor": SIMD_SPEEDUP_FLOOR,
         "matmul": json!(matmul_shapes),
         "gelu": json!({
             "block": [gr, gc],
             "input_range": [-4.0, 4.0],
-            "libm_ns_per_value": ns_per_value(libm_ms),
-            "scalar_ns_per_value": ns_per_value(gelu_scalar_ms),
-            "simd_ns_per_value": ns_per_value(gelu_simd_ms),
+            "libm_ns_per_value": spread(&ns_per_value[0]),
+            "scalar_ns_per_value": spread(&ns_per_value[1]),
+            "simd_ns_per_value": spread(&ns_per_value[2]),
             "max_abs_diff_vs_libm": gelu_max_diff,
             "bitwise_equal_to_scalar": gelu_bitwise,
         }),
         "embed_cls_batch": json!({
             "batch": batch,
             "max_seq": MAX_SEQ,
-            "serial_ms": embed_serial_ms,
-            "parallel_ms": embed_parallel_ms,
-            "speedup": scaling(embed_speedup),
-            "thread_efficiency": scaling(embed_speedup / par_threads as f64),
+            "serial_ms": spread(&embed_ms[0]),
+            "parallel_ms": spread(&embed_ms[1]),
+            "speedup": scaling(spread(&embed_speedup)),
+            "thread_efficiency": scaling(spread(&embed_efficiency)),
         }),
         "retrieval": json!(retrieval),
         "parallel_matches_serial": !failed,

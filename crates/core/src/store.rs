@@ -11,10 +11,19 @@
 //! Algorithm 2 refreshes `Q` wholesale: [`EmbeddingStore::set`] every
 //! sample, which overwrites its row in place; the next query sees it.
 
-use explainti_ann::Neighbor;
 use explainti_nn::Tensor;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+
+/// A retrieved neighbour: sample id plus cosine similarity (larger is
+/// closer).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Neighbor {
+    /// Id of the stored sample.
+    pub id: usize,
+    /// Cosine similarity to the query.
+    pub similarity: f32,
+}
 
 /// Deterministic neighbour order: similarity descending, id ascending.
 fn order_neighbors(a: &Neighbor, b: &Neighbor) -> Ordering {

@@ -68,17 +68,6 @@ impl Dataset {
             .collect()
     }
 
-    /// Sample indices of the column-relation task belonging to `split`.
-    pub fn relation_sample_indices(&self, split: Split) -> Vec<usize> {
-        self.collection
-            .annotated_pairs()
-            .iter()
-            .enumerate()
-            .filter(|(_, (pref, _))| self.table_split[pref.table] == split)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Dataset statistics in Table II's columns.
     pub fn statistics(&self) -> DatasetStats {
         DatasetStats {

@@ -41,6 +41,20 @@ impl LinearSchedule {
     }
 }
 
+/// Global gradient norm AdamW clips to (the paper's fine-tuning default).
+const ADAMW_CLIP_NORM: f32 = 1.0;
+/// Global gradient norm SGD clips to (MLP-friendly).
+const SGD_CLIP_NORM: f32 = 5.0;
+
+/// Rescales the accumulated gradients so their global norm is at most
+/// `clip`.
+fn clip_grads(store: &mut ParamStore, clip: f32) {
+    let norm = store.grad_norm();
+    if norm > clip {
+        store.scale_grads(clip / norm);
+    }
+}
+
 /// AdamW with decoupled weight decay and global-norm gradient clipping.
 #[derive(Debug, Clone)]
 pub struct AdamW {
@@ -49,7 +63,6 @@ pub struct AdamW {
     beta2: f32,
     eps: f32,
     weight_decay: f32,
-    clip_norm: Option<f32>,
     step: usize,
 }
 
@@ -57,15 +70,7 @@ impl AdamW {
     /// Creates an AdamW optimizer with the paper's defaults
     /// (β₁=0.9, β₂=0.999, ε=1e-8, decay=0.01, clip=1.0).
     pub fn new(schedule: LinearSchedule) -> Self {
-        Self {
-            schedule,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.01,
-            clip_norm: Some(1.0),
-            step: 0,
-        }
+        Self { schedule, beta1: 0.9, beta2: 0.999, eps: 1e-8, weight_decay: 0.01, step: 0 }
     }
 
     /// Overrides the weight decay coefficient.
@@ -74,32 +79,11 @@ impl AdamW {
         self
     }
 
-    /// Overrides (or disables, with `None`) global-norm clipping.
-    pub fn with_clip_norm(mut self, clip: Option<f32>) -> Self {
-        self.clip_norm = clip;
-        self
-    }
-
-    /// Number of optimizer steps taken so far.
-    pub fn steps_taken(&self) -> usize {
-        self.step
-    }
-
-    /// Current learning rate (for logging).
-    pub fn current_lr(&self) -> f32 {
-        self.schedule.lr_at(self.step)
-    }
-
     /// Applies one update from the gradients accumulated in `store`,
     /// then zeroes them.
     pub fn step(&mut self, store: &mut ParamStore) {
         let _span = explainti_obs::span!("optim.step");
-        if let Some(clip) = self.clip_norm {
-            let norm = store.grad_norm();
-            if norm > clip {
-                store.scale_grads(clip / norm);
-            }
-        }
+        clip_grads(store, ADAMW_CLIP_NORM);
         let lr = self.schedule.lr_at(self.step);
         self.step += 1;
         let t = self.step as i32;
@@ -128,23 +112,17 @@ impl AdamW {
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
-    clip_norm: Option<f32>,
 }
 
 impl Sgd {
     /// Creates an SGD optimizer with clipping at norm 5 (MLP-friendly).
     pub fn new(lr: f32) -> Self {
-        Self { lr, clip_norm: Some(5.0) }
+        Self { lr }
     }
 
     /// Applies one update and zeroes gradients.
     pub fn step(&mut self, store: &mut ParamStore) {
-        if let Some(clip) = self.clip_norm {
-            let norm = store.grad_norm();
-            if norm > clip {
-                store.scale_grads(clip / norm);
-            }
-        }
+        clip_grads(store, SGD_CLIP_NORM);
         for id in store.ids().collect::<Vec<_>>() {
             let (value, _m, _v, grad, _decay) = store.adam_state_mut(id);
             for i in 0..value.len() {

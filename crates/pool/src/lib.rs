@@ -3,8 +3,7 @@
 //! A dependency-free, panic-safe scoped thread pool shared by every
 //! compute kernel in the reproduction: the blocked matmul kernels in
 //! `explainti-nn`, batch splitting in `explainti-encoder` /
-//! `explainti-core`, HNSW neighbour-distance evaluation in
-//! `explainti-ann`, and the inference server's worker threads.
+//! `explainti-core`, and the inference server's worker threads.
 //!
 //! Design constraints, in order:
 //!

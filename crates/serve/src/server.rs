@@ -55,11 +55,18 @@ use crate::http;
 use crate::queue::BatchQueue;
 
 /// How the server is sized; every knob has a CLI flag.
+///
+/// The kernel pool's width is process-wide, not a server knob: size it
+/// with `explainti_pool::configure` (the CLI's `--threads`) before
+/// [`start`]. `/v1/config` reports that width as `threads`. Every swap
+/// runs a smoke prediction on the candidate before it commits.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:8080` (`:0` for an ephemeral port).
     pub addr: String,
-    /// Worker threads answering requests from the queue.
+    /// Worker threads answering requests from the queue: they bound
+    /// how many requests are in flight, while the kernel pool bounds how
+    /// much CPU each forward uses.
     pub workers: usize,
     /// Maximum requests one batched forward serves.
     pub max_batch: usize,
@@ -69,12 +76,6 @@ pub struct ServeConfig {
     pub deadline_ms: u64,
     /// Explanations per view in each response.
     pub top_k: usize,
-    /// Kernel compute threads (the shared pool's width). Distinct from
-    /// `workers`: workers bound how many requests are *in flight*, while
-    /// threads bound how much CPU each micro-batch forward uses. `0`
-    /// inherits the process-wide pool as already configured (CLI flag,
-    /// `EXPLAINTI_THREADS`, or available parallelism).
-    pub threads: usize,
     /// Sliding SLO window length in seconds: rolling p50/p99/p999 and
     /// error rate over the trailing window, published as `serve.slo.*`
     /// gauges at metrics-scrape time.
@@ -88,8 +89,6 @@ pub struct ServeConfig {
     pub read_timeout_ms: u64,
     /// Keep-alive connections idle longer than this are closed.
     pub idle_timeout_ms: u64,
-    /// Smoke-verify a swap candidate with one prediction before commit.
-    pub swap_verify: bool,
 }
 
 impl Default for ServeConfig {
@@ -101,12 +100,10 @@ impl Default for ServeConfig {
             cache_cap: 256,
             deadline_ms: 30_000,
             top_k: explainti_api::DEFAULT_TOP_K,
-            threads: 0,
             slo_window_s: 60,
             max_conns: 1024,
             read_timeout_ms: 10_000,
             idle_timeout_ms: 60_000,
-            swap_verify: true,
         }
     }
 }
@@ -209,7 +206,6 @@ pub(crate) struct Shared {
     /// Held (CAS) from a swap's admission until it finishes; a second
     /// concurrent swap answers a typed 409 instead of queueing.
     swap_lock: AtomicBool,
-    swap_verify: bool,
     /// Effective knobs, frozen at startup for `/v1/config`; the `model`
     /// block is refreshed per request from the live generation.
     config: ConfigResponse,
@@ -776,8 +772,8 @@ fn admin_loop(shared: &Shared) {
 }
 
 /// The load → verify → commit pipeline of one swap, run under the swap
-/// lock. Returns `(previous_id, new_id, verified)`.
-fn run_swap(shared: &Shared, model_dir: &str) -> Result<(u64, u64, bool), ApiError> {
+/// lock. Returns `(previous_id, new_id)`.
+fn run_swap(shared: &Shared, model_dir: &str) -> Result<(u64, u64), ApiError> {
     // LOAD — entirely off to the side; serving continues on the old
     // generation while the snapshot is read and verified (crash-safe
     // MANIFEST machinery: torn or tampered snapshots fail here).
@@ -793,7 +789,7 @@ fn run_swap(shared: &Shared, model_dir: &str) -> Result<(u64, u64, bool), ApiErr
     let model = Arc::new(model);
     // VERIFY — one smoke prediction through the candidate before any
     // request can reach it; a panic (or injected failure) rejects it.
-    let verified = if shared.swap_verify {
+    {
         let _span = explainti_obs::span!("serve.swap.verify");
         if explainti_faults::triggered("serve.swap.verify") {
             return Err(ApiError::bad_request("swap candidate failed verification (injected)"));
@@ -806,10 +802,7 @@ fn run_swap(shared: &Shared, model_dir: &str) -> Result<(u64, u64, bool), ApiErr
         if !matches!(ok, Ok(true)) {
             return Err(ApiError::bad_request("swap candidate failed smoke verification"));
         }
-        true
-    } else {
-        false
-    };
+    }
     // COMMIT — the only mutating step. An injected failure here proves
     // rollback: the handle is untouched and the old generation keeps
     // serving as if the swap never happened.
@@ -821,7 +814,7 @@ fn run_swap(shared: &Shared, model_dir: &str) -> Result<(u64, u64, bool), ApiErr
     // hits are impossible; the reset just drops the old generation's
     // responses promptly instead of waiting for LRU churn.
     *lock_cache(shared) = LruCache::new(shared.config.cache_cap);
-    Ok((previous, id, verified))
+    Ok((previous, id))
 }
 
 /// Runs an admitted `POST /v1/admin/swap` on the admin thread: load a new
@@ -838,15 +831,11 @@ fn handle_swap(shared: &Shared, model_dir: &str, sink: &mut ResponseSink) -> Res
     let _guard = SwapGuard(&shared.swap_lock);
     explainti_obs::counter!("serve.swap.attempts", 1);
     match run_swap(shared, model_dir) {
-        Ok((previous_generation, generation, verified)) => {
+        Ok((previous_generation, generation)) => {
             explainti_obs::counter!("serve.swap.committed", 1);
             explainti_obs::set_gauge("serve.swap.generation", generation as f64);
-            let resp = SwapResponse {
-                schema_version: SCHEMA_VERSION,
-                generation,
-                previous_generation,
-                verified,
-            };
+            let resp =
+                SwapResponse { schema_version: SCHEMA_VERSION, generation, previous_generation };
             sink.send_json(200, &serde_json::to_string(&resp).unwrap_or_default());
             Ok(())
         }
@@ -978,13 +967,6 @@ pub fn start(
         explainti_obs::add_counter(&format!("faults.hit.{site}"), 1);
     });
 
-    // `--threads` resizes the process-wide kernel pool; 0 leaves
-    // whatever the process already configured (CLI / env / default).
-    if cfg.threads > 0 {
-        explainti_pool::configure(cfg.threads);
-    }
-    let threads = explainti_pool::global().threads();
-
     let max_conns = cfg.max_conns.max(1);
     let generations = GenerationHandle::new(model, labels);
     let boot = generations.current();
@@ -992,7 +974,7 @@ pub fn start(
     let config = ConfigResponse {
         schema_version: SCHEMA_VERSION,
         workers: cfg.workers,
-        threads,
+        threads: explainti_pool::global().threads(),
         max_batch: cfg.max_batch.max(1),
         cache_cap: cfg.cache_cap,
         deadline_ms: cfg.deadline_ms.max(1),
@@ -1000,7 +982,6 @@ pub fn start(
         max_conns,
         read_timeout_ms: cfg.read_timeout_ms.max(1),
         idle_timeout_ms: cfg.idle_timeout_ms.max(1),
-        swap_verify: cfg.swap_verify,
         model: model_info(&boot),
     };
     drop(boot);
@@ -1019,7 +1000,6 @@ pub fn start(
         deadline: Duration::from_millis(cfg.deadline_ms.max(1)),
         slo: explainti_obs::SloWindow::new(cfg.slo_window_s.max(1)),
         swap_lock: AtomicBool::new(false),
-        swap_verify: cfg.swap_verify,
         config,
     });
 

@@ -7,12 +7,20 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use explainti_api::{InterpretTableResponse, PredictResponse};
 use explainti_core::{ExplainTi, ExplainTiConfig};
 use explainti_serve::{start, ServeConfig};
 use serde_json::Value;
+
+/// Tests that resize the process-wide kernel pool hold this, so one
+/// cannot resize it between another's `configure` and `start`.
+static POOL: Mutex<()> = Mutex::new(());
+
+fn pool_lock() -> MutexGuard<'static, ()> {
+    POOL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn tiny_model() -> (Arc<ExplainTi>, Vec<String>) {
     let d = explainti_corpus::generate_wiki(&explainti_corpus::WikiConfig {
@@ -187,12 +195,13 @@ fn serves_interpret_cache_metrics_errors_and_shutdown() {
 #[test]
 fn config_endpoint_reports_effective_knobs() {
     let (model, labels) = tiny_model();
+    let _pool = pool_lock();
+    explainti_pool::configure(2);
     let cfg = ServeConfig {
         workers: 3,
         max_batch: 5,
         cache_cap: 33,
         deadline_ms: 12_345,
-        threads: 2,
         ..Default::default()
     };
     let mut handle = start(Arc::clone(&model), labels.clone(), cfg).expect("start server");
@@ -246,6 +255,7 @@ fn config_endpoint_reports_effective_knobs() {
 #[test]
 fn parallel_and_serial_serving_are_byte_identical() {
     let (model, labels) = tiny_model();
+    let _pool = pool_lock();
     let table = r#"{"title":"1998 world cup","columns":[
         {"header":"country","cells":["france","brazil","croatia"]},
         {"header":"goals","cells":["15","14","11"]},
@@ -253,12 +263,12 @@ fn parallel_and_serial_serving_are_byte_identical() {
     let col = r#"{"title":"grand prix","header":"driver","cells":["senna","prost"]}"#;
 
     let serve_once = |threads: usize| {
+        explainti_pool::configure(threads);
         let cfg = ServeConfig {
             workers: 2,
             // Fresh cache per run: answers must match because the compute
             // matches, not because one run replays the other's cache.
             cache_cap: 4,
-            threads,
             ..Default::default()
         };
         let mut handle = start(Arc::clone(&model), labels.clone(), cfg).expect("start server");

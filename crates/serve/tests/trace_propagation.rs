@@ -110,12 +110,12 @@ fn wide_events_cover_every_stage_and_join_on_trace_ids() {
     explainti_obs::set_trace_writer(Box::new(buf.clone()));
 
     let (model, labels) = tiny_model();
+    explainti_pool::configure(2);
     let cfg = ServeConfig {
         workers: 2,
         max_batch: 8,
         cache_cap: 32,
         deadline_ms: 60_000,
-        threads: 2,
         ..Default::default()
     };
     let mut handle = start(model, labels, cfg).expect("start server");

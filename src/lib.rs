@@ -9,11 +9,10 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`core`] | `explainti-core` | the ExplainTI model, LE/GE/SE, trainer |
+//! | [`core`] | `explainti-core` | the ExplainTI model, LE/GE/SE, exact-scan embedding store, trainer |
 //! | [`nn`] | `explainti-nn` | tensor, tape autograd, layers, optimizers |
 //! | [`encoder`] | `explainti-encoder` | pre-trainable transformer encoder |
 //! | [`tokenizer`] | `explainti-tokenizer` | vocab + table serialisation |
-//! | [`ann`] | `explainti-ann` | HNSW / brute-force vector indexes |
 //! | [`table`] | `explainti-table` | table model + column graphs |
 //! | [`corpus`] | `explainti-corpus` | synthetic Wiki/Git benchmarks |
 //! | [`metrics`] | `explainti-metrics` | F1 triplet, timing, reports |
@@ -40,7 +39,6 @@
 
 #![warn(missing_docs)]
 
-pub use explainti_ann as ann;
 pub use explainti_api as api;
 pub use explainti_baselines as baselines;
 pub use explainti_core as core;

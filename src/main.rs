@@ -7,9 +7,8 @@
 //! explainti interpret --model model-dir [--json] [--top-k N] file.csv [file2.csv …]
 //! explainti evaluate  --model model-dir
 //! explainti serve     --model model-dir [--addr host:port] [--workers N] [--max-batch N]
-//!                     [--cache-cap N] [--deadline-ms N] [--top-k N]
+//!                     [--cache-cap N] [--deadline-ms N] [--top-k N] [--slo-window-s S]
 //!                     [--max-conns N] [--read-timeout-ms MS] [--idle-timeout-ms MS]
-//!                     [--no-swap-verify]
 //! ```
 //!
 //! Every command accepts `--trace-out <trace.jsonl>` to stream telemetry
@@ -106,8 +105,7 @@ fn all_specs() -> Vec<CommandSpec> {
                     "idle-timeout-ms",
                     "MS",
                     "idle keep-alive connection timeout (default 60000)",
-                )
-                .switch("no-swap-verify", "skip the smoke prediction before a swap commits"),
+                ),
         ),
     ]
 }
@@ -302,13 +300,10 @@ fn cmd_serve(args: &Parsed) -> Result<ExitCode, String> {
         cache_cap: args.get_or("cache-cap", 256usize).map_err(|e| e.to_string())?,
         deadline_ms: args.get_or("deadline-ms", 30_000u64).map_err(|e| e.to_string())?,
         top_k: args.get_or("top-k", explainti::api::DEFAULT_TOP_K).map_err(|e| e.to_string())?,
-        // 0 = inherit the pool `main()` already sized from `--threads`.
-        threads: 0,
         slo_window_s: args.get_or("slo-window-s", 60u64).map_err(|e| e.to_string())?,
         max_conns: args.get_or("max-conns", 1024usize).map_err(|e| e.to_string())?,
         read_timeout_ms: args.get_or("read-timeout-ms", 10_000u64).map_err(|e| e.to_string())?,
         idle_timeout_ms: args.get_or("idle-timeout-ms", 60_000u64).map_err(|e| e.to_string())?,
-        swap_verify: !args.is_set("no-swap-verify"),
     };
     let labels = dataset.collection.type_labels.clone();
     let mut handle = explainti::serve::start(Arc::new(model), labels, cfg)

@@ -3,7 +3,7 @@
 //! generator and asserts the invariant on every one (deterministic, no
 //! external test framework).
 
-use explainti::ann::{BruteForceIndex, HnswConfig, HnswIndex, Metric, VectorIndex};
+use explainti::core::EmbeddingStore;
 use explainti::metrics::f1_scores;
 use explainti::nn::{kl_divergence, softmax, Tensor};
 use explainti::table::{Column, ColumnGraph, Table, TableCollection};
@@ -93,20 +93,21 @@ fn encoding_respects_frame() {
     }
 }
 
-/// HNSW self-queries return the inserted vector first.
+/// Every stored vector, used as the query, retrieves itself first.
 #[test]
-fn hnsw_self_query() {
+fn store_self_query() {
     for seed in 0u64..50 {
         let mut rng = SmallRng::seed_from_u64(seed);
         let vectors: Vec<Vec<f32>> =
             (0..60).map(|_| (0..8).map(|_| rng.gen_range(-1.0f32..1.0)).collect()).collect();
-        let mut idx = HnswIndex::new(Metric::Cosine, HnswConfig::default());
+        let mut store = EmbeddingStore::new(8);
         for (i, v) in vectors.iter().enumerate() {
-            idx.add(i, v);
+            store.set(i, v, 0);
         }
-        let probe = (seed as usize * 7) % vectors.len();
-        let res = idx.search(&vectors[probe], 1);
-        assert_eq!(res[0].id, probe, "seed {seed}");
+        for (probe, v) in vectors.iter().enumerate() {
+            let res = store.top_k(&Tensor::row(v.clone()), 1, None);
+            assert_eq!(res[0].id, probe, "seed {seed}");
+        }
     }
 }
 
@@ -161,22 +162,26 @@ fn neighbor_sampling_contract() {
     }
 }
 
-/// Brute-force search returns results in non-increasing similarity
-/// order for any vector set.
+/// The store's top-k over the whole store returns every sample, in
+/// similarity-descending, then id-ascending order, for any vector set.
 #[test]
-fn brute_force_ordering() {
+fn store_top_k_ordering() {
     let mut rng = SmallRng::seed_from_u64(1008);
     for _ in 0..CASES {
         let n = rng.gen_range(1..40);
         let vectors: Vec<Vec<f32>> =
             (0..n).map(|_| (0..4).map(|_| rng.gen_range(-1.0f32..1.0)).collect()).collect();
-        let mut idx = BruteForceIndex::new(Metric::Cosine);
+        let mut store = EmbeddingStore::new(4);
         for (i, v) in vectors.iter().enumerate() {
-            idx.add(i, v);
+            store.set(i, v, 0);
         }
-        let res = idx.search(&vectors[0], vectors.len());
+        let res = store.top_k(&Tensor::row(vectors[0].clone()), vectors.len(), None);
+        assert_eq!(res.len(), n);
         for pair in res.windows(2) {
-            assert!(pair[0].similarity >= pair[1].similarity - 1e-6);
+            assert!(
+                pair[0].similarity > pair[1].similarity
+                    || (pair[0].similarity == pair[1].similarity && pair[0].id < pair[1].id)
+            );
         }
     }
 }
