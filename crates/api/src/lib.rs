@@ -302,7 +302,7 @@ pub struct ConfigResponse {
     pub schema_version: u32,
     /// Request-handling worker threads (HTTP concurrency).
     pub workers: usize,
-    /// Kernel compute threads (the shared pool's width).
+    /// Embedding-store refresh threads (the `--threads` width).
     pub threads: usize,
     /// Maximum requests one batched forward serves.
     pub max_batch: usize,

@@ -1,26 +1,31 @@
-//! Kernel microbench — times four matmul arms per shape (naive,
-//! forced-scalar packed, runtime-dispatched SIMD at 1 thread and at N
-//! threads), the GELU kernel over one feed-forward block (libm-`tanh`
-//! reference, dispatched, forced scalar), the batched CLS-embedding
-//! path at 1 thread vs N threads and GE retrieval (the embedding
-//! store's exact top-k scan), writes `BENCH_kernels.json`, and
-//! **exits non-zero** when
+//! Kernel microbench — times three matmul arms per shape (naive,
+//! forced-scalar packed, runtime-dispatched SIMD), the GELU kernel over
+//! one feed-forward block (libm-`tanh` reference, dispatched, forced
+//! scalar), the batched CLS-embedding path (the store refresh, the one
+//! fan-out in the tree) at 1 thread vs N threads and GE retrieval (the
+//! embedding store's exact top-k scan), writes `BENCH_kernels.json`,
+//! and **exits non-zero** when
 //!
-//! - the parallel results diverge bytewise from the serial ones,
+//! - the N-thread `embed_cls_batch` diverges bytewise from the
+//!   1-thread one,
 //! - the SIMD arm's bytes differ from the forced-scalar fallback's
 //!   (they are designed bitwise-equal — divergence is a kernel bug), for
 //!   a matmul or for GELU,
 //! - the store's top-k differs in bits from a full sort of every
 //!   similarity, or
 //! - the host dispatches AVX2 but the median `simd_speedup`
-//!   (forced-scalar time over SIMD time, serial) lands under 1.2× on the
-//!   two largest shapes.
+//!   (forced-scalar time over SIMD time) lands under 1.2× on the two
+//!   largest shapes.
 //!
 //! Every arm runs once in each of [`ROUNDS`] interleaved rounds (every
 //! arm of round r before any arm of round r + 1), so a slow spell on a
 //! shared host spreads over all arms instead of landing on one. Each
 //! timing and speedup is recorded as `{median, q1, q3}` over the rounds,
-//! and the bitwise checks run in every round.
+//! and the bitwise checks run in every round. The quartiles come from
+//! rounds inside one process, so they say nothing about how fast the
+//! host is from one run to the next: comparing two commits on
+//! `BENCH_kernels.json` needs alternating runs of both binaries, as
+//! e2ebench's pairs do.
 //!
 //! The first three matmul shapes are the encoder's own products (seq 32,
 //! d 32, d_ff 64) and carry no speedup floor; GELU records its max
@@ -30,10 +35,10 @@
 //! The JSON records which dispatch tier (`avx2`/`neon`/`scalar`)
 //! actually ran, so a flat speedup on a scalar-only container is
 //! interpretable from the artifact alone rather than alarming. When the
-//! machine has fewer cores than the N-thread pool, the thread-scaling
-//! fields (`parallel_speedup`, `thread_efficiency`, `speedup`) are
-//! recorded as `"skipped"`: an oversubscribed pool measures contention,
-//! not scaling. The bitwise parallel == serial checks run regardless.
+//! machine has fewer cores than N, the embedding arm's thread-scaling
+//! fields (`speedup`, `thread_efficiency`) are recorded as `"skipped"`:
+//! an oversubscribed split measures contention, not scaling. Its
+//! bitwise N-thread == 1-thread check runs regardless.
 
 use explainti_bench::{write_json, MAX_SEQ, VOCAB_CAP};
 use explainti_core::{build_tokenizer, EmbeddingStore, Neighbor, TaskData};
@@ -41,7 +46,6 @@ use explainti_corpus::{generate_wiki, WikiConfig};
 use explainti_encoder::{EncoderConfig, TransformerEncoder};
 use explainti_nn::simd::{self, SimdTier};
 use explainti_nn::{ParamStore, Tensor};
-use explainti_pool::ThreadPool;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde_json::{json, Value};
@@ -145,7 +149,6 @@ struct MatmulArm {
     naive_ms: Vec<f64>,
     scalar_ms: Vec<f64>,
     simd_ms: Vec<f64>,
-    parallel_ms: Vec<f64>,
 }
 
 /// One retrieval store size: the store, its queries, each query's
@@ -162,7 +165,7 @@ struct RetrievalArm {
 fn main() {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     // Run the width CI cares about even on narrower machines, so the
-    // bitwise parallel == serial checks always see a multi-thread pool;
+    // bitwise parallel == serial check always sees a multi-thread split;
     // the scaling numbers are only reported when the cores exist.
     let par_threads = cores.max(4);
     let scaling = |x: Value| if cores >= par_threads { x } else { json!("skipped") };
@@ -174,15 +177,13 @@ fn main() {
         tier.name()
     );
 
-    let pool1 = ThreadPool::new(1);
-    let pool_n = ThreadPool::new(par_threads);
     let mut rng = SmallRng::seed_from_u64(0xbe9c);
     let mut failed = false;
 
     // -- Inputs, drawn once and shared by every round -----------------------
     // Several matmul shapes so a flat speedup is diagnosable from the
     // artifact alone: ns/flop separates "kernel got slower" from "problem
-    // too small to amortise fan-out".
+    // too small to amortise dispatch".
     let mut matmul: Vec<MatmulArm> = SHAPES
         .iter()
         .map(|&(m, k, n)| MatmulArm {
@@ -194,7 +195,6 @@ fn main() {
             naive_ms: Vec::new(),
             scalar_ms: Vec::new(),
             simd_ms: Vec::new(),
-            parallel_ms: Vec::new(),
         })
         .collect();
 
@@ -245,17 +245,12 @@ fn main() {
             let (a, b) = (&arm.a, &arm.b);
             let (naive_ms, reference) = time_ms(arm.reps, || a.matmul_naive(b));
             simd::force_tier(SimdTier::Scalar);
-            let (scalar_ms, scalar_out) = time_ms(arm.reps, || a.matmul_in(b, &pool1));
+            let (scalar_ms, scalar_out) = time_ms(arm.reps, || a.matmul(b));
             simd::force_tier(tier);
-            let (simd_ms, serial) = time_ms(arm.reps, || a.matmul_in(b, &pool1));
-            let (parallel_ms, parallel) = time_ms(arm.reps, || a.matmul_in(b, &pool_n));
+            let (simd_ms, simd_out) = time_ms(arm.reps, || a.matmul(b));
             simd::reset_tier();
 
-            if !bits_equal(&serial, &parallel) {
-                eprintln!("FAIL: round {round}: parallel matmul {m}x{k}x{n} diverges from serial");
-                failed = true;
-            }
-            if !bits_equal(&serial, &scalar_out) {
+            if !bits_equal(&simd_out, &scalar_out) {
                 eprintln!(
                     "FAIL: round {round}: {} matmul {m}x{k}x{n} is not bitwise-equal to the \
                      scalar fallback",
@@ -263,7 +258,7 @@ fn main() {
                 );
                 failed = true;
             }
-            let worst_err = serial
+            let worst_err = simd_out
                 .as_slice()
                 .iter()
                 .zip(reference.as_slice())
@@ -276,7 +271,6 @@ fn main() {
             arm.naive_ms.push(naive_ms);
             arm.scalar_ms.push(scalar_ms);
             arm.simd_ms.push(simd_ms);
-            arm.parallel_ms.push(parallel_ms);
         }
 
         // -- GELU over one feed-forward block -------------------------------
@@ -313,12 +307,12 @@ fn main() {
             series.push(ms);
         }
 
-        // -- Batched CLS embedding (the serving hot path) -------------------
+        // -- Batched CLS embedding (the store refresh) ----------------------
         explainti_pool::configure(1);
         let (serial_ms, embeds_serial) = time_ms(3, || encoder.embed_cls_batch(&store, &encs));
         explainti_pool::configure(par_threads);
         let (parallel_ms, embeds_parallel) = time_ms(3, || encoder.embed_cls_batch(&store, &encs));
-        explainti_pool::configure(explainti_pool::Threads::resolve(None).get());
+        explainti_pool::configure(explainti_pool::Threads::resolve(None).threads());
         if embeds_serial != embeds_parallel {
             eprintln!("FAIL: round {round}: parallel embed_cls_batch diverges from serial");
             failed = true;
@@ -356,8 +350,6 @@ fn main() {
         let flops = 2.0 * m as f64 * k as f64 * n as f64;
         let simd_speedup = ratios(&arm.scalar_ms, &arm.simd_ms);
         let naive_speedup = ratios(&arm.naive_ms, &arm.simd_ms);
-        let par_speedup = ratios(&arm.simd_ms, &arm.parallel_ms);
-        let efficiency: Vec<f64> = par_speedup.iter().map(|s| s / par_threads as f64).collect();
         let gated = which + GATE_SHAPES >= SHAPES.len();
         if gated && tier == SimdTier::Avx2 && median(&simd_speedup) < SIMD_SPEEDUP_FLOOR {
             eprintln!(
@@ -369,14 +361,12 @@ fn main() {
         }
         let us = |v: &[f64]| median(v) * 1e3;
         println!(
-            "matmul {m}x{k}x{n}:  naive {:.1} µs | scalar@1 {:.1} µs | {}@1 {:.1} µs | \
-             {}@{par_threads} {:.1} µs | simd {:.2}x | vs-naive {:.2}x",
+            "matmul {m}x{k}x{n}:  naive {:.1} µs | scalar {:.1} µs | {} {:.1} µs | \
+             simd {:.2}x | vs-naive {:.2}x",
             us(&arm.naive_ms),
             us(&arm.scalar_ms),
             tier.name(),
             us(&arm.simd_ms),
-            tier.name(),
-            us(&arm.parallel_ms),
             median(&simd_speedup),
             median(&naive_speedup),
         );
@@ -388,14 +378,11 @@ fn main() {
             "naive_ms": spread(&arm.naive_ms),
             "scalar_serial_ms": spread(&arm.scalar_ms),
             "simd_serial_ms": spread(&arm.simd_ms),
-            "simd_parallel_ms": spread(&arm.parallel_ms),
             "ns_per_flop_naive": ns_per_flop(&arm.naive_ms),
             "ns_per_flop_scalar": ns_per_flop(&arm.scalar_ms),
             "ns_per_flop_simd": ns_per_flop(&arm.simd_ms),
             "simd_speedup": spread(&simd_speedup),
             "simd_speedup_vs_naive": spread(&naive_speedup),
-            "parallel_speedup": scaling(spread(&par_speedup)),
-            "thread_efficiency": scaling(spread(&efficiency)),
             "speedup_gated": gated,
         }));
     }

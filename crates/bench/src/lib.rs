@@ -1,8 +1,12 @@
 //! # explainti-bench
 //!
 //! The reproduction harness: one binary per table/figure of the paper
-//! (`table2`–`table5`, `fig3`, `fig5`, `fig6`, `fig7`, `online_sim`) plus
-//! Criterion micro-benches for the efficiency-critical kernels.
+//! (`table2`–`table5`, `fig3`, `fig5`, `fig6`, `fig7`, `online_sim`), the
+//! `ablation` bin, and four measurement bins: `kernels` (matmul, GELU,
+//! batched embedding and GE retrieval timings with bitwise checks),
+//! `loadgen` (socket-level load against the server), `swapdrill` (hot
+//! swaps under traffic) and `obs_snapshot` (per-stage telemetry of one
+//! train + evaluate cycle).
 //!
 //! Every binary reads `EXPLAINTI_SCALE` (default 1.0) to grow or shrink
 //! the corpora and training budget consistently; results print in the

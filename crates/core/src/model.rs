@@ -663,42 +663,18 @@ impl ExplainTi {
     }
 
     /// Predicts a micro-batch of pre-encoded ad-hoc columns (type task)
-    /// on one inference-engine build — the entry point the inference
-    /// server's batching collector drains into. Results are in input
-    /// order and identical to per-sample [`Self::predict_encoded`] calls.
+    /// on one inference-engine build and one scratch, on the calling
+    /// thread — the entry point the inference server's workers drain
+    /// into. Results are in input order and identical to per-sample
+    /// [`Self::predict_encoded`] calls.
     pub fn predict_encoded_batch(&self, encs: &[explainti_tokenizer::Encoded]) -> Vec<Prediction> {
         let _span = explainti_obs::span!("model.predict_batch");
         let task = self.task_index(TaskKind::Type).expect("type task not registered");
         let engine = InferenceEncoder::new(&self.encoder, &self.store);
-        let pool = explainti_pool::global();
-        let chunks = pool.threads().min(encs.len());
-        if chunks <= 1 {
-            return self.predict_encoded_chunk(&engine, task, encs);
-        }
-        // Per-sequence forwards are independent (each chunk gets its own
-        // scratch, each sample its own head tape), so splitting the batch
-        // across the pool yields byte-identical predictions to the serial
-        // path in input order.
-        let chunk_len = encs.len().div_ceil(chunks);
-        let slices: Vec<&[explainti_tokenizer::Encoded]> = encs.chunks(chunk_len).collect();
-        explainti_obs::set_gauge("model.predict_batch.chunks", slices.len() as f64);
-        pool.map(slices.len(), |i| self.predict_encoded_chunk(&engine, task, slices[i]))
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-
-    /// One scratch per chunk: the worker of [`Self::predict_encoded_batch`].
-    fn predict_encoded_chunk(
-        &self,
-        engine: &InferenceEncoder<'_>,
-        task: usize,
-        encs: &[explainti_tokenizer::Encoded],
-    ) -> Vec<Prediction> {
         let mut scratch = engine.scratch();
         encs.iter()
             .map(|enc| {
-                Self::prediction_from(self.infer(engine, &mut scratch, task, enc, None, true))
+                Self::prediction_from(self.infer(&engine, &mut scratch, task, enc, None, true))
             })
             .collect()
     }

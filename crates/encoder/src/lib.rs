@@ -202,25 +202,36 @@ impl TransformerEncoder {
     }
 
     /// Batched [`Self::embed_cls`] (the embedding-store refresh): one
-    /// engine build for the whole batch, whose sequences split over the
-    /// global pool in input order.
+    /// engine build for the whole batch, split into `min(width, len)`
+    /// contiguous chunks on scoped threads (the width is
+    /// [`explainti_pool::global`]). The calling thread runs the first
+    /// chunk; a panicking chunk re-raises its own payload here.
     pub fn embed_cls_batch(&self, store: &ParamStore, encs: &[Encoded]) -> Vec<Tensor> {
         let _span = explainti_obs::span!("encoder.embed_cls_batch");
         let engine = InferenceEncoder::new(self, store);
-        let pool = explainti_pool::global();
-        let chunks = pool.threads().min(encs.len());
+        let chunks = explainti_pool::global().threads().min(encs.len());
         if chunks <= 1 {
             return embed_cls_chunk(&engine, encs);
         }
         // Each chunk runs independent forwards on its own scratch, so the
         // per-sequence results equal the serial path's.
         let chunk_len = encs.len().div_ceil(chunks);
-        let slices: Vec<&[Encoded]> = encs.chunks(chunk_len).collect();
+        let mut slices = encs.chunks(chunk_len);
         explainti_obs::set_gauge("encoder.batch.chunks", slices.len() as f64);
-        pool.map(slices.len(), |i| embed_cls_chunk(&engine, slices[i]))
-            .into_iter()
-            .flatten()
-            .collect()
+        let first = slices.next().unwrap_or_default();
+        let engine = &engine;
+        std::thread::scope(|s| {
+            let rest: Vec<_> =
+                slices.map(|chunk| s.spawn(move || embed_cls_chunk(engine, chunk))).collect();
+            let mut out = embed_cls_chunk(engine, first);
+            for handle in rest {
+                match handle.join() {
+                    Ok(rows) => out.extend(rows),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            out
+        })
     }
 
     /// Serialises only the encoder's weights (pre-trained checkpoint).
@@ -325,18 +336,61 @@ mod tests {
         assert_eq!(batch[1], singles[1]);
     }
 
+    /// Serialises the tests that set the process-wide width, and
+    /// restores the resolved width when dropped.
+    struct Width(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
+
+    impl Width {
+        fn lock() -> Self {
+            static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+            Self(LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner()))
+        }
+    }
+
+    impl Drop for Width {
+        fn drop(&mut self) {
+            explainti_pool::configure(explainti_pool::Threads::resolve(None).threads());
+        }
+    }
+
     #[test]
     fn batch_embed_is_identical_across_pool_widths() {
         let (tok, enc, store, _) = setup();
         let words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"];
         let encs: Vec<_> =
             words.iter().map(|w| encode_column(&tok, w, "header", &["cell"], 16)).collect();
+        let _width = Width::lock();
         explainti_pool::configure(1);
         let serial = enc.embed_cls_batch(&store, &encs);
         explainti_pool::configure(4);
         let parallel = enc.embed_cls_batch(&store, &encs);
-        explainti_pool::configure(explainti_pool::Threads::resolve(None).get());
-        assert_eq!(serial, parallel, "pool width must not change embeddings");
+        assert_eq!(serial, parallel, "the width must not change embeddings");
+    }
+
+    #[test]
+    fn batch_embed_reraises_a_chunk_panic_with_its_payload() {
+        let (tok, enc, store, _) = setup();
+        let mut encs: Vec<_> = ["alpha", "beta", "gamma", "delta"]
+            .iter()
+            .map(|w| encode_column(&tok, w, "header", &["cell"], 16))
+            .collect();
+        // The last sequence lands in the spawned chunk at width 2.
+        encs[3].ids[1] = tok.vocab_size();
+        let _width = Width::lock();
+        explainti_pool::configure(2);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            enc.embed_cls_batch(&store, &encs)
+        }));
+        let payload = caught.expect_err("an out-of-vocabulary id must panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(
+            msg.starts_with("embedding id") && msg.contains("out of range"),
+            "the chunk's own payload must reach the caller, got {msg:?}"
+        );
     }
 
     #[test]

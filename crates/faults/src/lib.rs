@@ -222,9 +222,8 @@ pub fn triggered(site: &str) -> bool {
 /// Checks the named site and panics when it trips.
 ///
 /// For sites whose contracted effect *is* a panic (worker-recovery
-/// drills like `serve.worker.panic` / `pool.task.panic`): keeping the
-/// `panic!` here means panic-free production paths stay free of panic
-/// machinery — the only way those paths can panic is through an armed
+/// drills like `serve.worker.panic`): keeping the `panic!` here means
+/// panic-free production paths stay free of panic machinery — the only way those paths can panic is through an armed
 /// failpoint, which the analyzer's EA003 check keeps catalogued.
 #[inline]
 pub fn panic_if_triggered(site: &str) {

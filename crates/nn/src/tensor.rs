@@ -9,39 +9,26 @@
 //! ## Matmul kernels
 //!
 //! The three products (`A·B`, `Aᵀ·B`, `A·Bᵀ`) are blocked kernels: the
-//! non-contiguous operand is packed into a transposed panel once, each
-//! output row is then a run of contiguous fixed-order dot products or
-//! axpy sweeps (now executed by the runtime-dispatched SIMD kernels in
-//! [`crate::simd`], whose AVX2 and scalar arms are bitwise equivalent),
-//! and row blocks are distributed over the shared [`explainti_pool`]
-//! when the product is large enough to amortise dispatch. Every output
-//! element is computed by exactly one task with an accumulation order
-//! that depends only on the shapes — **results are byte-identical for
-//! every thread count and every dispatch tier**, which the serve
-//! integration tests, `tests/simd_kernels.rs`, and the `kernels` bench
-//! binary all assert. Below `PACK_MIN` rows (columns for `Aᵀ·B`) the
-//! single-threaded loops `matmul_naive`/`matmul_tn_naive` run instead:
-//! they are live small-shape fallbacks as well as the references the
-//! property tests compare against. `A·Bᵀ` has no fallback; its naive
-//! reference lives in `tests/matmul_kernels.rs`.
+//! non-contiguous operand is packed into a transposed panel once, and
+//! each output row is then a run of contiguous fixed-order dot products
+//! or axpy sweeps (executed by the runtime-dispatched SIMD kernels in
+//! [`crate::simd`], whose AVX2 and scalar arms are bitwise equivalent).
+//! Every kernel runs in one pass on the calling thread, and each output
+//! element's accumulation order depends only on the shapes — **results
+//! are byte-identical for every dispatch tier**, which
+//! `tests/simd_kernels.rs` and the `kernels` bench binary assert. Below
+//! `PACK_MIN` rows (columns for `Aᵀ·B`) the loops
+//! `matmul_naive`/`matmul_tn_naive` run instead: they are live
+//! small-shape fallbacks as well as the references the property tests
+//! compare against. `A·Bᵀ` has no fallback; its naive reference lives in
+//! `tests/matmul_kernels.rs`.
 //!
 //! [`matmul_packed_into`] and [`matmul_nt_into`] expose the `A·B` and
 //! `A·Bᵀ` kernels on slices, `A·B` from a pre-packed `Bᵀ`, so the
 //! tape-free inference encoder packs each weight once per build and
 //! still gets the tape's bits.
 
-use explainti_pool::ThreadPool;
 use std::fmt;
-
-/// Mul-adds below which a product is never parallelised: dispatching a
-/// pool job costs a few microseconds, so the encoder's tiny per-token
-/// products (32×32×32 ≈ 33k mul-adds) stay inline while batch-scale
-/// products (≥ 64×64×64) fan out.
-const PAR_MIN_FLOPS: usize = 1 << 18;
-
-/// Output rows per pool task. Fixed — never derived from the thread
-/// count — so how a product is split can never change what it computes.
-const ROW_BLOCK: usize = 32;
 
 /// Minimum output rows (for `matmul`) or columns (for `matmul_tn`)
 /// before packing a transposed panel pays for itself; below it the
@@ -59,9 +46,9 @@ fn note_dispatch() {
     }
 }
 
-/// Walks a block of output rows two at a time (odd leftover handled by
+/// Walks the output rows two at a time (an odd last row is handled by
 /// `one`), so the paired kernel can stream the shared packed panel once
-/// per output-row pair. `bi` is the row index within the block.
+/// per output-row pair. The closures get the row index.
 fn paired_rows(
     rows_out: &mut [f32],
     n: usize,
@@ -69,110 +56,49 @@ fn paired_rows(
     mut two: impl FnMut(usize, &mut [f32], &mut [f32]),
 ) {
     let mut chunks = rows_out.chunks_mut(n);
-    let mut bi = 0;
+    let mut i = 0;
     while let Some(out0) = chunks.next() {
         match chunks.next() {
             Some(out1) => {
-                two(bi, out0, out1);
-                bi += 2;
+                two(i, out0, out1);
+                i += 2;
             }
             None => {
-                one(bi, out0);
-                bi += 1;
+                one(i, out0);
+                i += 1;
             }
         }
     }
 }
 
-/// A `*mut f32` that may cross threads.
-///
-/// # Safety contract (callers in this module)
-/// Each pool task derives a slice from a **disjoint** row range of the
-/// output buffer, and the pool's scope blocks until every task is done,
-/// so no aliasing or dangling access is possible.
-struct SendMut(*mut f32);
-// SAFETY: every task writes only its own disjoint row range and the
-// pool scope joins before the buffer is touched again (contract above).
-unsafe impl Send for SendMut {}
-// SAFETY: shared access is read-only pointer arithmetic; writes through
-// the derived slices never overlap across tasks (contract above).
-unsafe impl Sync for SendMut {}
-
-impl SendMut {
-    /// Method (not field) access so closures capture the `SendMut`
-    /// wrapper itself rather than disjointly capturing the raw pointer.
-    fn get(&self) -> *mut f32 {
-        self.0
-    }
-}
-
-/// Runs `body(row_start, row_end, out_rows)` over `[0, rows)` split
-/// into fixed [`ROW_BLOCK`] chunks, in parallel when the product is
-/// big enough, inline otherwise. `out` is the full `rows * cols`
-/// output buffer; each invocation receives only its own rows.
-fn for_row_blocks<F>(rows: usize, cols: usize, flops: usize, out: &mut [f32], body: F)
-where
-    F: Fn(usize, usize, &mut [f32]) + Sync,
-{
-    debug_assert_eq!(out.len(), rows * cols);
-    if flops < PAR_MIN_FLOPS || rows <= ROW_BLOCK {
-        body(0, rows, out);
-        return;
-    }
-    let pool = explainti_pool::global();
-    if pool.threads() == 1 {
-        body(0, rows, out);
-        return;
-    }
-    for_row_blocks_in(&pool, rows, cols, out, body);
-}
-
-/// The parallel split itself, on an explicit pool (tests drive this
-/// directly to compare widths).
-fn for_row_blocks_in<F>(pool: &ThreadPool, rows: usize, cols: usize, out: &mut [f32], body: F)
-where
-    F: Fn(usize, usize, &mut [f32]) + Sync,
-{
-    let blocks = rows.div_ceil(ROW_BLOCK);
-    if blocks <= 1 {
-        body(0, rows, out);
-        return;
-    }
-    let _span = explainti_obs::span!("nn.kernel.par");
-    let base = SendMut(out.as_mut_ptr());
-    pool.scope(blocks, |b| {
-        let start = b * ROW_BLOCK;
-        let end = (start + ROW_BLOCK).min(rows);
-        // SAFETY: blocks index disjoint row ranges of `out`, and
-        // `scope` joins every task before `out`'s borrow ends.
-        let rows_out = unsafe {
-            std::slice::from_raw_parts_mut(base.get().add(start * cols), (end - start) * cols)
-        };
-        body(start, end, rows_out);
-    });
-}
-
 /// The packed kernel behind every blocked product: `out[i][j] =
 /// dot(a_i, b_j)` over row-major `a` (`rows × k`) and `b` (`n × k`),
-/// output rows paired over the shared panel and row blocks split over
-/// `pool` (or the global pool when the product is large enough).
-fn nt_rows(a: &[f32], b: &[f32], k: usize, n: usize, pool: Option<&ThreadPool>, out: &mut [f32]) {
+/// output rows paired over the shared panel.
+fn nt_rows(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
     note_dispatch();
-    let rows = out.len() / n;
-    let body = |start: usize, _end: usize, rows_out: &mut [f32]| {
-        let a_row = |i: usize| &a[(start + i) * k..(start + i + 1) * k];
-        paired_rows(
-            rows_out,
-            n,
-            |bi, out_row| crate::simd::row_times_rows(a_row(bi), b, k, out_row),
-            |bi, out0, out1| {
-                crate::simd::rows2_times_rows(a_row(bi), a_row(bi + 1), b, k, out0, out1)
-            },
-        );
-    };
-    match pool {
-        Some(p) => for_row_blocks_in(p, rows, n, out, body),
-        None => for_row_blocks(rows, n, rows * k * n, out, body),
+    let a_row = |i: usize| &a[i * k..(i + 1) * k];
+    paired_rows(
+        out,
+        n,
+        |i, out_row| crate::simd::row_times_rows(a_row(i), b, k, out_row),
+        |i, out0, out1| crate::simd::rows2_times_rows(a_row(i), a_row(i + 1), b, k, out0, out1),
+    );
+}
+
+/// The kernel behind [`Tensor::matmul_tn`]: output row `i` is a fixed
+/// k-order axpy sweep of `b`'s rows scaled by the packed `at = Aᵀ` row
+/// `i`. Kept out of line: inlined into `matmul_tn`, this loop measured
+/// 1.15–1.4× slower at the encoder's shapes (32×32×32, 32×32×64,
+/// 32×64×32; best of 8 alternating runs on a 2-vCPU AVX2 host).
+#[inline(never)]
+fn tn_rows(at: &Tensor, b: &Tensor, n: usize, out: &mut [f32]) {
+    for (i, out_row) in out.chunks_mut(n).enumerate() {
+        for (k, &a) in at.row_slice(i).iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            crate::simd::axpy(a, b.row_slice(k), out_row);
+        }
     }
 }
 
@@ -196,7 +122,7 @@ fn product_rows(a: &[f32], b: &[f32], k: usize, n: usize, out: &[f32]) -> usize 
 pub fn matmul_nt_into(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
     product_rows(a, b, k, n, out);
     if n > 0 {
-        nt_rows(a, b, k, n, None, out);
+        nt_rows(a, b, k, n, out);
     }
 }
 
@@ -212,7 +138,7 @@ pub fn matmul_packed_into(a: &[f32], bt: &[f32], k: usize, n: usize, out: &mut [
         return;
     }
     if rows >= PACK_MIN {
-        nt_rows(a, bt, k, n, None, out);
+        nt_rows(a, bt, k, n, out);
         return;
     }
     for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
@@ -358,22 +284,9 @@ impl Tensor {
     /// Matrix product `self (r x k) * other (k x c) -> (r x c)`.
     ///
     /// Blocked kernel: packs `otherᵀ` once so every output element is a
-    /// contiguous fixed-order [`dot`], then splits output row blocks over
-    /// the global pool when the product is large enough. Small products
-    /// fall back to [`Tensor::matmul_naive`].
+    /// contiguous fixed-order [`dot`]. Small products fall back to
+    /// [`Tensor::matmul_naive`].
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        self.matmul_dispatch(other, None)
-    }
-
-    /// [`Tensor::matmul`] on an explicit pool, bypassing the size gate.
-    /// Exists so the kernel property tests can compare pool widths; the
-    /// result is byte-identical to `matmul` whenever shapes agree on the
-    /// packing decision.
-    pub fn matmul_in(&self, other: &Tensor, pool: &ThreadPool) -> Tensor {
-        self.matmul_dispatch(other, Some(pool))
-    }
-
-    fn matmul_dispatch(&self, other: &Tensor, pool: Option<&ThreadPool>) -> Tensor {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} * {}x{}",
@@ -384,7 +297,7 @@ impl Tensor {
         }
         let bt = other.transpose();
         let mut out = Tensor::zeros(self.rows, other.cols);
-        nt_rows(&self.data, &bt.data, self.cols, other.cols, pool, &mut out.data);
+        nt_rows(&self.data, &bt.data, self.cols, other.cols, &mut out.data);
         out
     }
 
@@ -417,17 +330,8 @@ impl Tensor {
 
     /// `self^T * other`, without materialising the transpose of the
     /// product. Packs `selfᵀ` once so each output row streams `other`
-    /// with a fixed k-order axpy sweep; row blocks split over the pool.
+    /// with a fixed k-order axpy sweep.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        self.matmul_tn_dispatch(other, None)
-    }
-
-    /// [`Tensor::matmul_tn`] on an explicit pool (see [`Tensor::matmul_in`]).
-    pub fn matmul_tn_in(&self, other: &Tensor, pool: &ThreadPool) -> Tensor {
-        self.matmul_tn_dispatch(other, Some(pool))
-    }
-
-    fn matmul_tn_dispatch(&self, other: &Tensor, pool: Option<&ThreadPool>) -> Tensor {
         assert_eq!(
             self.rows, other.rows,
             "matmul_tn shape mismatch: {}x{} ^T * {}x{}",
@@ -440,22 +344,7 @@ impl Tensor {
         let at = self.transpose();
         let n = other.cols;
         let mut out = Tensor::zeros(self.cols, n);
-        let flops = self.rows * self.cols * n;
-        let body = |start: usize, _end: usize, rows_out: &mut [f32]| {
-            for (bi, out_row) in rows_out.chunks_mut(n).enumerate() {
-                let at_row = at.row_slice(start + bi);
-                for (k, &a) in at_row.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    crate::simd::axpy(a, other.row_slice(k), out_row);
-                }
-            }
-        };
-        match pool {
-            Some(p) => for_row_blocks_in(p, self.cols, n, &mut out.data, body),
-            None => for_row_blocks(self.cols, n, flops, &mut out.data, body),
-        }
+        tn_rows(&at, other, n, &mut out.data);
         out
     }
 
@@ -488,17 +377,8 @@ impl Tensor {
     /// `self * other^T`, without materialising the transpose. Both
     /// operands are already row-major along the reduction axis, so no
     /// packing is needed: every output element is a fixed-order [`dot`]
-    /// of two contiguous rows, with row blocks split over the pool.
+    /// of two contiguous rows.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        self.matmul_nt_dispatch(other, None)
-    }
-
-    /// [`Tensor::matmul_nt`] on an explicit pool (see [`Tensor::matmul_in`]).
-    pub fn matmul_nt_in(&self, other: &Tensor, pool: &ThreadPool) -> Tensor {
-        self.matmul_nt_dispatch(other, Some(pool))
-    }
-
-    fn matmul_nt_dispatch(&self, other: &Tensor, pool: Option<&ThreadPool>) -> Tensor {
         assert_eq!(
             self.cols, other.cols,
             "matmul_nt shape mismatch: {}x{} * {}x{} ^T",
@@ -509,7 +389,7 @@ impl Tensor {
         if n == 0 {
             return out;
         }
-        nt_rows(&self.data, &other.data, self.cols, n, pool, &mut out.data);
+        nt_rows(&self.data, &other.data, self.cols, n, &mut out.data);
         out
     }
 

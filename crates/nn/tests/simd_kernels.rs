@@ -3,16 +3,15 @@
 //! The contract under test (DESIGN.md §16): every dispatch arm of the f32
 //! kernels — AVX2, NEON, and the 8-lane-unrolled scalar fallback — is
 //! **bitwise equivalent**, so forcing the fallback on a SIMD host must
-//! reproduce the exact same bytes, across every pool width, on shapes
-//! chosen to stress the remainder handling (primes, degenerate rows, and
-//! lengths that are not a multiple of the 8-wide vector).
+//! reproduce the exact same bytes, on shapes chosen to stress the
+//! remainder handling (primes, degenerate rows, and lengths that are not
+//! a multiple of the 8-wide vector).
 //!
 //! Tier forcing is process-global, so every test serialises on one mutex
 //! and restores detection before releasing it.
 
 use explainti_nn::simd::{self, SimdTier};
 use explainti_nn::Tensor;
-use explainti_pool::ThreadPool;
 use std::sync::{Mutex, MutexGuard};
 
 /// Serialises tier-mutating tests; the guard re-detects on drop so a
@@ -124,34 +123,20 @@ fn matmul_nt_simd_is_bitwise_equal_to_forced_scalar() {
 }
 
 #[test]
-fn kernels_are_bitwise_stable_across_pool_widths_and_tiers() {
+fn large_kernels_are_bitwise_stable_across_tiers() {
     let _guard = TierGuard::lock();
     let native = detected();
-    // Big enough to clear PAR_MIN_FLOPS so wide pools genuinely split it.
+    // Large enough that every kernel runs its packed, paired-row path
+    // over many SIMD blocks.
     let (m, k, n) = (96, 80, 72);
     let a = tensor(71, m, k);
     let b = tensor(73, k, n);
     let bt = tensor(73, n, k);
     let at = tensor(71, k, m);
-    let mut reference: Option<(Vec<u32>, Vec<u32>, Vec<u32>)> = None;
-    for tier in [native, SimdTier::Scalar] {
-        for width in [1usize, 2, 4] {
-            let pool = ThreadPool::new(width);
-            let got = with_tier(tier, || {
-                (
-                    bits(&a.matmul_in(&b, &pool)),
-                    bits(&at.matmul_tn_in(&b, &pool)),
-                    bits(&a.matmul_nt_in(&bt, &pool)),
-                )
-            });
-            match &reference {
-                None => reference = Some(got),
-                Some(want) => {
-                    assert_eq!(want, &got, "kernel bytes changed at tier {:?} width {width}", tier);
-                }
-            }
-        }
-    }
+    let run = |tier| {
+        with_tier(tier, || (bits(&a.matmul(&b)), bits(&at.matmul_tn(&b)), bits(&a.matmul_nt(&bt))))
+    };
+    assert_eq!(run(native), run(SimdTier::Scalar), "kernel bytes changed at tier {native:?}");
 }
 
 #[test]

@@ -9,11 +9,10 @@
 //!   sequence never collides (SplitMix64 is a bijection).
 //! - [`SpanCapture`] — a shareable accumulator of span durations. While
 //!   installed on a thread (RAII guard), every closing [`span!`](crate::span!)
-//!   adds its duration under its name. The kernel thread pool re-installs
-//!   the submitting thread's capture around each task, so spans fired on
-//!   pool workers (`explain.le`, `model.forward`, …) attribute to the
-//!   request that submitted the batch rather than vanishing into
-//!   whichever thread ran them.
+//!   adds its duration under its name. A serve worker installs one around
+//!   each batch forward, which runs on that worker, so its spans
+//!   (`explain.le`, `model.forward`, …) attribute to the requests in the
+//!   batch.
 //! - [`RequestTrace`] — the wide-event builder: one JSONL record per
 //!   request carrying the trace id, status, and a canonical per-stage
 //!   duration map ([`STAGES`]) that mirrors the paper's Table V
@@ -122,8 +121,8 @@ type StageSums = BTreeMap<&'static str, u64>;
 ///
 /// Install it on a thread with [`SpanCapture::install`]; while the
 /// returned guard lives, every span closing on that thread adds its
-/// duration here. Clones share the same accumulator, which is how the
-/// thread pool extends one request's capture across kernel workers.
+/// duration here. Clones share the same accumulator, so a clone
+/// installed on another thread feeds it too.
 #[derive(Clone)]
 pub struct SpanCapture {
     sums: Arc<OrderedMutex<StageSums>>,
@@ -174,12 +173,6 @@ impl Drop for CaptureGuard {
 thread_local! {
     /// The capture currently receiving this thread's span closes.
     static ACTIVE_CAPTURE: RefCell<Option<SpanCapture>> = const { RefCell::new(None) };
-}
-
-/// The thread's active capture, if any — the thread pool snapshots this
-/// at job submission and re-installs it around each task.
-pub fn current_capture() -> Option<SpanCapture> {
-    ACTIVE_CAPTURE.with(|c| c.borrow().clone())
 }
 
 /// Feeds one closed span into the active capture (called by

@@ -56,17 +56,18 @@ use crate::queue::BatchQueue;
 
 /// How the server is sized; every knob has a CLI flag.
 ///
-/// The kernel pool's width is process-wide, not a server knob: size it
-/// with `explainti_pool::configure` (the CLI's `--threads`) before
-/// [`start`]. `/v1/config` reports that width as `threads`. Every swap
-/// runs a smoke prediction on the candidate before it commits.
+/// Each forward runs on the worker that popped it, so `workers` is the
+/// serving path's only parallelism. The process-wide
+/// `explainti_pool` width (the CLI's `--threads`) sizes only the
+/// embedding-store refresh at boot and at every swap; `/v1/config`
+/// reports it as `threads`. Every swap runs a smoke prediction on the
+/// candidate before it commits.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:8080` (`:0` for an ephemeral port).
     pub addr: String,
     /// Worker threads answering requests from the queue: they bound
-    /// how many requests are in flight, while the kernel pool bounds how
-    /// much CPU each forward uses.
+    /// how many requests, and so how many forwards, are in flight.
     pub workers: usize,
     /// Maximum requests one batched forward serves.
     pub max_batch: usize,
@@ -466,9 +467,8 @@ fn run_batch(shared: &Shared, mut batch: Vec<Pending>) {
         std::thread::sleep(Duration::from_millis(50));
     }
     let forward_at = Instant::now();
-    // Capture every span the forward closes — including those on
-    // kernel-pool threads, which re-install this capture around each
-    // task — so per-request wide events can attribute predict/LE/GE/SE.
+    // Capture every span the forward closes on this worker, so
+    // per-request wide events can attribute predict/LE/GE/SE.
     let capture = explainti_obs::SpanCapture::new();
     // A panicking forward (injected via `serve.worker.panic` or real)
     // must not kill the worker: recover, re-enqueue each request within
@@ -486,7 +486,6 @@ fn run_batch(shared: &Shared, mut batch: Vec<Pending>) {
     };
     let (predict_ns, [le_ns, ge_ns, se_ns]) = forward_stages(
         capture.get("model.predict_batch"),
-        capture.get("model.forward"),
         ["explain.le", "explain.ge", "explain.se"].map(|view| capture.get(view)),
     );
 
@@ -522,21 +521,11 @@ fn run_batch(shared: &Shared, mut batch: Vec<Pending>) {
 }
 
 /// Splits a batch forward's wall time `wall_ns` between `predict` and
-/// the three explanation views (LE, GE, SE). The views' captured span
-/// sums are thread time across the kernel pool and can exceed the wall
-/// time, so each view gets the share of the wall that its thread time
-/// has of the forwards' thread time `forward_ns` (the views run inside
-/// `model.forward`); `predict` keeps the rest. The four stages are
-/// disjoint and sum to `wall_ns`, and `predict` is positive whenever
-/// the encoder ran.
-fn forward_stages(wall_ns: u64, forward_ns: u64, views_ns: [u64; 3]) -> (u64, [u64; 3]) {
-    let thread_ns = forward_ns.max(views_ns.iter().sum());
-    if thread_ns == 0 {
-        return (wall_ns, [0; 3]);
-    }
-    let views =
-        views_ns.map(|ns| (u128::from(wall_ns) * u128::from(ns) / u128::from(thread_ns)) as u64);
-    (wall_ns - views.iter().sum::<u64>(), views)
+/// the three explanation views (LE, GE, SE). The forward runs on this
+/// worker, so each view's captured span sum is wall time inside it: the
+/// views are charged as measured and `predict` keeps the rest.
+fn forward_stages(wall_ns: u64, views_ns: [u64; 3]) -> (u64, [u64; 3]) {
+    (wall_ns.saturating_sub(views_ns.iter().sum()), views_ns)
 }
 
 /// Re-enqueues the requests of a panicked forward once, on the
@@ -1048,17 +1037,11 @@ mod tests {
     use super::forward_stages;
 
     #[test]
-    fn forward_stages_split_the_wall_time_when_views_outrun_it() {
-        // Two pool threads: 3,000 ns of forwards in 1,000 ns of wall
-        // time, with 2,700 ns of views — more than the wall itself.
-        let (predict, views) = forward_stages(1_000, 3_000, [900, 1_200, 600]);
+    fn forward_stages_charge_views_as_measured() {
+        let (predict, views) = forward_stages(1_000, [300, 400, 200]);
         assert_eq!(views, [300, 400, 200]);
         assert_eq!(predict, 100);
-        // Floors never push the views past the wall.
-        let (predict, views) = forward_stages(1_001, 3_001, [1_000, 1_000, 1_000]);
-        assert_eq!(predict + views.iter().sum::<u64>(), 1_001);
-        assert!(predict > 0);
         // No forward captured: the wall is all predict.
-        assert_eq!(forward_stages(500, 0, [0; 3]), (500, [0; 3]));
+        assert_eq!(forward_stages(500, [0; 3]), (500, [0; 3]));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The serving layer shares one `Mutex<LruCache>` between every
 //! connection handler and worker thread; these tests drive that exact
-//! arrangement from N shared-pool threads and check the invariants the
+//! arrangement from N scoped threads and check the invariants the
 //! server depends on:
 //!
 //! * **capacity**: `len() <= capacity()` at every observation point;
@@ -38,6 +38,17 @@ impl Rng {
     }
 }
 
+/// Runs `f(0)`, …, `f(n - 1)` on `n` scoped threads; a thread's panic
+/// fails the test.
+fn on_threads(n: usize, f: impl Fn(usize) + Sync) {
+    std::thread::scope(|s| {
+        for t in 0..n {
+            let f = &f;
+            s.spawn(move || f(t));
+        }
+    });
+}
+
 const THREADS: usize = 8;
 const OPS_PER_THREAD: usize = 4_000;
 const CAPACITY: usize = 32;
@@ -45,14 +56,13 @@ const KEY_SPACE: u64 = 96; // 3x capacity → constant eviction pressure
 
 #[test]
 fn concurrent_mixed_workload_upholds_invariants() {
-    explainti_pool::configure(THREADS);
     let cache: Mutex<LruCache<u64, u64>> = Mutex::new(LruCache::new(CAPACITY));
     let hits = AtomicU64::new(0);
     let misses = AtomicU64::new(0);
     let inserts = AtomicU64::new(0);
     let evictions = AtomicU64::new(0);
 
-    explainti_pool::global().scope(THREADS, |t| {
+    on_threads(THREADS, |t| {
         let mut rng = Rng::new(0xC0FFEE + t as u64);
         for _ in 0..OPS_PER_THREAD {
             let key = rng.next() % KEY_SPACE;
@@ -112,11 +122,10 @@ fn no_lost_updates_for_disjoint_key_ranges() {
     const KEYS_EACH: u64 = 4;
     const N: usize = 8;
     assert!(N as u64 * KEYS_EACH <= 32);
-    explainti_pool::configure(N);
     let cache: Mutex<LruCache<u64, u64>> = Mutex::new(LruCache::new(32));
     let evicted = AtomicU64::new(0);
 
-    explainti_pool::global().scope(N, |t| {
+    on_threads(N, |t| {
         let base = t as u64 * KEYS_EACH;
         for round in 0..500u64 {
             for k in base..base + KEYS_EACH {
@@ -144,8 +153,7 @@ fn eviction_count_matches_overflow_exactly() {
     // K distinct keys into a cap-C cache; exactly K - C evictions.
     let cache: Mutex<LruCache<u64, u64>> = Mutex::new(LruCache::new(16));
     let evictions = AtomicU64::new(0);
-    explainti_pool::configure(4);
-    explainti_pool::global().scope(4, |t| {
+    on_threads(4, |t| {
         // Disjoint key ranges so "distinct keys" holds across threads.
         for i in 0..64u64 {
             let key = t as u64 * 64 + i;

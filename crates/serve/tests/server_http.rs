@@ -14,8 +14,8 @@ use explainti_core::{ExplainTi, ExplainTiConfig};
 use explainti_serve::{start, ServeConfig};
 use serde_json::Value;
 
-/// Tests that resize the process-wide kernel pool hold this, so one
-/// cannot resize it between another's `configure` and `start`.
+/// Tests that set the process-wide width hold this, so one cannot
+/// change it between another's `configure` and its use.
 static POOL: Mutex<()> = Mutex::new(());
 
 fn pool_lock() -> MutexGuard<'static, ()> {
@@ -245,16 +245,15 @@ fn config_endpoint_reports_effective_knobs() {
     handle.shutdown();
     handle.join();
 
-    // Restore the process-wide pool for the other tests in this binary.
-    explainti_pool::configure(explainti_pool::Threads::resolve(None).get());
+    // Restore the process-wide width for the other tests in this binary.
+    explainti_pool::configure(explainti_pool::Threads::resolve(None).threads());
 }
 
-/// The acceptance gate for the parallel kernels: the same requests
-/// served with `--threads 1` and `--threads 4` must produce
+/// The width (`--threads`) sizes only the embedding-store refresh: a
+/// model built and refreshed at width 1 and one at width 4 must serve
 /// byte-identical response bodies.
 #[test]
 fn parallel_and_serial_serving_are_byte_identical() {
-    let (model, labels) = tiny_model();
     let _pool = pool_lock();
     let table = r#"{"title":"1998 world cup","columns":[
         {"header":"country","cells":["france","brazil","croatia"]},
@@ -264,6 +263,8 @@ fn parallel_and_serial_serving_are_byte_identical() {
 
     let serve_once = |threads: usize| {
         explainti_pool::configure(threads);
+        // Built after the width is set, so its refresh feeds the bodies.
+        let (model, labels) = tiny_model();
         let cfg = ServeConfig {
             workers: 2,
             // Fresh cache per run: answers must match because the compute
@@ -271,7 +272,7 @@ fn parallel_and_serial_serving_are_byte_identical() {
             cache_cap: 4,
             ..Default::default()
         };
-        let mut handle = start(Arc::clone(&model), labels.clone(), cfg).expect("start server");
+        let mut handle = start(model, labels, cfg).expect("start server");
         let addr = handle.addr();
         let (s1, single) = request(&addr, "POST", "/v1/interpret", col);
         let (s2, multi) = request(&addr, "POST", "/v1/interpret", table);
@@ -286,7 +287,7 @@ fn parallel_and_serial_serving_are_byte_identical() {
     assert_eq!(serial.0, parallel.0, "single-column response diverged across thread counts");
     assert_eq!(serial.1, parallel.1, "table response diverged across thread counts");
 
-    explainti_pool::configure(explainti_pool::Threads::resolve(None).get());
+    explainti_pool::configure(explainti_pool::Threads::resolve(None).threads());
 }
 
 /// A table is one queue entry, however many columns it has: a table at

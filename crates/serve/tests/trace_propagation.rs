@@ -110,7 +110,6 @@ fn wide_events_cover_every_stage_and_join_on_trace_ids() {
     explainti_obs::set_trace_writer(Box::new(buf.clone()));
 
     let (model, labels) = tiny_model();
-    explainti_pool::configure(2);
     let cfg = ServeConfig {
         workers: 2,
         max_batch: 8,
@@ -148,7 +147,7 @@ fn wide_events_cover_every_stage_and_join_on_trace_ids() {
         let ns = stages.get(key).and_then(Value::as_u64).unwrap();
         assert!(ns > 0, "stage {key} unexpectedly zero in {event:?}");
     }
-    // The explanation views ran (captured across the kernel pool).
+    // The explanation views ran (captured on the worker).
     let views: u64 = ["explain_le", "explain_ge", "explain_se"]
         .iter()
         .filter_map(|k| stages.get(*k).and_then(Value::as_u64))
@@ -209,5 +208,4 @@ fn wide_events_cover_every_stage_and_join_on_trace_ids() {
     handle.shutdown();
     handle.join();
     explainti_obs::close_trace();
-    explainti_pool::configure(explainti_pool::Threads::resolve(None).get());
 }

@@ -66,8 +66,8 @@ impl LockClass {
 
 /// Every lock class in the workspace, ranks mirroring `LOCKS.registry`.
 ///
-/// Rank bands: serve front-end 10–40, core 45, pool 50–58, bench 70–74,
-/// faults 80, obs 90–95 (obs is innermost: it is called from inside
+/// Rank bands: serve front-end 10–40, core 45, bench 70–74, faults 80,
+/// obs 90–95 (obs is innermost: it is called from inside
 /// nearly every other critical section, never the reverse).
 pub mod classes {
     use super::LockClass;
@@ -82,16 +82,6 @@ pub mod classes {
     pub static SERVE_CACHE: LockClass = LockClass::new("serve.cache", 40);
     /// Live model generation pointer (hot-swap `RwLock`).
     pub static CORE_GENERATION: LockClass = LockClass::new("core.generation", 45);
-    /// Thread-pool job queue state.
-    pub static POOL_STATE: LockClass = LockClass::new("pool.state", 50);
-    /// First captured panic payload of a pool job.
-    pub static POOL_JOB_PANIC: LockClass = LockClass::new("pool.job.panic", 52);
-    /// Pool job completion flag (condvar-paired).
-    pub static POOL_JOB_DONE: LockClass = LockClass::new("pool.job.done", 54);
-    /// Per-task result slot of `ThreadPool::map`.
-    pub static POOL_MAP_SLOT: LockClass = LockClass::new("pool.map.slot", 56);
-    /// Process-global pool handle (`configure` swaps it).
-    pub static POOL_GLOBAL: LockClass = LockClass::new("pool.global", 58);
     /// Load-generator latency samples.
     pub static BENCH_LOADGEN_LATENCIES: LockClass = LockClass::new("bench.loadgen.latencies", 70);
     /// Load-generator captured error traces.
@@ -557,11 +547,6 @@ mod tests {
             &classes::SERVE_QUEUE_BATCH,
             &classes::SERVE_CACHE,
             &classes::CORE_GENERATION,
-            &classes::POOL_STATE,
-            &classes::POOL_JOB_PANIC,
-            &classes::POOL_JOB_DONE,
-            &classes::POOL_MAP_SLOT,
-            &classes::POOL_GLOBAL,
             &classes::BENCH_LOADGEN_LATENCIES,
             &classes::BENCH_LOADGEN_ERRORS,
             &classes::BENCH_LOADGEN_QUEUE_CURVE,

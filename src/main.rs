@@ -13,13 +13,14 @@
 //!
 //! Every command accepts `--trace-out <trace.jsonl>` to stream telemetry
 //! span events as JSONL, and honours `EXPLAINTI_LOG=off|info|debug`.
-//! Every command also accepts `--threads <N>` to size the shared kernel
-//! compute pool (default: `EXPLAINTI_THREADS`, then all cores). For
-//! `serve` the two thread knobs are distinct: `--workers` bounds how many
-//! requests are processed concurrently, while `--threads` bounds how
-//! many cores each batched forward may use.
-//! Results never depend on `--threads` — kernels are deterministic by
-//! construction — only latency does.
+//! Every command also accepts `--threads <N>` to size the embedding-store
+//! refresh, which splits its batch over that many threads at load, at
+//! every hot swap and in every training epoch (default:
+//! `EXPLAINTI_THREADS`, then all cores). For `serve` the two thread knobs
+//! are distinct: `--workers` is how many forwards run at once, each on
+//! its own worker, while `--threads` sizes only the refresh.
+//! Results never depend on `--threads` — every chunk computes what the
+//! serial path computes — only latency does.
 //! Unless telemetry is off, a per-stage latency table prints to stderr at
 //! the end of the run.
 //!
@@ -46,7 +47,7 @@ use std::sync::Arc;
 
 fn with_common(spec: CommandSpec) -> CommandSpec {
     spec.value("trace-out", "FILE", "stream telemetry span events to FILE as JSONL")
-        .value("threads", "N", "kernel compute threads (default: EXPLAINTI_THREADS or all cores)")
+        .value("threads", "N", "store-refresh threads (default: EXPLAINTI_THREADS or all cores)")
         .value(
             "failpoints",
             "SPEC",
@@ -363,13 +364,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // Size the shared kernel pool before any compute runs. `--threads`
-    // wins over `EXPLAINTI_THREADS`, which wins over the core count.
-    // (Serve's `--workers` is different: it bounds concurrent requests,
-    // while this bounds CPU per forward.)
+    // Set the refresh width before any compute runs. `--threads` wins
+    // over `EXPLAINTI_THREADS`, which wins over the core count. (Serve's
+    // `--workers` is different: it bounds concurrent forwards.)
     match args.get_opt::<usize>("threads") {
         Ok(explicit) => {
-            explainti::pool::configure(explainti::pool::Threads::resolve(explicit).get())
+            explainti::pool::configure(explainti::pool::Threads::resolve(explicit).threads())
         }
         Err(e) => {
             eprintln!("error: {e}");
