@@ -49,6 +49,7 @@ impl SeqClassifier {
         sel.set(predicted, 0, 1.0);
         let sel_n = g.input(sel);
         let scalar = g.matmul(logits, sel_n);
+        g.keep_grad(input);
         g.backward(scalar);
         let grad = g.grad(input);
         let x = g.value(input);

@@ -1,9 +1,9 @@
 //! Kernel microbench — times three matmul arms per shape (naive,
 //! forced-scalar packed, runtime-dispatched SIMD), the GELU kernel over
 //! one feed-forward block (libm-`tanh` reference, dispatched, forced
-//! scalar), the batched CLS-embedding path (the store refresh, the one
-//! fan-out in the tree) at 1 thread vs N threads and GE retrieval (the
-//! embedding store's exact top-k scan), writes `BENCH_kernels.json`,
+//! scalar), the batched CLS-embedding path (the store refresh, one of
+//! the `--threads` fan-outs) at 1 thread vs N threads and GE retrieval
+//! (the embedding store's exact top-k scan), writes `BENCH_kernels.json`,
 //! and **exits non-zero** when
 //!
 //! - the N-thread `embed_cls_batch` diverges bytewise from the
@@ -38,7 +38,9 @@
 //! machine has fewer cores than N, the embedding arm's thread-scaling
 //! fields (`speedup`, `thread_efficiency`) are recorded as `"skipped"`:
 //! an oversubscribed split measures contention, not scaling. Its
-//! bitwise N-thread == 1-thread check runs regardless.
+//! bitwise N-thread == 1-thread check runs regardless and is recorded
+//! as `embed_cls_batch.matches_serial`; `all_checks_passed` is false
+//! when any of the checks above failed.
 
 use explainti_bench::{write_json, MAX_SEQ, VOCAB_CAP};
 use explainti_core::{build_tokenizer, EmbeddingStore, Neighbor, TaskData};
@@ -179,6 +181,7 @@ fn main() {
 
     let mut rng = SmallRng::seed_from_u64(0xbe9c);
     let mut failed = false;
+    let mut embed_matches_serial = true;
 
     // -- Inputs, drawn once and shared by every round -----------------------
     // Several matmul shapes so a flat speedup is diagnosable from the
@@ -315,6 +318,7 @@ fn main() {
         explainti_pool::configure(explainti_pool::Threads::resolve(None).threads());
         if embeds_serial != embeds_parallel {
             eprintln!("FAIL: round {round}: parallel embed_cls_batch diverges from serial");
+            embed_matches_serial = false;
             failed = true;
         }
         embed_ms[0].push(serial_ms);
@@ -456,9 +460,10 @@ fn main() {
             "parallel_ms": spread(&embed_ms[1]),
             "speedup": scaling(spread(&embed_speedup)),
             "thread_efficiency": scaling(spread(&embed_efficiency)),
+            "matches_serial": embed_matches_serial,
         }),
         "retrieval": json!(retrieval),
-        "parallel_matches_serial": !failed,
+        "all_checks_passed": !failed,
     });
     write_json("BENCH_kernels", &summary);
 

@@ -68,6 +68,13 @@ pub(crate) struct SampleForward {
     pub structural: Vec<StructuralNeighbor>,
 }
 
+/// Everything one training forward of a sample draws from the model RNG,
+/// in draw order: the encoder's dropout masks, then SE's neighbours.
+pub(crate) struct SampleDraws {
+    masks: Vec<Tensor>,
+    neighbours: Vec<usize>,
+}
+
 /// The end-to-end ExplainTI model.
 pub struct ExplainTi {
     /// Model configuration (ablation switches included).
@@ -224,23 +231,60 @@ impl ExplainTi {
     }
 
     /// Full tape forward over one sample, producing all logits and
-    /// explanation bundles: the training path, which back-propagates
-    /// through the encoder. Training advances the model RNG (dropout
-    /// masks, SE neighbour draws).
+    /// explanation bundles, as the trainer runs it when `training` (the
+    /// model RNG advances by exactly [`Self::draw_sample`]) or on the tape
+    /// without dropout otherwise.
+    #[cfg(test)]
     pub(crate) fn forward_sample(
         &mut self,
         task: usize,
         sample_idx: usize,
         training: bool,
     ) -> SampleForward {
+        let draws = training.then(|| {
+            let mut rng = self.rng.clone();
+            let draws = self.draw_sample(task, sample_idx, &mut rng);
+            self.rng = rng;
+            draws
+        });
+        self.forward_drawn(task, sample_idx, draws.as_ref())
+    }
+
+    /// Draws from `rng`, in order, everything one training forward of
+    /// `sample_idx` consumes. The training step and the trainer's in-order
+    /// pre-pass both call it, and [`Self::forward_drawn`] draws nothing,
+    /// so a batch's samples can run in any order on any thread.
+    pub(crate) fn draw_sample(
+        &self,
+        task: usize,
+        sample_idx: usize,
+        rng: &mut SmallRng,
+    ) -> SampleDraws {
+        let masks = self.encoder.draw_dropout_masks(rng);
+        let neighbours = if self.cfg.use_se {
+            self.sample_structural(task, sample_idx, rng)
+        } else {
+            Vec::new()
+        };
+        SampleDraws { masks, neighbours }
+    }
+
+    /// Full tape forward over one sample, producing all logits and
+    /// explanation bundles, under pre-drawn `draws` (a training pass,
+    /// which back-propagates through the encoder) or none (no dropout).
+    pub(crate) fn forward_drawn(
+        &self,
+        task: usize,
+        sample_idx: usize,
+        draws: Option<&SampleDraws>,
+    ) -> SampleForward {
         let _span = explainti_obs::span!("model.forward");
-        let encoded = self.tasks[task].data.samples[sample_idx].encoded.clone();
-        let mut rng = self.rng.clone();
+        let encoded = &self.tasks[task].data.samples[sample_idx].encoded;
         let mut g = Graph::new();
-        let emb = self.encoder.forward(&mut g, &self.store, &encoded, training, &mut rng);
-        let fwd = self.heads(g, emb, task, &encoded, Some(sample_idx), training, true, &mut rng);
-        self.rng = rng;
-        fwd
+        let masks = draws.map_or(&[][..], |d| &d.masks);
+        let (emb, _) = self.encoder.forward_masked(&mut g, &self.store, encoded, masks);
+        let neighbours = draws.map(|d| &d.neighbours[..]);
+        self.heads(g, emb, task, encoded, Some(sample_idx), neighbours, true)
     }
 
     /// Inference forward over one encoded sequence: the tape-free
@@ -260,17 +304,15 @@ impl ExplainTi {
         let e = engine.forward(encoded, scratch);
         let mut g = Graph::new();
         let emb = g.input(Tensor::from_vec(encoded.ids.len(), engine.d_model(), e.to_vec()));
-        // Inference consumes no randomness (SE's eval path derives its own
-        // per-node draw), but the heads thread one through for training.
-        let mut rng = SmallRng::seed_from_u64(self.cfg.seed);
-        self.heads(g, emb, task, encoded, node, false, with_views, &mut rng)
+        self.heads(g, emb, task, encoded, node, None, with_views)
     }
 
     /// The heads over the encoder output `emb` on tape `g`. `node` is the
     /// sample's column-graph node when it exists in the task data; ad-hoc
     /// inputs (e.g. freshly ingested CSV columns) pass `None`, in which
     /// case SE falls back to self-attention and GE retrieves without
-    /// self-exclusion.
+    /// self-exclusion. `train_neighbours` is SE's drawn neighbours on a
+    /// training pass and `None` at inference.
     ///
     /// Takes `&self`: the prediction path reads shared state only, so
     /// concurrent callers (the inference server's worker pool) can share
@@ -283,11 +325,11 @@ impl ExplainTi {
         task: usize,
         encoded: &explainti_tokenizer::Encoded,
         node: Option<usize>,
-        training: bool,
+        train_neighbours: Option<&[usize]>,
         with_views: bool,
-        rng: &mut SmallRng,
     ) -> SampleForward {
         let kind = self.tasks[task].data.kind;
+        let training = train_neighbours.is_some();
         let g = &mut graph;
         let cls = self.encoder.cls(g, emb);
         let cls_value = g.value(cls).clone();
@@ -297,7 +339,7 @@ impl ExplainTi {
         // (Eq. 1). Computed first so LE's relevance scores compare window
         // distributions against the *actual* prediction distribution.
         let (final_logits, structural) = if self.cfg.use_se {
-            self.structural_explanations(task, g, cls, &cls_value, node, training, rng)
+            self.structural_explanations(task, g, cls, &cls_value, node, train_neighbours)
         } else {
             let base = self.tasks[task].heads.w.forward(g, &self.store, cls);
             (base, Vec::new())
@@ -526,8 +568,15 @@ impl ExplainTi {
         (Some(l_g), infl)
     }
 
+    /// Algorithm 4's neighbour draw: `sample_r` column-graph neighbours
+    /// of `sample_idx` that are in the embedding store, drawn from `rng`.
+    fn sample_structural(&self, task: usize, sample_idx: usize, rng: &mut SmallRng) -> Vec<usize> {
+        let state = &self.tasks[task];
+        let pred = |n: usize| n != sample_idx && state.q.has(n);
+        state.data.graph.sample_neighbors(sample_idx, self.cfg.sample_r, Some(&pred), rng)
+    }
+
     /// Algorithm 4: graph-attention aggregation and structural logits.
-    #[allow(clippy::too_many_arguments)]
     fn structural_explanations(
         &self,
         task: usize,
@@ -535,30 +584,23 @@ impl ExplainTi {
         cls: NodeId,
         cls_value: &Tensor,
         node: Option<usize>,
-        training: bool,
-        rng: &mut SmallRng,
+        train_neighbours: Option<&[usize]>,
     ) -> (NodeId, Vec<StructuralNeighbor>) {
         let _span = explainti_obs::span!("explain.se");
-        let r = self.cfg.sample_r;
-        let state = &self.tasks[task];
-        let q = &state.q;
         // Training samples fresh neighbours per step (the paper's uniform
-        // sampling); inference uses a per-node deterministic draw so
-        // predictions are reproducible. Ad-hoc inputs (node = None) have
-        // no graph node and fall through to the self-attention fallback.
-        let sampled = match node {
-            Some(sample_idx) => {
-                let pred = |n: usize| n != sample_idx && q.has(n);
-                if training {
-                    state.data.graph.sample_neighbors(sample_idx, r, Some(&pred), rng)
-                } else {
-                    let mut eval_rng = SmallRng::seed_from_u64(
-                        self.cfg.seed ^ (sample_idx as u64).wrapping_mul(0x9e3779b97f4a7c15),
-                    );
-                    state.data.graph.sample_neighbors(sample_idx, r, Some(&pred), &mut eval_rng)
-                }
+        // sampling), drawn by `draw_sample`; inference uses a per-node
+        // deterministic draw so predictions are reproducible. Ad-hoc
+        // inputs (node = None) have no graph node and fall through to the
+        // self-attention fallback.
+        let sampled = match (train_neighbours, node) {
+            (Some(drawn), _) => drawn.to_vec(),
+            (None, Some(sample_idx)) => {
+                let mut eval_rng = SmallRng::seed_from_u64(
+                    self.cfg.seed ^ (sample_idx as u64).wrapping_mul(0x9e3779b97f4a7c15),
+                );
+                self.sample_structural(task, sample_idx, &mut eval_rng)
             }
-            None => Vec::new(),
+            (None, None) => Vec::new(),
         };
 
         let d = self.encoder.d_model();
@@ -717,24 +759,28 @@ impl ExplainTi {
         }
     }
 
-    /// Evaluates F1 over a split of a task.
+    /// Evaluates F1 over a split of a task. The split's samples are
+    /// predicted in contiguous chunks on [`explainti_pool::map_chunks`],
+    /// each independently, so the scores do not depend on the width.
     pub fn evaluate(&self, kind: TaskKind, split: Split) -> F1Scores {
         let _span = explainti_obs::span!("evaluate");
         let task = self.task_index(kind).expect("task not registered");
-        let indices = self.tasks[task].data.indices(split).to_vec();
-        let num_classes = self.tasks[task].data.num_classes;
+        let data = &self.tasks[task].data;
+        let indices = data.indices(split);
         let engine = InferenceEncoder::new(&self.encoder, &self.store);
-        let mut scratch = engine.scratch();
-        let mut preds = Vec::with_capacity(indices.len());
-        let mut actual = Vec::with_capacity(indices.len());
-        for idx in indices {
-            let encoded = &self.tasks[task].data.samples[idx].encoded;
-            let fwd = self.infer(&engine, &mut scratch, task, encoded, Some(idx), false);
-            let logits = fwd.graph.value(fwd.final_logits);
-            preds.push(logits.argmax_row(0));
-            actual.push(self.tasks[task].data.samples[idx].label);
-        }
-        f1_scores(&preds, &actual, num_classes)
+        let preds = explainti_pool::map_chunks(indices, |chunk| {
+            let mut scratch = engine.scratch();
+            chunk
+                .iter()
+                .map(|&idx| {
+                    let encoded = &data.samples[idx].encoded;
+                    let fwd = self.infer(&engine, &mut scratch, task, encoded, Some(idx), false);
+                    fwd.graph.value(fwd.final_logits).argmax_row(0)
+                })
+                .collect()
+        });
+        let actual: Vec<usize> = indices.iter().map(|&idx| data.samples[idx].label).collect();
+        f1_scores(&preds, &actual, data.num_classes)
     }
 }
 
@@ -922,6 +968,36 @@ mod tests {
             let p = h.join().unwrap();
             assert_eq!(p.label, expected.label);
             assert_eq!(p.probs, expected.probs);
+        }
+    }
+
+    /// The forward draws nothing itself: a training `forward_sample`
+    /// advances the model RNG exactly as `draw_sample` does, for both
+    /// tasks, with SE (neighbour draws) on and off.
+    #[test]
+    fn a_training_forward_draws_exactly_draw_sample() {
+        let state = |rng: &SmallRng| format!("{rng:?}");
+        for use_se in [true, false] {
+            let mut m = model();
+            m.cfg.use_se = use_se;
+            for task in 0..m.tasks.len() {
+                m.refresh_store(task);
+            }
+            for task in 0..m.tasks.len() {
+                let data = &m.tasks[task].data;
+                let sample = *data
+                    .train_idx
+                    .iter()
+                    .find(|&&i| data.graph.neighbors(i).iter().any(|&n| m.tasks[task].q.has(n)))
+                    .expect("some training sample has stored neighbours");
+                let start = m.rng.clone();
+                let mut drawn = start.clone();
+                let draws = m.draw_sample(task, sample, &mut drawn);
+                assert_eq!(draws.neighbours.is_empty(), !use_se, "task {task}, SE {use_se}");
+                m.forward_sample(task, sample, true);
+                assert_ne!(state(&m.rng), state(&start), "a training forward draws");
+                assert_eq!(state(&m.rng), state(&drawn), "task {task}, SE {use_se}");
+            }
         }
     }
 

@@ -8,12 +8,20 @@
 //! initialised before the first epoch and refreshed every
 //! `refresh_epochs` epochs. The epoch with the best validation
 //! F1-weighted is restored at the end (the paper's model selection).
+//!
+//! A mini-batch's samples train on `min(width, batch)` threads (the
+//! `--threads` width, [`explainti_pool::fold_in_order`]), and the trained
+//! weights are the same bits at every width: the caller draws each
+//! sample's randomness from the model RNG in sample order before the
+//! fan-out, and the per-sample gradients and losses are added in sample
+//! order.
 
 use crate::config::TaskKind;
 use crate::model::ExplainTi;
 use explainti_corpus::Split;
 use explainti_metrics::F1Scores;
-use explainti_nn::{AdamW, LinearSchedule};
+use explainti_nn::{AdamW, Graph, LinearSchedule};
+use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
@@ -92,14 +100,34 @@ impl ExplainTi {
                 let mut order = self.tasks[task].data.train_idx.clone();
                 order.shuffle(&mut self.rng);
                 let mut loss_sum = 0.0f32;
-                let mut loss_count = 0usize;
                 for batch in order.chunks(self.cfg.batch_size.max(1)) {
-                    for &idx in batch {
-                        loss_sum += self.train_step(task, idx);
-                        loss_count += 1;
-                    }
+                    // Each sample's RNG start state, drawn past in sample
+                    // order exactly as a serial loop would consume it.
+                    let mut rng = self.rng.clone();
+                    let starts: Vec<SmallRng> = batch
+                        .iter()
+                        .map(|&idx| {
+                            let start = rng.clone();
+                            self.draw_sample(task, idx, &mut rng);
+                            start
+                        })
+                        .collect();
+                    self.rng = rng;
+                    let mut grads = self.store.take_grads();
+                    let this = &*self;
+                    explainti_pool::fold_in_order(
+                        batch.len(),
+                        &mut (&mut grads, &mut loss_sum),
+                        |j| this.train_step(task, batch[j], starts[j].clone()),
+                        |(grads, loss_sum), (tape, loss)| {
+                            tape.flush_grads_into(grads);
+                            **loss_sum += loss;
+                        },
+                    );
+                    self.store.restore_grads(grads);
                     opt.step(&mut self.store);
                 }
+                let loss_count = order.len();
                 let kind = self.tasks[task].data.kind;
                 let valid_f1 = self.evaluate(kind, Split::Valid);
                 epoch_score += valid_f1.weighted;
@@ -135,11 +163,14 @@ impl ExplainTi {
         report
     }
 
-    /// One sample's forward/backward pass; returns the joint loss value.
-    fn train_step(&mut self, task: usize, idx: usize) -> f32 {
+    /// One sample's forward and backward pass, with its randomness drawn
+    /// from `rng` (the sample's start state); returns the swept tape and
+    /// the joint loss value.
+    fn train_step(&self, task: usize, idx: usize, mut rng: SmallRng) -> (Graph, f32) {
         let _span = explainti_obs::span!("train.step");
         let label = self.tasks[task].data.samples[idx].label;
-        let fwd = self.forward_sample(task, idx, true);
+        let draws = self.draw_sample(task, idx, &mut rng);
+        let fwd = self.forward_drawn(task, idx, Some(&draws));
         let mut g = fwd.graph;
         // L_S (Eq. 10 — or Eq. 1's base loss when SE is ablated).
         let l_s = g.cross_entropy(fwd.final_logits, &[label]);
@@ -158,8 +189,7 @@ impl ExplainTi {
         }
         let loss = g.value(total).as_slice()[0];
         g.backward(total);
-        g.flush_grads(&mut self.store);
-        loss
+        (g, loss)
     }
 }
 
@@ -185,6 +215,81 @@ mod tests {
         let f1 = m.evaluate(TaskKind::Type, explainti_corpus::Split::Train);
         assert!(f1.micro > 0.20, "train micro-F1 too low: {}", f1.micro);
         assert!(report.epochs.iter().all(|e| e.train_loss.is_finite()));
+    }
+
+    /// Serialises the tests that set the process-wide width, and
+    /// restores the resolved width when dropped.
+    struct Width(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
+
+    impl Width {
+        fn lock() -> Self {
+            static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+            Self(LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner()))
+        }
+    }
+
+    impl Drop for Width {
+        fn drop(&mut self) {
+            explainti_pool::configure(explainti_pool::Threads::resolve(None).threads());
+        }
+    }
+
+    /// A small two-task model whose mini-batches span several samples.
+    fn tiny_model(epochs: usize) -> ExplainTi {
+        let d = generate_wiki(&WikiConfig { num_tables: 10, seed: 35, ..Default::default() });
+        let mut cfg = ExplainTiConfig::bert_like(2048, 24);
+        cfg.epochs = epochs;
+        cfg.top_k = 4;
+        cfg.sample_r = 4;
+        cfg.window = 3;
+        ExplainTi::new(&d, cfg)
+    }
+
+    #[test]
+    fn trained_bits_do_not_depend_on_the_width() {
+        let _width = Width::lock();
+        let train_at = |threads: usize| {
+            explainti_pool::configure(threads);
+            let mut m = tiny_model(2);
+            let report = m.train();
+            let weights: Vec<u32> = m.export_all_weights().iter().map(|w| w.to_bits()).collect();
+            let losses: Vec<u32> = report.epochs.iter().map(|e| e.train_loss.to_bits()).collect();
+            (weights, losses)
+        };
+        let serial = train_at(1);
+        assert_eq!(serial.1.len(), 4, "two tasks, two epochs");
+        for threads in [2, 4] {
+            assert!(train_at(threads) == serial, "width {threads} moved the trained bits");
+        }
+    }
+
+    #[test]
+    fn a_panicking_sample_reraises_on_the_caller_without_hanging() {
+        let _width = Width::lock();
+        explainti_pool::configure(2);
+        let mut m = tiny_model(1);
+        let data = &mut m.tasks[0].data;
+        let bad = data.train_idx[data.train_idx.len() / 2];
+        data.samples[bad].label = data.num_classes;
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.train()));
+            let payload = caught.err().map(|p| {
+                p.downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default()
+            });
+            let _ = tx.send(payload);
+        });
+        let payload = rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("train hung after a sample panicked")
+            .expect("an out-of-range label must panic");
+        assert!(
+            payload.starts_with("target class") && payload.contains("out of range"),
+            "the sample's own payload must reach the caller, got {payload:?}"
+        );
     }
 
     #[test]

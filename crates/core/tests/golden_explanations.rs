@@ -4,7 +4,13 @@
 //! silently change what the model explains (PR 3's golden-JSON pattern,
 //! extended from wire bytes to explanation content).
 //!
-//! Floats are pinned via `f32::to_bits` hex, so the comparison is
+//! A second golden (`golden/trained.json`) pins what one epoch of
+//! training produces on the same corpus: the hash of the trained
+//! weights, each epoch's training loss and each validation F1. Training
+//! runs at the process's `--threads` width, so this also checks that
+//! the trained bits never depend on the width.
+//!
+//! Floats are pinned via `to_bits` hex, so the comparison is
 //! bitwise: the PR 3 kernels are byte-identical across thread counts by
 //! construction, and this test keeps them that way end-to-end.
 //!
@@ -12,7 +18,7 @@
 //!
 //! ```text
 //! EXPLAINTI_BLESS=1 cargo test -p explainti-core --test golden_explanations
-//! git diff crates/core/tests/golden/explanations.json  # review!
+//! git diff crates/core/tests/golden/  # review!
 //! ```
 
 use explainti_core::{ExplainTi, ExplainTiConfig, TaskKind};
@@ -46,15 +52,48 @@ fn bits(x: f32) -> String {
     format!("{:08x}", x.to_bits())
 }
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/explanations.json")
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
+}
+
+const SEED: u64 = 4242;
+const TABLES: usize = 16;
+
+fn model(epochs: usize) -> ExplainTi {
+    let d = generate_wiki(&WikiConfig { num_tables: TABLES, seed: SEED, ..Default::default() });
+    let mut cfg = ExplainTiConfig::bert_like(2048, 32);
+    cfg.epochs = epochs;
+    ExplainTi::new(&d, cfg)
+}
+
+/// Compares `got` with the golden file `name`, or rewrites it under
+/// `EXPLAINTI_BLESS`.
+fn check_golden(name: &str, got: &impl Serialize) {
+    let got = serde_json::to_string_pretty(got).unwrap() + "\n";
+    let path = golden_path(name);
+    if std::env::var("EXPLAINTI_BLESS").is_ok() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &got).unwrap();
+        eprintln!("blessed {}", path.display());
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); run with EXPLAINTI_BLESS=1 to create it",
+            path.display()
+        )
+    });
+    assert_eq!(
+        got,
+        want,
+        "output drifted from {}; if the change is intentional, re-bless with \
+         EXPLAINTI_BLESS=1 and review the diff",
+        path.display()
+    );
 }
 
 fn current() -> Golden {
-    const SEED: u64 = 4242;
-    const TABLES: usize = 16;
-    let d = generate_wiki(&WikiConfig { num_tables: TABLES, seed: SEED, ..Default::default() });
-    let mut model = ExplainTi::new(&d, ExplainTiConfig::bert_like(2048, 32));
+    let mut model = model(1);
     for task in 0..model.tasks().len() {
         model.refresh_store(task);
     }
@@ -83,27 +122,59 @@ fn current() -> Golden {
 
 #[test]
 fn explanations_match_golden() {
-    let got = serde_json::to_string_pretty(&current()).unwrap() + "\n";
-    let path = golden_path();
-    if std::env::var("EXPLAINTI_BLESS").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &got).unwrap();
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run with EXPLAINTI_BLESS=1 to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        got,
-        want,
-        "explanation output drifted from {}; if the change is intentional, re-bless with \
-         EXPLAINTI_BLESS=1 and review the diff",
-        path.display()
-    );
+    check_golden("explanations.json", &current());
+}
+
+/// One epoch-and-task entry of the training report, as bits.
+#[derive(Serialize)]
+struct GoldenEpoch {
+    epoch: usize,
+    task: String,
+    train_loss_bits: String,
+    /// `f64::to_bits` of the validation micro, macro and weighted F1.
+    valid_f1_bits: [String; 3],
+}
+
+#[derive(Serialize)]
+struct GoldenTrained {
+    corpus_seed: u64,
+    num_tables: usize,
+    epochs: usize,
+    /// FNV-1a 64 of the trained weights' little-endian bytes.
+    weights_fnv1a64: String,
+    report: Vec<GoldenEpoch>,
+}
+
+#[test]
+fn trained_weights_match_golden() {
+    const EPOCHS: usize = 1;
+    let mut model = model(EPOCHS);
+    let report = model.train();
+    let bytes: Vec<u8> =
+        model.export_all_weights().iter().flat_map(|w| w.to_bits().to_le_bytes()).collect();
+    let f64_bits = |x: f64| format!("{:016x}", x.to_bits());
+    let got = GoldenTrained {
+        corpus_seed: SEED,
+        num_tables: TABLES,
+        epochs: EPOCHS,
+        weights_fnv1a64: format!("{:016x}", explainti_core::fnv1a64(&bytes)),
+        report: report
+            .epochs
+            .iter()
+            .map(|e| GoldenEpoch {
+                epoch: e.epoch,
+                task: format!("{:?}", e.task),
+                train_loss_bits: bits(e.train_loss),
+                valid_f1_bits: [
+                    f64_bits(e.valid_f1.micro),
+                    f64_bits(e.valid_f1.macro_),
+                    f64_bits(e.valid_f1.weighted),
+                ],
+            })
+            .collect(),
+    };
+    assert_eq!(got.report.len(), 2 * EPOCHS, "both tasks train");
+    check_golden("trained.json", &got);
 }
 
 #[test]

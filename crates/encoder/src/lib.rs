@@ -165,22 +165,59 @@ impl TransformerEncoder {
         training: bool,
         rng: &mut SmallRng,
     ) -> (NodeId, NodeId) {
+        let masks = if training { self.draw_dropout_masks(rng) } else { Vec::new() };
+        self.forward_masked(g, store, enc, &masks)
+    }
+
+    /// Draws every dropout mask one training forward applies, in site
+    /// order: the embedding output, then each layer's attention and
+    /// feed-forward outputs (`1 + 2·n_layers` masks of
+    /// `max_seq x d_model`). Empty when the dropout probability is zero.
+    pub fn draw_dropout_masks(&self, rng: &mut SmallRng) -> Vec<Tensor> {
+        let (rows, cols) = (self.cfg.max_seq, self.cfg.d_model);
+        (0..self.dropout_sites()).filter_map(|_| self.dropout.draw(rows, cols, rng)).collect()
+    }
+
+    fn dropout_sites(&self) -> usize {
+        1 + 2 * self.layers.len()
+    }
+
+    /// The forward under pre-drawn dropout `masks`: the output of
+    /// [`Self::draw_dropout_masks`] for a training pass, empty for an
+    /// inference pass. Returns the embeddings and the input-sum node, as
+    /// [`Self::forward_with_input`] does.
+    ///
+    /// # Panics
+    /// Panics if `masks` is neither empty nor one mask per dropout site.
+    pub fn forward_masked(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        enc: &Encoded,
+        masks: &[Tensor],
+    ) -> (NodeId, NodeId) {
         let _span = explainti_obs::span!("encoder.forward");
         assert_eq!(enc.ids.len(), self.cfg.max_seq, "sequence length mismatch");
+        assert!(
+            masks.is_empty() || masks.len() == self.dropout_sites(),
+            "expected one dropout mask per site, got {}",
+            masks.len()
+        );
+        let mut masks = masks.iter();
         let positions: Vec<usize> = (0..enc.ids.len()).collect();
         let tok = self.tok_emb.forward(g, store, &enc.ids);
         let pos = self.pos_emb.forward(g, store, &positions);
         let sum = g.add(tok, pos);
         let normed = self.emb_ln.forward(g, store, sum);
-        let mut x = self.dropout.forward(g, normed, training, rng);
+        let mut x = self.dropout.apply(g, normed, masks.next());
         let mask = enc.pad_mask();
         for layer in &self.layers {
             let attn = layer.mha.forward(g, store, x, Some(&mask));
-            let attn = self.dropout.forward(g, attn, training, rng);
+            let attn = self.dropout.apply(g, attn, masks.next());
             let res1 = g.add(x, attn);
             let h = layer.ln1.forward(g, store, res1);
             let ff = layer.ff.forward(g, store, h);
-            let ff = self.dropout.forward(g, ff, training, rng);
+            let ff = self.dropout.apply(g, ff, masks.next());
             let res2 = g.add(h, ff);
             x = layer.ln2.forward(g, store, res2);
         }
@@ -202,36 +239,16 @@ impl TransformerEncoder {
     }
 
     /// Batched [`Self::embed_cls`] (the embedding-store refresh): one
-    /// engine build for the whole batch, split into `min(width, len)`
-    /// contiguous chunks on scoped threads (the width is
-    /// [`explainti_pool::global`]). The calling thread runs the first
-    /// chunk; a panicking chunk re-raises its own payload here.
+    /// engine build for the whole batch, split into contiguous chunks by
+    /// [`explainti_pool::map_chunks`]; a panicking chunk re-raises its
+    /// own payload here.
     pub fn embed_cls_batch(&self, store: &ParamStore, encs: &[Encoded]) -> Vec<Tensor> {
         let _span = explainti_obs::span!("encoder.embed_cls_batch");
         let engine = InferenceEncoder::new(self, store);
-        let chunks = explainti_pool::global().threads().min(encs.len());
-        if chunks <= 1 {
-            return embed_cls_chunk(&engine, encs);
-        }
+        explainti_obs::set_gauge("encoder.batch.chunks", explainti_pool::chunks(encs).len() as f64);
         // Each chunk runs independent forwards on its own scratch, so the
         // per-sequence results equal the serial path's.
-        let chunk_len = encs.len().div_ceil(chunks);
-        let mut slices = encs.chunks(chunk_len);
-        explainti_obs::set_gauge("encoder.batch.chunks", slices.len() as f64);
-        let first = slices.next().unwrap_or_default();
-        let engine = &engine;
-        std::thread::scope(|s| {
-            let rest: Vec<_> =
-                slices.map(|chunk| s.spawn(move || embed_cls_chunk(engine, chunk))).collect();
-            let mut out = embed_cls_chunk(engine, first);
-            for handle in rest {
-                match handle.join() {
-                    Ok(rows) => out.extend(rows),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            out
-        })
+        explainti_pool::map_chunks(encs, |chunk| embed_cls_chunk(&engine, chunk))
     }
 
     /// Serialises only the encoder's weights (pre-trained checkpoint).

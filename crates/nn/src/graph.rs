@@ -14,7 +14,7 @@
 //! Every backward rule is validated against finite differences in
 //! `tests/gradcheck.rs`.
 
-use crate::params::{ParamId, ParamStore};
+use crate::params::{Grads, ParamId, ParamStore};
 use crate::tensor::Tensor;
 
 /// Handle to a node in the computation graph.
@@ -83,6 +83,11 @@ struct Node {
     value: Tensor,
     grad: Option<Tensor>,
     op: Op,
+    /// Keep this interior node's gradient after `backward` has
+    /// propagated it ([`Graph::keep_grad`]).
+    keep_grad: bool,
+    /// `backward` propagated this node's gradient and then freed it.
+    grad_freed: bool,
 }
 
 /// A single forward pass's computation tape.
@@ -104,7 +109,7 @@ impl Graph {
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> NodeId {
-        self.nodes.push(Node { value, grad: None, op });
+        self.nodes.push(Node { value, grad: None, op, keep_grad: false, grad_freed: false });
         NodeId(self.nodes.len() - 1)
     }
 
@@ -114,7 +119,16 @@ impl Graph {
     }
 
     /// Gradient of a node (zeros if it never received one).
+    ///
+    /// # Panics
+    /// Panics for an interior node whose gradient [`Graph::backward`]
+    /// freed; ask for it with [`Graph::keep_grad`] before the sweep.
     pub fn grad(&self, id: NodeId) -> Tensor {
+        assert!(
+            !self.nodes[id.0].grad_freed,
+            "backward freed the gradient of interior node {}; call Graph::keep_grad before backward",
+            id.0
+        );
         match &self.nodes[id.0].grad {
             Some(g) => g.clone(),
             None => {
@@ -122,6 +136,14 @@ impl Graph {
                 Tensor::zeros(r, c)
             }
         }
+    }
+
+    /// Makes [`Graph::backward`] keep the gradient of the interior node
+    /// `id`. Leaves (inputs and parameters) always keep theirs; an
+    /// interior node's gradient is freed once the sweep has propagated
+    /// it, so a tape holds at most the gradients still to be propagated.
+    pub fn keep_grad(&mut self, id: NodeId) {
+        self.nodes[id.0].keep_grad = true;
     }
 
     /// Number of nodes on the tape.
@@ -359,11 +381,11 @@ impl Graph {
         self.push(v, Op::BceWithLogits { logits, targets: targets.clone() })
     }
 
-    fn accumulate(&mut self, id: NodeId, delta: &Tensor) {
+    fn accumulate(&mut self, id: NodeId, delta: Tensor) {
         let node = &mut self.nodes[id.0];
         match &mut node.grad {
-            Some(g) => g.add_assign(delta),
-            None => node.grad = Some(delta.clone()),
+            Some(g) => g.add_assign(&delta),
+            None => node.grad = Some(delta),
         }
     }
 
@@ -597,10 +619,23 @@ impl Graph {
                 }
             }
             for (id, d) in deltas {
-                self.accumulate(id, &d);
+                self.accumulate(id, d);
             }
-            self.nodes[i].grad = Some(grad);
+            let node = &mut self.nodes[i];
+            if node.keep_grad || matches!(node.op, Op::Input | Op::Param(_)) {
+                node.grad = Some(grad);
+            } else {
+                node.grad_freed = true;
+            }
         }
+    }
+
+    /// Every parameter node's gradient, with its parameter.
+    fn param_grads(&self) -> impl Iterator<Item = (ParamId, &Tensor)> {
+        self.nodes.iter().filter_map(|node| match (&node.op, &node.grad) {
+            (Op::Param(pid), Some(g)) => Some((*pid, g)),
+            _ => None,
+        })
     }
 
     /// Adds every parameter node's gradient into the store.
@@ -608,10 +643,16 @@ impl Graph {
     /// Call once after [`Graph::backward`]; the optimizer then steps on the
     /// accumulated store gradients.
     pub fn flush_grads(&self, store: &mut ParamStore) {
-        for node in &self.nodes {
-            if let (Op::Param(pid), Some(g)) = (&node.op, &node.grad) {
-                store.grad_mut(*pid).add_assign(g);
-            }
+        for (pid, g) in self.param_grads() {
+            store.grad_mut(pid).add_assign(g);
+        }
+    }
+
+    /// Like [`Graph::flush_grads`], into gradients moved out of the store
+    /// by [`ParamStore::take_grads`].
+    pub fn flush_grads_into(&self, grads: &mut Grads) {
+        for (pid, g) in self.param_grads() {
+            grads.0[pid.0].add_assign(g);
         }
     }
 }
@@ -676,6 +717,37 @@ mod tests {
         let grad = store.grad(w);
         assert!(grad.get(2, 0) > grad.get(0, 0));
         assert_eq!(grad.get(1, 0), 0.0);
+    }
+
+    #[test]
+    fn backward_frees_interior_gradients_unless_kept() {
+        let mut g = Graph::new();
+        let a = g.input(Tensor::row(vec![2.0]));
+        let freed = g.scale(a, 3.0);
+        let kept = g.scale(freed, 2.0);
+        let out = g.scale(kept, 1.0);
+        g.keep_grad(kept);
+        g.backward(out);
+        assert_eq!(g.grad(kept).as_slice(), &[1.0]);
+        assert_eq!(g.grad(a).as_slice(), &[6.0], "leaves keep their gradients");
+        let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| g.grad(freed)));
+        assert!(read.is_err(), "a freed gradient must not read as zeros");
+    }
+
+    #[test]
+    fn flush_into_taken_grads_adds_to_the_store_gradients() {
+        let mut store = ParamStore::new();
+        let w = store.add("w", Tensor::row(vec![1.0, -2.0]));
+        let mut g = Graph::new();
+        let wn = g.param(&store, w);
+        let sq = g.mul(wn, wn);
+        g.backward(sq);
+        g.flush_grads(&mut store);
+        assert_eq!(store.grad(w).as_slice(), &[2.0, -4.0]);
+        let mut taken = store.take_grads();
+        g.flush_grads_into(&mut taken);
+        store.restore_grads(taken);
+        assert_eq!(store.grad(w).as_slice(), &[4.0, -8.0]);
     }
 
     #[test]

@@ -146,18 +146,26 @@ impl Dropout {
         Self { p }
     }
 
-    /// Applies dropout when `training`; identity otherwise.
-    pub fn forward(&self, g: &mut Graph, x: NodeId, training: bool, rng: &mut SmallRng) -> NodeId {
-        if !training || self.p == 0.0 {
-            return x;
+    /// Draws a `rows x cols` inverted-dropout mask (entries `0` or
+    /// `1/(1-p)`), or `None` when `p` is zero and nothing is dropped.
+    pub fn draw(&self, rows: usize, cols: usize, rng: &mut SmallRng) -> Option<Tensor> {
+        if self.p == 0.0 {
+            return None;
         }
-        let (rows, cols) = g.value(x).shape();
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
         let data =
             (0..rows * cols).map(|_| if rng.gen::<f32>() < keep { scale } else { 0.0 }).collect();
-        let mask = Tensor::from_vec(rows, cols, data);
-        g.dropout(x, &mask)
+        Some(Tensor::from_vec(rows, cols, data))
+    }
+
+    /// Applies a mask from [`Self::draw`]; identity for `None` (an
+    /// inference pass, or `p` zero).
+    pub fn apply(&self, g: &mut Graph, x: NodeId, mask: Option<&Tensor>) -> NodeId {
+        match mask {
+            Some(mask) => g.dropout(x, mask),
+            None => x,
+        }
     }
 }
 
@@ -363,9 +371,8 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Tensor::full(2, 2, 1.0));
         let d = Dropout::new(0.5);
-        let mut r = rng();
-        let y = d.forward(&mut g, x, false, &mut r);
-        assert_eq!(y, x);
+        assert_eq!(d.apply(&mut g, x, None), x, "no mask, no op");
+        assert!(Dropout::new(0.0).draw(2, 2, &mut rng()).is_none(), "p = 0 draws nothing");
     }
 
     #[test]
@@ -373,8 +380,8 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Tensor::full(1, 10_000, 1.0));
         let d = Dropout::new(0.3);
-        let mut r = rng();
-        let y = d.forward(&mut g, x, true, &mut r);
+        let mask = d.draw(1, 10_000, &mut rng());
+        let y = d.apply(&mut g, x, mask.as_ref());
         let mean = g.value(y).mean();
         assert!((mean - 1.0).abs() < 0.05, "inverted dropout mean was {mean}");
     }

@@ -45,6 +45,6 @@ pub mod tensor;
 pub use graph::{Graph, NodeId};
 pub use layers::{Dropout, Embedding, FeedForward, LayerNorm, Linear, MultiHeadAttention};
 pub use optim::{AdamW, LinearSchedule, Sgd};
-pub use params::{ParamId, ParamStore};
+pub use params::{Grads, ParamId, ParamStore};
 pub use simd::SimdTier;
 pub use tensor::{kl_divergence, softmax, softmax_into, Tensor};

@@ -31,6 +31,12 @@ pub struct ParamStore {
     params: Vec<Param>,
 }
 
+/// Gradient tensors moved out of a [`ParamStore`] by
+/// [`ParamStore::take_grads`], one per parameter in registration order.
+/// Tapes flush into them ([`crate::Graph::flush_grads_into`]) while the
+/// store's values stay shared read-only.
+pub struct Grads(pub(crate) Vec<Tensor>);
+
 impl ParamStore {
     /// Creates an empty store.
     pub fn new() -> Self {
@@ -138,6 +144,29 @@ impl ParamStore {
     /// Mutable accumulated gradient (graphs flush into this).
     pub fn grad_mut(&mut self, id: ParamId) -> &mut Tensor {
         &mut self.params[id.0].grad
+    }
+
+    /// Moves every accumulated gradient out of the store, leaving empty
+    /// placeholders until [`Self::restore_grads`] puts them back.
+    pub fn take_grads(&mut self) -> Grads {
+        Grads(
+            self.params
+                .iter_mut()
+                .map(|p| std::mem::replace(&mut p.grad, Tensor::zeros(0, 0)))
+                .collect(),
+        )
+    }
+
+    /// Puts back the gradients [`Self::take_grads`] moved out.
+    ///
+    /// # Panics
+    /// Panics if `grads` does not match the store's layout.
+    pub fn restore_grads(&mut self, grads: Grads) {
+        assert_eq!(grads.0.len(), self.params.len(), "gradient count mismatch");
+        for (p, g) in self.params.iter_mut().zip(grads.0) {
+            assert_eq!(p.value.shape(), g.shape(), "gradient shape mismatch for {}", p.name);
+            p.grad = g;
+        }
     }
 
     /// Whether the parameter participates in weight decay.

@@ -276,13 +276,17 @@ impl Drop for SpanGuard {
         SPAN_STACK.with(|s| {
             s.borrow_mut().pop();
         });
-        trace_event(json!({
-            "type": "span",
-            "name": inner.name,
-            "dur_ns": ns,
-            "depth": inner.depth,
-            "ts_ns": (inner.start - epoch()).as_nanos().min(u64::MAX as u128) as u64,
-        }));
+        // The event is built only for an attached sink: building it
+        // costs more than the rest of the drop.
+        if sink_attached() {
+            trace_event(json!({
+                "type": "span",
+                "name": inner.name,
+                "dur_ns": ns,
+                "depth": inner.depth,
+                "ts_ns": (inner.start - epoch()).as_nanos().min(u64::MAX as u128) as u64,
+            }));
+        }
         if level() == Level::Debug {
             eprintln!(
                 "[obs] {:indent$}{} {:.3} ms",

@@ -66,8 +66,8 @@ impl LockClass {
 
 /// Every lock class in the workspace, ranks mirroring `LOCKS.registry`.
 ///
-/// Rank bands: serve front-end 10–40, core 45, bench 70–74, faults 80,
-/// obs 90–95 (obs is innermost: it is called from inside
+/// Rank bands: serve front-end 10–40, core 45, pool 50, bench 70–74,
+/// faults 80, obs 90–95 (obs is innermost: it is called from inside
 /// nearly every other critical section, never the reverse).
 pub mod classes {
     use super::LockClass;
@@ -82,6 +82,9 @@ pub mod classes {
     pub static SERVE_CACHE: LockClass = LockClass::new("serve.cache", 40);
     /// Live model generation pointer (hot-swap `RwLock`).
     pub static CORE_GENERATION: LockClass = LockClass::new("core.generation", 45);
+    /// The turn and accumulator of `explainti_pool::fold_in_order` (a
+    /// training mini-batch's in-order gradient sum).
+    pub static POOL_FOLD: LockClass = LockClass::new("pool.fold", 50);
     /// Load-generator latency samples.
     pub static BENCH_LOADGEN_LATENCIES: LockClass = LockClass::new("bench.loadgen.latencies", 70);
     /// Load-generator captured error traces.
@@ -547,6 +550,7 @@ mod tests {
             &classes::SERVE_QUEUE_BATCH,
             &classes::SERVE_CACHE,
             &classes::CORE_GENERATION,
+            &classes::POOL_FOLD,
             &classes::BENCH_LOADGEN_LATENCIES,
             &classes::BENCH_LOADGEN_ERRORS,
             &classes::BENCH_LOADGEN_QUEUE_CURVE,

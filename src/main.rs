@@ -13,14 +13,16 @@
 //!
 //! Every command accepts `--trace-out <trace.jsonl>` to stream telemetry
 //! span events as JSONL, and honours `EXPLAINTI_LOG=off|info|debug`.
-//! Every command also accepts `--threads <N>` to size the embedding-store
-//! refresh, which splits its batch over that many threads at load, at
-//! every hot swap and in every training epoch (default:
-//! `EXPLAINTI_THREADS`, then all cores). For `serve` the two thread knobs
-//! are distinct: `--workers` is how many forwards run at once, each on
-//! its own worker, while `--threads` sizes only the refresh.
-//! Results never depend on `--threads` — every chunk computes what the
-//! serial path computes — only latency does.
+//! Every command also accepts `--threads <N>` to size the offline
+//! fan-outs (default: `EXPLAINTI_THREADS`, then all cores): the
+//! embedding-store refresh at load, at every hot swap and in every
+//! training epoch, `evaluate`, and each training mini-batch's forward
+//! and backward passes. For `serve` the two thread knobs are distinct:
+//! `--workers` is how many forwards run at once, each on its own worker,
+//! while `--threads` sizes only the refresh. Results never depend on
+//! `--threads`, trained weights included — every thread computes what
+//! the serial path computes and training adds gradients in sample
+//! order — only latency does.
 //! Unless telemetry is off, a per-stage latency table prints to stderr at
 //! the end of the run.
 //!
@@ -47,7 +49,11 @@ use std::sync::Arc;
 
 fn with_common(spec: CommandSpec) -> CommandSpec {
     spec.value("trace-out", "FILE", "stream telemetry span events to FILE as JSONL")
-        .value("threads", "N", "store-refresh threads (default: EXPLAINTI_THREADS or all cores)")
+        .value(
+            "threads",
+            "N",
+            "refresh, evaluate and training threads (default: EXPLAINTI_THREADS or all cores)",
+        )
         .value(
             "failpoints",
             "SPEC",
@@ -364,7 +370,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // Set the refresh width before any compute runs. `--threads` wins
+    // Set the fan-out width before any compute runs. `--threads` wins
     // over `EXPLAINTI_THREADS`, which wins over the core count. (Serve's
     // `--workers` is different: it bounds concurrent forwards.)
     match args.get_opt::<usize>("threads") {
