@@ -87,7 +87,12 @@ pub const DEFAULT_TOP_K: usize = 3;
 /// `swap_verify` and [`SwapResponse`] lost `verified` (it could only be
 /// true). A candidate that fails verification still answers 400. Every
 /// other body is unchanged apart from `schema_version`.
-pub const SCHEMA_VERSION: u32 = 8;
+///
+/// **v9** (one request per forward): a worker runs one forward over the
+/// cache misses of the request it popped and never batches requests
+/// together, so [`ConfigResponse`] lost `max_batch`. Every other body
+/// is unchanged apart from `schema_version`.
+pub const SCHEMA_VERSION: u32 = 9;
 
 // ---- Requests ---------------------------------------------------------
 
@@ -304,8 +309,6 @@ pub struct ConfigResponse {
     pub workers: usize,
     /// Embedding-store refresh threads (the `--threads` width).
     pub threads: usize,
-    /// Maximum requests one batched forward serves.
-    pub max_batch: usize,
     /// Prediction cache capacity (entries).
     pub cache_cap: usize,
     /// Per-request deadline in milliseconds.
@@ -570,7 +573,7 @@ mod tests {
             "{\"pair_start\":null,\"relevance\":0.25,\"start\":3,\"text\":\"costa rica\",\"window\":4},",
             "{\"pair_start\":1,\"relevance\":0.125,\"start\":9,\"text\":\"norway\",\"window\":2}",
             "],",
-            "\"schema_version\":8,",
+            "\"schema_version\":9,",
             "\"structural\":[{\"attention\":0.5,\"label\":4,\"node\":7}]",
             "}",
         );
@@ -585,7 +588,7 @@ mod tests {
             SwapResponse { schema_version: SCHEMA_VERSION, generation: 2, previous_generation: 1 };
         assert_eq!(
             serde_json::to_string(&swap).unwrap(),
-            "{\"generation\":2,\"previous_generation\":1,\"schema_version\":8}",
+            "{\"generation\":2,\"previous_generation\":1,\"schema_version\":9}",
         );
         let status = StoreStatusResponse {
             schema_version: SCHEMA_VERSION,
@@ -597,7 +600,7 @@ mod tests {
             serde_json::to_string(&status).unwrap(),
             concat!(
                 "{\"generation\":2,",
-                "\"schema_version\":8,",
+                "\"schema_version\":9,",
                 "\"stored\":81,",
                 "\"swap_in_progress\":false}",
             ),
@@ -691,7 +694,6 @@ mod tests {
             schema_version: SCHEMA_VERSION,
             workers: 4,
             threads: 8,
-            max_batch: 8,
             cache_cap: 1024,
             deadline_ms: 5000,
             top_k: 3,
@@ -714,7 +716,7 @@ mod tests {
         assert!(json.contains("\"threads\":8"));
         assert!(json.contains("\"max_conns\":1024"));
         assert!(json.contains("\"generation\":1"));
-        assert!(json.contains("\"schema_version\":8"));
+        assert!(json.contains("\"schema_version\":9"));
     }
 
     #[test]

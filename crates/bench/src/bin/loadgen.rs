@@ -20,7 +20,7 @@
 //! so an injected slowdown inflates the normalised p99 rather than
 //! cancelling out — that is what CI's negative gate arm relies on.
 
-use std::io::{Read as _, Write as _};
+use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -28,7 +28,7 @@ use std::sync::Arc;
 use explainti_sync::{classes, OrderedMutex};
 use std::time::{Duration, Instant};
 
-use explainti_api::PredictRequest;
+use explainti_bench::{column_payloads, exchange, read_framed};
 use explainti_core::{ExplainTi, ExplainTiConfig};
 use explainti_corpus::{generate_wiki, WikiConfig};
 use explainti_serve::{start, ServeConfig};
@@ -159,147 +159,19 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Distinct single-column request bodies from the synthetic corpus —
-/// the same table distribution the models train on, so payload sizes
-/// are representative rather than adversarial.
-fn build_payloads() -> Vec<String> {
-    let d = generate_wiki(&WikiConfig { num_tables: 120, seed: 0x10ad, ..Default::default() });
-    let mut payloads = Vec::new();
-    for table in &d.collection.tables {
-        for col in &table.columns {
-            if col.cells.is_empty() {
-                continue;
-            }
-            let req = PredictRequest {
-                title: table.title.clone(),
-                header: col.header.clone(),
-                cells: col.cells.iter().take(6).cloned().collect(),
-            };
-            if let Ok(body) = serde_json::to_string(&req) {
-                payloads.push(body);
-            }
-        }
-    }
-    payloads
-}
-
-/// One HTTP exchange: status, latency, and the `X-Trace-Id` the server
-/// minted for the request (for joining failures against trace logs).
+/// One `Connection: close` interpret exchange: status, latency, and the
+/// `X-Trace-Id` the server minted for the request (for joining failures
+/// against trace logs).
 fn one_request(addr: &SocketAddr, body: &str) -> Result<(u16, u64, Option<String>), String> {
     let started = Instant::now();
-    let mut stream =
-        TcpStream::connect_timeout(addr, Duration::from_secs(10)).map_err(|e| e.to_string())?;
-    let msg = format!(
-        "POST /v1/interpret HTTP/1.1\r\nHost: loadgen\r\nConnection: close\r\n\
-         Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(msg.as_bytes()).map_err(|e| e.to_string())?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).map_err(|e| e.to_string())?;
+    let resp = exchange(addr, "POST", "/v1/interpret", body)?;
     let elapsed_ns = started.elapsed().as_nanos() as u64;
-    let status: u16 =
-        raw.split_whitespace().nth(1).and_then(|s| s.parse().ok()).ok_or_else(|| {
-            format!("unparseable response: {:?}", raw.chars().take(80).collect::<String>())
-        })?;
-    let trace_id = raw.split("\r\n\r\n").next().and_then(|head| {
-        head.lines()
-            .filter_map(|l| l.split_once(':'))
-            .find(|(k, _)| k.trim().eq_ignore_ascii_case("x-trace-id"))
-            .map(|(_, v)| v.trim().to_string())
-    });
-    Ok((status, elapsed_ns, trace_id))
+    Ok((resp.status, elapsed_ns, resp.header("x-trace-id").map(str::to_string)))
 }
 
 fn fetch_metrics(addr: &SocketAddr) -> Option<Value> {
-    let mut stream = TcpStream::connect_timeout(addr, Duration::from_secs(5)).ok()?;
-    stream
-        .write_all(
-            b"GET /v1/metrics HTTP/1.1\r\nHost: loadgen\r\nConnection: close\r\n\
-              Content-Length: 0\r\n\r\n",
-        )
-        .ok()?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).ok()?;
-    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b)?;
-    serde_json::from_str(body).ok()
-}
-
-/// Reads exactly one framed HTTP response off a persistent stream —
-/// `Content-Length` or chunked transfer-encoding, never read-to-EOF —
-/// leaving any pipelined leftovers in `buf` for the next call.
-/// Returns (status, trace_id, server_asked_to_close).
-fn read_framed(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-) -> Result<(u16, Option<String>, bool), String> {
-    fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-        haystack.windows(needle.len()).position(|w| w == needle)
-    }
-    let mut fill = |buf: &mut Vec<u8>| -> Result<(), String> {
-        let mut scratch = [0u8; 8192];
-        let n = stream.read(&mut scratch).map_err(|e| e.to_string())?;
-        if n == 0 {
-            return Err("connection closed mid-response".to_string());
-        }
-        buf.extend_from_slice(&scratch[..n]);
-        Ok(())
-    };
-    let head_end = loop {
-        if let Some(pos) = find(buf, b"\r\n\r\n") {
-            break pos;
-        }
-        fill(buf)?;
-    };
-    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-    buf.drain(..head_end + 4);
-    let status: u16 =
-        head.split_whitespace().nth(1).and_then(|s| s.parse().ok()).ok_or_else(|| {
-            format!("unparseable head: {:?}", head.chars().take(80).collect::<String>())
-        })?;
-    let mut trace_id = None;
-    let mut close = false;
-    let mut chunked = false;
-    let mut content_length = 0usize;
-    for line in head.lines().skip(1) {
-        let Some((k, v)) = line.split_once(':') else { continue };
-        let v = v.trim();
-        match k.trim().to_ascii_lowercase().as_str() {
-            "x-trace-id" => trace_id = Some(v.to_string()),
-            "connection" => close = v.eq_ignore_ascii_case("close"),
-            "transfer-encoding" => chunked = v.eq_ignore_ascii_case("chunked"),
-            "content-length" => content_length = v.parse().unwrap_or(0),
-            _ => {}
-        }
-    }
-    if chunked {
-        loop {
-            let nl = loop {
-                if let Some(pos) = find(buf, b"\r\n") {
-                    break pos;
-                }
-                fill(buf)?;
-            };
-            let size = usize::from_str_radix(String::from_utf8_lossy(&buf[..nl]).trim(), 16)
-                .map_err(|e| format!("bad chunk size: {e}"))?;
-            buf.drain(..nl + 2);
-            // Chunk payload + CRLF; the terminal 0-chunk is followed by
-            // the final CRLF, so the same arithmetic consumes it.
-            while buf.len() < size + 2 {
-                fill(buf)?;
-            }
-            buf.drain(..size + 2);
-            if size == 0 {
-                break;
-            }
-        }
-    } else {
-        while buf.len() < content_length {
-            fill(buf)?;
-        }
-        buf.drain(..content_length);
-    }
-    Ok((status, trace_id, close))
+    let resp = exchange(addr, "GET", "/v1/metrics", "").ok()?;
+    serde_json::from_str(&resp.body).ok()
 }
 
 /// A persistent-connection client for `--keep-alive`: one socket per
@@ -333,7 +205,9 @@ impl KeepAliveClient {
             body.len()
         );
         stream.write_all(msg.as_bytes()).map_err(|e| e.to_string())?;
-        read_framed(stream, &mut self.buf)
+        let resp = read_framed(stream, &mut self.buf)?;
+        let close = resp.header("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"));
+        Ok((resp.status, resp.header("x-trace-id").map(str::to_string), close))
     }
 
     /// One exchange, reusing the socket when possible. Returns the
@@ -645,7 +519,6 @@ fn self_host(workers: usize) -> explainti_serve::ServerHandle {
     let labels = d.collection.type_labels.clone();
     let serve_cfg = ServeConfig {
         workers: workers.max(1),
-        max_batch: 8,
         cache_cap: 512,
         deadline_ms: 60_000,
         ..Default::default()
@@ -663,7 +536,7 @@ fn main() {
     };
     explainti_obs::set_level(explainti_obs::Level::Info);
 
-    let payloads = Arc::new(build_payloads());
+    let payloads = Arc::new(column_payloads(120, 0x10ad, 6));
     assert!(!payloads.is_empty(), "payload corpus is empty");
 
     let mut handle = None;

@@ -16,7 +16,7 @@
 //! zero 5xx — proving commit-stage rollback is invisible to callers.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{Read as _, Write as _};
+use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -24,7 +24,7 @@ use std::sync::Arc;
 use explainti_sync::{classes, OrderedMutex};
 use std::time::Duration;
 
-use explainti_api::PredictRequest;
+use explainti_bench::{column_payloads, exchange, read_framed};
 use explainti_core::{ExplainTi, ExplainTiConfig};
 use explainti_corpus::{generate_wiki, Dataset, WikiConfig};
 use explainti_serve::{start, ServeConfig};
@@ -130,45 +130,15 @@ struct Tally {
     transport_errors: u64,
 }
 
-/// Reads one `Content-Length`-framed response off a persistent stream,
-/// leaving pipelined leftovers in `buf`. Returns (status, generation).
+/// Reads one response off a persistent stream, leaving pipelined
+/// leftovers in `buf`; a response without `Content-Length` is an error.
+/// Returns (status, generation).
 fn read_one(stream: &mut TcpStream, buf: &mut Vec<u8>) -> Result<(u16, Option<u64>), String> {
-    let mut fill = |buf: &mut Vec<u8>| -> Result<(), String> {
-        let mut scratch = [0u8; 8192];
-        let n = stream.read(&mut scratch).map_err(|e| e.to_string())?;
-        if n == 0 {
-            return Err("connection closed mid-response".to_string());
-        }
-        buf.extend_from_slice(&scratch[..n]);
-        Ok(())
-    };
-    let head_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        fill(buf)?;
-    };
-    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-    buf.drain(..head_end + 4);
-    let status: u16 =
-        head.split_whitespace().nth(1).and_then(|s| s.parse().ok()).ok_or_else(|| {
-            format!("unparseable head: {:?}", head.chars().take(80).collect::<String>())
-        })?;
-    let header = |name: &str| {
-        head.lines()
-            .filter_map(|l| l.split_once(':'))
-            .find(|(k, _)| k.trim().eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.trim().to_string())
-    };
-    let generation = header("x-model-generation").and_then(|v| v.parse().ok());
-    let content_length: usize = header("content-length")
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| "response without Content-Length on a keep-alive stream".to_string())?;
-    while buf.len() < content_length {
-        fill(buf)?;
+    let resp = read_framed(stream, buf)?;
+    if resp.header("content-length").is_none() {
+        return Err("response without Content-Length on a keep-alive stream".to_string());
     }
-    buf.drain(..content_length);
-    Ok((status, generation))
+    Ok((resp.status, resp.header("x-model-generation").and_then(|v| v.parse().ok())))
 }
 
 /// One keep-alive client: POSTs interpret payloads until `stop`,
@@ -233,43 +203,7 @@ fn client_loop(addr: SocketAddr, payloads: Arc<Vec<String>>, stop: Arc<AtomicBoo
 
 /// One `Connection: close` admin exchange. Returns (status, body).
 fn admin(addr: &SocketAddr, method: &str, path: &str, body: &str) -> Result<(u16, String), String> {
-    let mut stream =
-        TcpStream::connect_timeout(addr, Duration::from_secs(10)).map_err(|e| e.to_string())?;
-    let msg = format!(
-        "{method} {path} HTTP/1.1\r\nHost: swapdrill\r\nConnection: close\r\n\
-         Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(msg.as_bytes()).map_err(|e| e.to_string())?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).map_err(|e| e.to_string())?;
-    let status: u16 =
-        raw.split_whitespace().nth(1).and_then(|s| s.parse().ok()).ok_or_else(|| {
-            format!("unparseable response: {:?}", raw.chars().take(80).collect::<String>())
-        })?;
-    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    Ok((status, body))
-}
-
-fn build_payloads() -> Vec<String> {
-    let d = generate_wiki(&WikiConfig { num_tables: 24, seed: 0x5a9, ..Default::default() });
-    let mut payloads = Vec::new();
-    for table in &d.collection.tables {
-        for col in &table.columns {
-            if col.cells.is_empty() {
-                continue;
-            }
-            let req = PredictRequest {
-                title: table.title.clone(),
-                header: col.header.clone(),
-                cells: col.cells.iter().take(4).cloned().collect(),
-            };
-            if let Ok(body) = serde_json::to_string(&req) {
-                payloads.push(body);
-            }
-        }
-    }
-    payloads
+    exchange(addr, method, path, body).map(|resp| (resp.status, resp.body))
 }
 
 fn main() {
@@ -289,7 +223,6 @@ fn main() {
     let labels = dataset.collection.type_labels.clone();
     let serve_cfg = ServeConfig {
         workers: args.workers.max(1),
-        max_batch: 8,
         cache_cap: 512,
         deadline_ms: 60_000,
         ..Default::default()
@@ -309,7 +242,7 @@ fn main() {
     }
 
     // -- Keep-alive serving traffic, running across every swap -------------
-    let payloads = Arc::new(build_payloads());
+    let payloads = Arc::new(column_payloads(24, 0x5a9, 4));
     assert!(!payloads.is_empty(), "payload corpus is empty");
     let stop = Arc::new(AtomicBool::new(false));
     let tallies = Arc::new(OrderedMutex::new(&classes::BENCH_SWAP_TALLIES, Vec::<Tally>::new()));

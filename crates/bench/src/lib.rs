@@ -11,10 +11,17 @@
 //! Every binary reads `EXPLAINTI_SCALE` (default 1.0) to grow or shrink
 //! the corpora and training budget consistently; results print in the
 //! paper's table layout and are also written as JSON under
-//! `bench-results/`.
+//! `bench-results/`. The socket bins share one small HTTP/1.1 client
+//! ([`read_framed`], [`exchange`]) and one payload builder
+//! ([`column_payloads`]).
 
 #![warn(missing_docs)]
 
+use std::io::{Read, Write as _};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
+
+use explainti_api::PredictRequest;
 use explainti_core::{build_tokenizer, ExplainTiConfig, TaskData};
 use explainti_corpus::{generate_git, generate_wiki, scaled, Dataset, GitConfig, WikiConfig};
 use explainti_encoder::mlm::{pretrain_mlm, PretrainConfig};
@@ -109,9 +116,166 @@ pub fn dash_cells() -> [String; 3] {
     ["-".into(), "-".into(), "-".into()]
 }
 
+// ---- Socket clients ---------------------------------------------------
+
+/// Single-column `POST /v1/interpret` bodies drawn from a synthetic Wiki
+/// corpus of `tables` tables generated from `seed` — the distribution
+/// the models train on, so payload sizes are representative rather than
+/// adversarial. Each column keeps at most `max_cells` cells; columns
+/// without cells are skipped.
+pub fn column_payloads(tables: usize, seed: u64, max_cells: usize) -> Vec<String> {
+    let d = generate_wiki(&WikiConfig { num_tables: tables, seed, ..Default::default() });
+    let mut payloads = Vec::new();
+    for table in &d.collection.tables {
+        for col in &table.columns {
+            if col.cells.is_empty() {
+                continue;
+            }
+            let req = PredictRequest {
+                title: table.title.clone(),
+                header: col.header.clone(),
+                cells: col.cells.iter().take(max_cells).cloned().collect(),
+            };
+            if let Ok(body) = serde_json::to_string(&req) {
+                payloads.push(body);
+            }
+        }
+    }
+    payloads
+}
+
+/// One HTTP response as the socket clients read it.
+#[derive(Debug)]
+pub struct Response {
+    /// Status code.
+    pub status: u16,
+    /// `(name, value)` header pairs in wire order, names lowercased.
+    pub headers: Vec<(String, String)>,
+    /// The body (de-chunked), decoded lossily as UTF-8.
+    pub body: String,
+}
+
+impl Response {
+    /// The first value of header `name` (pass it lowercased).
+    pub fn header(&self, name: &str) -> Option<&str> {
+        self.headers.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
+    }
+}
+
+/// Reads exactly one framed HTTP response off `stream` —
+/// `Content-Length` or chunked transfer-encoding, never read-to-EOF —
+/// leaving any pipelined leftovers in `buf` for the next call. A
+/// response with neither framing header is an error.
+pub fn read_framed(stream: &mut impl Read, buf: &mut Vec<u8>) -> Result<Response, String> {
+    fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
+        haystack.windows(needle.len()).position(|w| w == needle)
+    }
+    let mut fill = |buf: &mut Vec<u8>| -> Result<(), String> {
+        let mut scratch = [0u8; 8192];
+        let n = stream.read(&mut scratch).map_err(|e| e.to_string())?;
+        if n == 0 {
+            return Err("connection closed mid-response".to_string());
+        }
+        buf.extend_from_slice(&scratch[..n]);
+        Ok(())
+    };
+    let head_end = loop {
+        if let Some(pos) = find(buf, b"\r\n\r\n") {
+            break pos;
+        }
+        fill(buf)?;
+    };
+    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
+    buf.drain(..head_end + 4);
+    let status: u16 =
+        head.split_whitespace().nth(1).and_then(|s| s.parse().ok()).ok_or_else(|| {
+            format!("unparseable head: {:?}", head.chars().take(80).collect::<String>())
+        })?;
+    let headers = head
+        .lines()
+        .skip(1)
+        .filter_map(|l| l.split_once(':'))
+        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
+        .collect();
+    let mut resp = Response { status, headers, body: String::new() };
+    let mut body = Vec::new();
+    if resp.header("transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked")) {
+        loop {
+            let nl = loop {
+                if let Some(pos) = find(buf, b"\r\n") {
+                    break pos;
+                }
+                fill(buf)?;
+            };
+            let size = usize::from_str_radix(String::from_utf8_lossy(&buf[..nl]).trim(), 16)
+                .map_err(|e| format!("bad chunk size: {e}"))?;
+            buf.drain(..nl + 2);
+            // Chunk payload + CRLF; the terminal 0-chunk is followed by
+            // the final CRLF, so the same arithmetic consumes it.
+            let framed = size.checked_add(2).ok_or("chunk size overflows")?;
+            while buf.len() < framed {
+                fill(buf)?;
+            }
+            body.extend(buf.drain(..size));
+            buf.drain(..2);
+            if size == 0 {
+                break;
+            }
+        }
+    } else {
+        let len: usize = resp
+            .header("content-length")
+            .and_then(|v| v.parse().ok())
+            .ok_or("response has neither Content-Length nor chunked framing")?;
+        while buf.len() < len {
+            fill(buf)?;
+        }
+        body.extend(buf.drain(..len));
+    }
+    resp.body = String::from_utf8_lossy(&body).into_owned();
+    Ok(resp)
+}
+
+/// One `Connection: close` exchange with the server at `addr`: sends
+/// `method path` with `body`, reads until the server closes, and decodes
+/// the one framed response.
+pub fn exchange(
+    addr: &SocketAddr,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> Result<Response, String> {
+    let mut stream =
+        TcpStream::connect_timeout(addr, Duration::from_secs(10)).map_err(|e| e.to_string())?;
+    let msg = format!(
+        "{method} {path} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\
+         Content-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(msg.as_bytes()).map_err(|e| e.to_string())?;
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).map_err(|e| e.to_string())?;
+    read_framed(&mut raw.as_slice(), &mut Vec::new())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn framed_reader_splits_pipelined_responses() {
+        let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nX-Trace-Id: ab\r\n\r\nhi\
+                     HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n\
+                     3\r\n{\"a\r\n2\r\n\":\r\n0\r\n\r\n\
+                     HTTP/1.1 200 OK\r\n\r\n";
+        let (mut stream, mut buf) = (&wire[..], Vec::new());
+        let first = read_framed(&mut stream, &mut buf).unwrap();
+        assert_eq!((first.status, first.body.as_str()), (200, "hi"));
+        assert_eq!(first.header("x-trace-id"), Some("ab"));
+        let second = read_framed(&mut stream, &mut buf).unwrap();
+        assert_eq!(second.body, "{\"a\":");
+        assert!(read_framed(&mut stream, &mut buf).is_err(), "unframed response accepted");
+    }
 
     #[test]
     fn scaled_datasets_shrink() {

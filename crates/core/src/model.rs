@@ -704,10 +704,10 @@ impl ExplainTi {
         self.predict_one(task, encoded, None)
     }
 
-    /// Predicts a micro-batch of pre-encoded ad-hoc columns (type task)
-    /// on one inference-engine build and one scratch, on the calling
-    /// thread — the entry point the inference server's workers drain
-    /// into. Results are in input order and identical to per-sample
+    /// Predicts a batch of pre-encoded ad-hoc columns (type task) on one
+    /// inference-engine build and one scratch, on the calling thread —
+    /// the entry point a serve worker runs one request's cache misses
+    /// through. Results are in input order and identical to per-sample
     /// [`Self::predict_encoded`] calls.
     pub fn predict_encoded_batch(&self, encs: &[explainti_tokenizer::Encoded]) -> Vec<Prediction> {
         let _span = explainti_obs::span!("model.predict_batch");

@@ -10,9 +10,8 @@
 //! - [`SpanCapture`] — a shareable accumulator of span durations. While
 //!   installed on a thread (RAII guard), every closing [`span!`](crate::span!)
 //!   adds its duration under its name. A serve worker installs one around
-//!   each batch forward, which runs on that worker, so its spans
-//!   (`explain.le`, `model.forward`, …) attribute to the requests in the
-//!   batch.
+//!   a request's forward, which runs on that worker, so its spans
+//!   (`explain.le`, `model.forward`, …) attribute to that request.
 //! - [`RequestTrace`] — the wide-event builder: one JSONL record per
 //!   request carrying the trace id, status, and a canonical per-stage
 //!   duration map ([`STAGES`]) that mirrors the paper's Table V
@@ -259,8 +258,8 @@ impl RequestTrace {
         self.columns += 1;
     }
 
-    /// Records the size of a micro-batch this request rode in (the wide
-    /// event keeps the maximum across its columns).
+    /// Records how many columns a forward of this request ran (the wide
+    /// event's `batch_size_max` keeps the largest).
     pub fn note_batch(&mut self, size: u64) {
         self.batch_size_max = self.batch_size_max.max(size);
     }

@@ -1,8 +1,8 @@
 //! # explainti-serve
 //!
-//! A dependency-free event-driven HTTP/1.1 micro-batching inference
-//! server for ExplainTI, exposed via `explainti serve`. The moving
-//! parts, each its own module:
+//! A dependency-free event-driven HTTP/1.1 inference server for
+//! ExplainTI, exposed via `explainti serve`. The moving parts, each its
+//! own module:
 //!
 //! - [`event_loop`] — a raw-syscall epoll loop owning every socket:
 //!   nonblocking accept with a hard connection limit (typed 429 +
@@ -14,14 +14,15 @@
 //! - [`http`] — an incremental buffer-based HTTP/1.1 parser and
 //!   response renderer; no socket I/O of its own.
 //! - [`queue`] — the bounded MPMC request queue (one entry per
-//!   request) the workers pop from and batch off; the backpressure
-//!   point (full queue → HTTP 503).
+//!   request) the workers pop from; the backpressure point (full
+//!   queue → HTTP 503).
 //! - [`cache`] — an LRU cache of full responses keyed by a hash of
 //!   `(title, header, cells)`, so repeat predictions short-circuit the
 //!   model *including* their explanations.
-//! - [`server`] — the declarative route table, the worker pool that
-//!   answers whole requests, the admin thread that runs model swaps,
-//!   and graceful shutdown (drain in-flight work, then stop).
+//! - [`server`] — the declarative route table, the worker pool (each
+//!   worker answers the request it popped, one forward over its cache
+//!   misses), the admin thread that runs model swaps, and graceful
+//!   shutdown (drain in-flight work, then stop).
 //!
 //! Endpoints: `POST /v1/interpret` (a whole table or a single column,
 //! as [`explainti_api`] DTOs), `GET /v1/healthz`, `GET /v1/metrics`

@@ -1,11 +1,10 @@
-//! Bounded MPMC request queue with non-blocking batch draining.
+//! Bounded MPMC request queue.
 //!
-//! The event loop pushes one item per parsed request; a worker blocks
-//! on [`BatchQueue::pop_wait`] for one, and a worker about to run a forward
-//! drains whatever else is already queued ([`BatchQueue::try_pop_batch`])
-//! so the encoder forward amortises across requests. The queue is
-//! bounded: a full queue refuses the push and hands the item back (the
-//! server answers it with HTTP 503) instead of buffering unboundedly.
+//! The event loop pushes one item per parsed request, and a worker
+//! blocks on [`BatchQueue::pop_wait`] for the next one and answers it
+//! whole. The queue is bounded: a full queue refuses the push and hands
+//! the item back (the server answers it with HTTP 503) instead of
+//! buffering unboundedly.
 
 use std::collections::VecDeque;
 use std::sync::Condvar;
@@ -81,14 +80,6 @@ impl<T> BatchQueue<T> {
         }
     }
 
-    /// Takes up to `max` of the oldest items without blocking (empty
-    /// when nothing is queued).
-    pub fn try_pop_batch(&self, max: usize) -> Vec<T> {
-        let mut inner = self.inner.lock();
-        let n = inner.items.len().min(max);
-        inner.items.drain(..n).collect()
-    }
-
     /// Closes the queue: pushes fail from now on, and consumers drain
     /// what remains before [`Self::pop_wait`] returns `None`.
     pub fn close(&self) {
@@ -110,10 +101,10 @@ mod tests {
         for i in 0..5 {
             q.try_push(i).unwrap();
         }
-        assert_eq!(q.pop_wait(), Some(0));
-        assert_eq!(q.try_pop_batch(3), vec![1, 2, 3]);
-        assert_eq!(q.try_pop_batch(3), vec![4]);
-        assert!(q.try_pop_batch(3).is_empty());
+        for i in 0..5 {
+            assert_eq!(q.pop_wait(), Some(i));
+        }
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -150,19 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_collects_queued_items_up_to_max() {
-        // The micro-batching contract: everything already queued is
-        // drained together, capped at the batch limit.
-        let q = BatchQueue::new(16);
-        for i in 0..10 {
-            q.try_push(i).unwrap();
-        }
-        let batch = q.try_pop_batch(8);
-        assert_eq!(batch.len(), 8);
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
     fn concurrent_producers_and_consumers_see_every_item() {
         let q = Arc::new(BatchQueue::new(64));
         let consumers: Vec<_> = (0..3)
@@ -172,7 +150,6 @@ mod tests {
                     let mut got = Vec::new();
                     while let Some(item) = q.pop_wait() {
                         got.push(item);
-                        got.extend(q.try_pop_batch(3));
                     }
                     got
                 })

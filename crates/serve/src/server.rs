@@ -1,32 +1,32 @@
-//! The micro-batching inference server behind the epoll front-end.
+//! The inference server behind the epoll front-end.
 //!
 //! Two thread tiers plus one admin thread. The **event loop**
 //! ([`crate::event_loop`]) owns every socket: it accepts, enforces the
 //! connection limit (typed 429) and read deadlines (typed 408), parses
 //! requests incrementally, and flushes response bytes. Each complete
 //! request becomes one [`Job`] on the request [`BatchQueue`], drained by
-//! the **worker pool**. A worker answers the whole request — route, JSON
-//! parse, per-column cache lookup, encode, forward, render — and writes
-//! the bytes back through the connection's [`ResponseSink`]. A request
-//! that needs no forward (a cache hit, a GET, an error) is answered at
-//! once. One whose cache misses need a forward first takes, without
-//! waiting, up to `max_batch − 1` requests already queued, and the
-//! batch's misses run through one [`ExplainTi::predict_encoded_batch`]
-//! per generation. `POST /v1/admin/swap` is admitted on a worker and run
-//! on the **admin thread**, so a model load never holds a worker.
+//! the **worker pool**. A worker answers exactly the request it popped —
+//! route, JSON parse, per-column cache lookup, encode, forward, render —
+//! and writes the bytes back through the connection's [`ResponseSink`].
+//! A request's cache misses run through one
+//! [`ExplainTi::predict_encoded_batch`] on the generation it snapshotted
+//! at pop; a request that needs no forward (a cache hit, a GET, an
+//! error) is answered at once. `POST /v1/admin/swap` is admitted on a
+//! worker and run on the **admin thread**, so a model load never holds a
+//! worker.
 //!
 //! The queue holds at most one request per connection, so `max_conns`
 //! bounds it (a refused push answers 503). Every interpret request
-//! carries a deadline, checked at pop and again after the forward
-//! (typed 504), and a table is one queue entry whose response streams
-//! per column as chunked transfer-encoding once its forward is done.
+//! carries a deadline, checked at pop, before a retry and after the
+//! forward (typed 504), and a table is one queue entry whose response
+//! streams per column as chunked transfer-encoding once its forward is
+//! done.
 //!
 //! Routing is a declarative table ([`ROUTES`]): one `Route` per
 //! endpoint, from which both the 405 `Allow` set and the known-path
 //! list derive.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -43,7 +43,7 @@ use explainti_api::{
     ModelInfo, PredictRequest, PredictResponse, StoreStatusResponse, SwapRequest, SwapResponse,
     SCHEMA_VERSION,
 };
-use explainti_core::{ExplainTi, Generation, GenerationHandle};
+use explainti_core::{ExplainTi, Generation, GenerationHandle, Prediction};
 use explainti_tokenizer::Encoded;
 use serde::Deserialize;
 use serde_json::{json, Value};
@@ -69,8 +69,6 @@ pub struct ServeConfig {
     /// Worker threads answering requests from the queue: they bound
     /// how many requests, and so how many forwards, are in flight.
     pub workers: usize,
-    /// Maximum requests one batched forward serves.
-    pub max_batch: usize,
     /// LRU cache capacity (cached full responses, explanations included).
     pub cache_cap: usize,
     /// Per-request deadline; exceeded requests answer 504.
@@ -97,7 +95,6 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            max_batch: 8,
             cache_cap: 256,
             deadline_ms: 30_000,
             top_k: explainti_api::DEFAULT_TOP_K,
@@ -113,13 +110,13 @@ impl Default for ServeConfig {
 /// 10k-column row must answer a clean 400, not monopolise a worker.
 const MAX_TABLE_COLUMNS: usize = 512;
 
-/// How many times a request may join a forward in total (1 initial +
-/// retries). A panicked forward re-enqueues its requests once; a second
-/// panic answers a typed 500 instead of retrying forever.
+/// How many forwards a request may run in total (1 initial + retries).
+/// A panicked forward is retried once in place; a second panic answers
+/// a typed 500 instead of retrying forever.
 const MAX_ATTEMPTS: u32 = 2;
 
-/// Base backoff before a request from a panicked forward is re-enqueued;
-/// doubles per attempt already made.
+/// Base backoff before a panicked forward is retried; doubles per retry
+/// already made.
 const RETRY_BACKOFF_MS: u64 = 10;
 
 /// Saturating nanoseconds from `earlier` to `later` (0 if out of order).
@@ -135,13 +132,8 @@ pub(crate) struct Job {
     /// Started when the request's first byte arrived, so its HTTP parse
     /// and queue time count toward the request's total.
     rtrace: explainti_obs::RequestTrace,
-    /// When the job last entered the queue (wide-event `queue_wait`).
+    /// When the job entered the queue (wide-event `queue_wait`).
     enqueued_at: Instant,
-    /// Set on a retry: the generation the first attempt snapshotted, so
-    /// the retry answers from the same model.
-    gen: Option<Arc<Generation>>,
-    /// Forwards this request already joined (retry bookkeeping).
-    attempts: u32,
 }
 
 impl Job {
@@ -160,7 +152,7 @@ impl Job {
             request.keep_alive,
             request.http11,
         );
-        Self { request, sink, rtrace, enqueued_at: Instant::now(), gen: None, attempts: 0 }
+        Self { request, sink, rtrace, enqueued_at: Instant::now() }
     }
 }
 
@@ -200,7 +192,6 @@ pub(crate) struct Shared {
     cache: OrderedMutex<LruCache<u64, Arc<PredictResponse>>>,
     pub(crate) shutdown: Arc<AtomicBool>,
     top_k: usize,
-    max_batch: usize,
     deadline: Duration,
     /// Rolling latency/error window behind the `serve.slo.*` gauges.
     slo: explainti_obs::SloWindow,
@@ -244,35 +235,19 @@ fn worker_loop(shared: &Shared) {
             // latest gauge value), so load tests can plot queue pressure.
             explainti_obs::registry().histogram("serve.queue.depth.sampled").record(depth as u64);
         }
-        let Some(first) = begin(shared, job) else { continue };
-        // Only a request that needs a forward batches: it takes along
-        // whatever is already queued, answering the ones that need none.
-        let mut batch = vec![first];
-        for job in shared.queue.try_pop_batch(shared.max_batch - 1) {
-            batch.extend(begin(shared, job));
-        }
-        // A swap mid-flight can leave requests from two generations in
-        // one batch: one forward per generation, each on the model its
-        // requests snapshotted.
-        let mut groups: BTreeMap<u64, Vec<Pending>> = BTreeMap::new();
-        for p in batch {
-            groups.entry(p.gen.id).or_default().push(p);
-        }
-        for group in groups.into_values() {
-            run_batch(shared, group);
-        }
+        answer(shared, job);
     }
 }
 
-/// Starts one popped request: routes it and answers it at once, unless
-/// it is an interpret request whose cache misses need a forward — that
-/// comes back as a [`Pending`].
-fn begin(shared: &Shared, mut job: Job) -> Option<Pending> {
+/// Answers one popped request: routes it, then runs its handler on this
+/// worker (an interpret request's forward included) or hands an admitted
+/// swap to the admin thread.
+fn answer(shared: &Shared, mut job: Job) {
     let popped_at = Instant::now();
     // One generation snapshot per request: every byte of this response —
     // prediction, labels, config block, `X-Model-Generation` header —
     // comes from the same generation even if a swap commits mid-request.
-    let gen = job.gen.take().unwrap_or_else(|| shared.generations.current());
+    let gen = shared.generations.current();
     job.sink.set_generation(gen.id);
     let r = match route(&job.request.method, &job.request.path) {
         RouteMatch::Found(r) => r,
@@ -280,7 +255,7 @@ fn begin(shared: &Shared, mut job: Job) -> Option<Pending> {
             let err = ApiError::new(ErrorCode::MethodNotAllowed, "wrong method for this endpoint");
             job.sink.send_error(&err, Some(&allow));
             finish(shared, job, Ok(()), false);
-            return None;
+            return;
         }
         RouteMatch::Unknown => {
             let err = ApiError::new(
@@ -288,7 +263,7 @@ fn begin(shared: &Shared, mut job: Job) -> Option<Pending> {
                 format!("no such endpoint: {}", job.request.path),
             );
             finish(shared, job, Err(err), false);
-            return None;
+            return;
         }
     };
     job.rtrace.set_endpoint(r.name);
@@ -297,16 +272,10 @@ fn begin(shared: &Shared, mut job: Job) -> Option<Pending> {
             let result = handler(shared, &gen, &job.request, &mut job.sink);
             finish(shared, job, result, false);
         }
-        Handler::Interpret => match prepare_interpret(shared, &gen, &mut job) {
-            Ok(work) if !work.encoded.is_empty() => {
-                return Some(Pending { job, gen, work, popped_at, ready_at: Instant::now() });
-            }
-            Ok(work) => {
-                let result = respond(&mut job, work);
-                finish(shared, job, result, true);
-            }
-            Err(err) => finish(shared, job, Err(err), true),
-        },
+        Handler::Interpret => {
+            let result = interpret(shared, &gen, &mut job, popped_at);
+            finish(shared, job, result, true);
+        }
         Handler::Swap => match admit_swap(shared, &job.request) {
             Ok(model_dir) => {
                 if let Err(SwapJob { job, .. }) = shared.admin.try_push(SwapJob { job, model_dir })
@@ -319,7 +288,6 @@ fn begin(shared: &Shared, mut job: Job) -> Option<Pending> {
             Err(err) => finish(shared, job, Err(err), false),
         },
     }
-    None
 }
 
 // ---- Interpret --------------------------------------------------------
@@ -329,22 +297,12 @@ struct Interpret {
     /// Per-column answers in request order; misses stay `None` until the
     /// forward fills them.
     answers: Vec<Option<Arc<PredictResponse>>>,
-    /// Cache keys of the misses, in request order.
-    miss_keys: Vec<u64>,
-    /// The encoded miss columns, parallel to `miss_keys`.
+    /// Per-column cache keys, parallel to `answers`.
+    keys: Vec<u64>,
+    /// The encoded miss columns, in request order.
     encoded: Vec<Encoded>,
     /// Title and headers of a table request; `None` for one column.
     table: Option<(String, Vec<String>)>,
-}
-
-/// An interpret request waiting for its batch's forward.
-struct Pending {
-    job: Job,
-    gen: Arc<Generation>,
-    work: Interpret,
-    popped_at: Instant,
-    /// When this request's own parse and encode finished.
-    ready_at: Instant,
 }
 
 /// The typed 504 for a request past its deadline.
@@ -424,12 +382,11 @@ fn prepare_interpret(
     if hits > 0 {
         explainti_obs::counter!("serve.cache.hit", hits as u64);
     }
-    let mut miss_keys = Vec::new();
     let mut encoded = Vec::new();
     if hits < columns.len() {
         explainti_obs::counter!("serve.cache.miss", (columns.len() - hits) as u64);
-        // Chaos site: backpressure on a request whose misses would join
-        // a forward, without actually filling the queue.
+        // Chaos site: backpressure on a request whose misses need a
+        // forward, without actually filling the queue.
         if explainti_faults::triggered("serve.queue.full") {
             return Err(ApiError::new(
                 ErrorCode::QueueFull,
@@ -437,123 +394,123 @@ fn prepare_interpret(
             ));
         }
         let encode_start = Instant::now();
-        for ((col, &key), answer) in columns.iter().zip(&keys).zip(&answers) {
+        for (col, answer) in columns.iter().zip(&answers) {
             if answer.is_none() {
                 let cells: Vec<&str> = col.cells.iter().map(String::as_str).collect();
                 encoded.push(gen.model.encode_ad_hoc_column(&title, &col.header, &cells));
-                miss_keys.push(key);
             }
         }
         job.rtrace.add_stage("encode", ns_since(encode_start, Instant::now()));
     }
     let table = is_table.then(|| (title, columns.into_iter().map(|c| c.header).collect()));
-    Ok(Interpret { answers, miss_keys, encoded, table })
+    Ok(Interpret { answers, keys, encoded, table })
 }
 
-/// Runs one same-generation batch: a single forward over every miss of
-/// every request in it, then answers each request.
-fn run_batch(shared: &Shared, mut batch: Vec<Pending>) {
-    let Some(first) = batch.first() else { return };
-    let gen = Arc::clone(&first.gen);
-    let encs: Vec<Encoded> =
-        batch.iter_mut().flat_map(|p| std::mem::take(&mut p.work.encoded)).collect();
+/// `/v1/interpret` on the popping worker: parse and cache lookup, one
+/// forward over the request's misses, then the response.
+fn interpret(
+    shared: &Shared,
+    gen: &Generation,
+    job: &mut Job,
+    popped_at: Instant,
+) -> Result<(), ApiError> {
+    let mut work = prepare_interpret(shared, gen, job)?;
+    if !work.encoded.is_empty() {
+        let preds = forward(shared, gen, job, &work.encoded, popped_at)?;
+        let resps: Vec<Arc<PredictResponse>> = preds
+            .iter()
+            .map(|pred| Arc::new(PredictResponse::from_prediction(pred, &gen.labels, shared.top_k)))
+            .collect();
+        {
+            let mut cache = lock_cache(shared);
+            let misses = work.answers.iter_mut().zip(&work.keys).filter(|(a, _)| a.is_none());
+            for ((slot, &key), resp) in misses.zip(resps) {
+                cache.insert(key, Arc::clone(&resp));
+                *slot = Some(resp);
+            }
+        }
+        if past_deadline(shared, job) {
+            return Err(expire());
+        }
+    }
+    respond(job, work)
+}
+
+/// Runs a request's encoded cache misses through one forward on this
+/// worker and charges the wide event's queue, assembly, predict and
+/// view stages. A panicking forward (injected via `serve.worker.panic`
+/// or real) must not kill the worker: it is retried in place — same
+/// generation, same encoded columns — after a backoff, and answers a
+/// typed 500 once [`MAX_ATTEMPTS`] forwards have panicked (a typed 504
+/// if the deadline passes first).
+fn forward(
+    shared: &Shared,
+    gen: &Generation,
+    job: &mut Job,
+    encs: &[Encoded],
+    popped_at: Instant,
+) -> Result<Vec<Prediction>, ApiError> {
+    let ready_at = Instant::now();
     if explainti_obs::enabled() {
         explainti_obs::registry().histogram("serve.batch.size").record(encs.len() as u64);
     }
     let _span = explainti_obs::span!("serve.batch.predict");
-    // Chaos site: a slow batch (GC pause / noisy neighbour stand-in)
+    // Chaos site: a slow forward (GC pause / noisy neighbour stand-in)
     // to exercise the deadline path without a real stall.
     if explainti_faults::triggered("serve.batch.slow") {
         std::thread::sleep(Duration::from_millis(50));
     }
     let forward_at = Instant::now();
-    // Capture every span the forward closes on this worker, so
-    // per-request wide events can attribute predict/LE/GE/SE.
+    // Capture every span the forward closes on this worker, so the wide
+    // event can attribute predict/LE/GE/SE.
     let capture = explainti_obs::SpanCapture::new();
-    // A panicking forward (injected via `serve.worker.panic` or real)
-    // must not kill the worker: recover, re-enqueue each request within
-    // its retry budget, and answer a typed 500 past it.
-    let outcome = {
-        let _ctx = capture.install();
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            explainti_faults::panic_if_triggered("serve.worker.panic");
-            gen.model.predict_encoded_batch(&encs)
-        }))
-    };
-    let Ok(preds) = outcome else {
-        retry(shared, &gen, batch);
-        return;
+    let mut attempt = 1;
+    let preds = loop {
+        let outcome = {
+            let _ctx = capture.install();
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                explainti_faults::panic_if_triggered("serve.worker.panic");
+                gen.model.predict_encoded_batch(encs)
+            }))
+        };
+        if let Ok(preds) = outcome {
+            break preds;
+        }
+        explainti_obs::counter!("serve.worker.panics", 1);
+        if attempt >= MAX_ATTEMPTS {
+            explainti_obs::counter!("serve.jobs.retry_exhausted", 1);
+            return Err(ApiError::internal(
+                "prediction worker panicked and the retry budget is exhausted",
+            ));
+        }
+        std::thread::sleep(Duration::from_millis(RETRY_BACKOFF_MS << (attempt - 1)));
+        if past_deadline(shared, job) {
+            return Err(expire());
+        }
+        explainti_obs::counter!("serve.jobs.retried", 1);
+        attempt += 1;
     };
     let (predict_ns, [le_ns, ge_ns, se_ns]) = forward_stages(
         capture.get("model.predict_batch"),
         ["explain.le", "explain.ge", "explain.se"].map(|view| capture.get(view)),
     );
-
-    let resps: Vec<Arc<PredictResponse>> = preds
-        .iter()
-        .map(|pred| Arc::new(PredictResponse::from_prediction(pred, &gen.labels, shared.top_k)))
-        .collect();
-    let mut resps = resps.into_iter();
-    {
-        let mut cache = lock_cache(shared);
-        for p in &mut batch {
-            let mut keys = p.work.miss_keys.iter();
-            for slot in p.work.answers.iter_mut().filter(|a| a.is_none()) {
-                if let (Some(resp), Some(&key)) = (resps.next(), keys.next()) {
-                    cache.insert(key, Arc::clone(&resp));
-                    *slot = Some(resp);
-                }
-            }
-        }
-    }
-    for Pending { mut job, work, popped_at, ready_at, .. } in batch {
-        job.rtrace.add_stage("queue_wait", ns_since(job.enqueued_at, popped_at));
-        job.rtrace.add_stage("batch_assembly", ns_since(ready_at, forward_at));
-        job.rtrace.add_stage("predict", predict_ns);
-        job.rtrace.add_stage("explain_le", le_ns);
-        job.rtrace.add_stage("explain_ge", ge_ns);
-        job.rtrace.add_stage("explain_se", se_ns);
-        job.rtrace.note_batch(encs.len() as u64);
-        let result =
-            if past_deadline(shared, &job) { Err(expire()) } else { respond(&mut job, work) };
-        finish(shared, job, result, true);
-    }
+    let trace = &mut job.rtrace;
+    trace.add_stage("queue_wait", ns_since(job.enqueued_at, popped_at));
+    trace.add_stage("batch_assembly", ns_since(ready_at, forward_at));
+    trace.add_stage("predict", predict_ns);
+    trace.add_stage("explain_le", le_ns);
+    trace.add_stage("explain_ge", ge_ns);
+    trace.add_stage("explain_se", se_ns);
+    trace.note_batch(encs.len() as u64);
+    Ok(preds)
 }
 
-/// Splits a batch forward's wall time `wall_ns` between `predict` and
-/// the three explanation views (LE, GE, SE). The forward runs on this
+/// Splits a forward's wall time `wall_ns` between `predict` and the
+/// three explanation views (LE, GE, SE). The forward runs on this
 /// worker, so each view's captured span sum is wall time inside it: the
 /// views are charged as measured and `predict` keeps the rest.
 fn forward_stages(wall_ns: u64, views_ns: [u64; 3]) -> (u64, [u64; 3]) {
     (wall_ns.saturating_sub(views_ns.iter().sum()), views_ns)
-}
-
-/// Re-enqueues the requests of a panicked forward once, on the
-/// generation they snapshotted (they re-parse and re-encode on the next
-/// pop); past the retry budget a request answers a typed 500.
-fn retry(shared: &Shared, gen: &Arc<Generation>, batch: Vec<Pending>) {
-    explainti_obs::counter!("serve.worker.panics", 1);
-    for Pending { mut job, .. } in batch {
-        if job.attempts + 1 >= MAX_ATTEMPTS {
-            explainti_obs::counter!("serve.jobs.retry_exhausted", 1);
-            let err =
-                ApiError::internal("prediction worker panicked and the retry budget is exhausted");
-            finish(shared, job, Err(err), true);
-            continue;
-        }
-        std::thread::sleep(Duration::from_millis(RETRY_BACKOFF_MS << job.attempts));
-        job.attempts += 1;
-        job.gen = Some(Arc::clone(gen));
-        job.enqueued_at = Instant::now();
-        explainti_obs::counter!("serve.jobs.retried", 1);
-        if let Err(job) = shared.queue.try_push(job) {
-            // Queue full or closed mid-retry: fail loudly rather than
-            // dropping the request unanswered.
-            explainti_obs::counter!("serve.jobs.retry_dropped", 1);
-            let err = ApiError::internal("prediction retry could not be re-enqueued");
-            finish(shared, job, Err(err), true);
-        }
-    }
 }
 
 /// Answers an interpret request whose columns are all resolved: one JSON
@@ -844,7 +801,8 @@ enum Handler {
     Direct(
         fn(&Shared, &Arc<Generation>, &http::Request, &mut ResponseSink) -> Result<(), ApiError>,
     ),
-    /// `/v1/interpret`: cache misses join a batched forward first.
+    /// `/v1/interpret`: the request's cache misses run through one
+    /// forward first.
     Interpret,
     /// `/v1/admin/swap`: admitted on the worker, run on the admin thread.
     Swap,
@@ -964,7 +922,6 @@ pub fn start(
         schema_version: SCHEMA_VERSION,
         workers: cfg.workers,
         threads: explainti_pool::global().threads(),
-        max_batch: cfg.max_batch.max(1),
         cache_cap: cfg.cache_cap,
         deadline_ms: cfg.deadline_ms.max(1),
         top_k: cfg.top_k.max(1),
@@ -985,7 +942,6 @@ pub fn start(
         cache: OrderedMutex::new(&classes::SERVE_CACHE, LruCache::new(cfg.cache_cap)),
         shutdown: Arc::clone(&shutdown),
         top_k: cfg.top_k.max(1),
-        max_batch: cfg.max_batch.max(1),
         deadline: Duration::from_millis(cfg.deadline_ms.max(1)),
         slo: explainti_obs::SloWindow::new(cfg.slo_window_s.max(1)),
         swap_lock: AtomicBool::new(false),

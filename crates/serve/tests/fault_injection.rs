@@ -69,23 +69,28 @@ fn worker_panic_within_retry_budget_still_answers() {
     let mut handle = start(model, labels, cfg).expect("start server");
     let addr = handle.addr();
 
-    // Panic exactly once: the first batch dies, the re-enqueued job runs.
+    let counter = |metrics: &Value, name: &str| {
+        metrics.get("counters").and_then(|c| c.get(name)).and_then(Value::as_u64).unwrap_or(0)
+    };
+    let (_, before) = request(&addr, "GET", "/v1/metrics", "");
+    let before: Value = serde_json::from_str(&before).unwrap();
+
+    // Panic exactly once: the first forward dies, the in-place retry runs.
     faults::configure("serve.worker.panic", faults::Policy::Times(1));
     let (status, body) = request(&addr, "POST", "/v1/interpret", &column_body("retry"));
     faults::clear_all();
     assert_eq!(status, 200, "a single worker panic must be retried away: {body}");
     assert!(faults::hit_count("serve.worker.panic") >= 1, "the failpoint never tripped");
 
-    // The retry and the trip both show up in /v1/metrics.
+    // The retry and the trip both show up in /v1/metrics, and the retry
+    // reuses the one column's cache lookup instead of repeating it.
     let (status, metrics) = request(&addr, "GET", "/v1/metrics", "");
     assert_eq!(status, 200);
     let metrics: Value = serde_json::from_str(&metrics).unwrap();
-    let retried = metrics
-        .get("counters")
-        .and_then(|c| c.get("serve.jobs.retried"))
-        .and_then(Value::as_u64)
-        .unwrap_or(0);
-    assert!(retried >= 1, "retry count missing from metrics: {metrics:?}");
+    for name in ["serve.cache.miss", "serve.jobs.retried"] {
+        let grew = counter(&metrics, name) - counter(&before, name);
+        assert_eq!(grew, 1, "{name} grew by {grew} across one retried column: {metrics:?}");
+    }
     let trips = metrics
         .get("failpoints")
         .and_then(|f| f.get("serve.worker.panic"))

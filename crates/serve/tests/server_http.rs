@@ -102,13 +102,7 @@ fn trace_id_of(raw: &str) -> Option<&str> {
 #[test]
 fn serves_interpret_cache_metrics_errors_and_shutdown() {
     let (model, labels) = tiny_model();
-    let cfg = ServeConfig {
-        workers: 2,
-        max_batch: 4,
-        cache_cap: 32,
-        deadline_ms: 30_000,
-        ..Default::default()
-    };
+    let cfg = ServeConfig { workers: 2, cache_cap: 32, deadline_ms: 30_000, ..Default::default() };
     let mut handle = start(Arc::clone(&model), labels.clone(), cfg).expect("start server");
     let addr = handle.addr();
 
@@ -197,13 +191,7 @@ fn config_endpoint_reports_effective_knobs() {
     let (model, labels) = tiny_model();
     let _pool = pool_lock();
     explainti_pool::configure(2);
-    let cfg = ServeConfig {
-        workers: 3,
-        max_batch: 5,
-        cache_cap: 33,
-        deadline_ms: 12_345,
-        ..Default::default()
-    };
+    let cfg = ServeConfig { workers: 3, cache_cap: 33, deadline_ms: 12_345, ..Default::default() };
     let mut handle = start(Arc::clone(&model), labels.clone(), cfg).expect("start server");
     let addr = handle.addr();
 
@@ -213,7 +201,6 @@ fn config_endpoint_reports_effective_knobs() {
     assert_eq!(config.schema_version, explainti_api::SCHEMA_VERSION);
     assert_eq!(config.workers, 3);
     assert_eq!(config.threads, 2);
-    assert_eq!(config.max_batch, 5);
     assert_eq!(config.cache_cap, 33);
     assert_eq!(config.deadline_ms, 12_345);
     assert_eq!(config.model.num_labels, labels.len());
@@ -317,7 +304,7 @@ fn table_at_the_column_limit_answers_in_order() {
 #[test]
 fn concurrent_clients_all_get_answers() {
     let (model, labels) = tiny_model();
-    let cfg = ServeConfig { workers: 2, max_batch: 8, deadline_ms: 60_000, ..Default::default() };
+    let cfg = ServeConfig { workers: 2, deadline_ms: 60_000, ..Default::default() };
     let mut handle = start(model, labels.clone(), cfg).expect("start server");
     let addr = handle.addr();
 

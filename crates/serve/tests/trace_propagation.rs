@@ -110,13 +110,7 @@ fn wide_events_cover_every_stage_and_join_on_trace_ids() {
     explainti_obs::set_trace_writer(Box::new(buf.clone()));
 
     let (model, labels) = tiny_model();
-    let cfg = ServeConfig {
-        workers: 2,
-        max_batch: 8,
-        cache_cap: 32,
-        deadline_ms: 60_000,
-        ..Default::default()
-    };
+    let cfg = ServeConfig { workers: 2, cache_cap: 32, deadline_ms: 60_000, ..Default::default() };
     let mut handle = start(model, labels, cfg).expect("start server");
     let addr = handle.addr();
 
@@ -178,7 +172,8 @@ fn wide_events_cover_every_stage_and_join_on_trace_ids() {
     let err_event = wait_for_wide_event(&buf, &err_tid);
     assert_eq!(err_event.get("status").and_then(Value::as_u64), Some(400));
 
-    // --- Concurrent batch: ids unique, one wide event each ---
+    // --- Concurrent requests: ids unique, one wide event each, and each
+    // forward runs only its own request's column ---
     let clients: Vec<_> = (0..12)
         .map(|i| {
             std::thread::spawn(move || {
@@ -203,6 +198,8 @@ fn wide_events_cover_every_stage_and_join_on_trace_ids() {
         let sum: u64 = st.values().filter_map(Value::as_u64).sum();
         assert!(sum <= total, "event {id}: stage sum {sum} > total {total}");
         assert!(st.get("predict").and_then(Value::as_u64).unwrap() > 0, "event {id} no predict");
+        assert_eq!(ev.get("columns").and_then(Value::as_u64), Some(1), "event {id}: {ev:?}");
+        assert_eq!(ev.get("batch_size_max").and_then(Value::as_u64), Some(1), "event {id}: {ev:?}");
     }
 
     handle.shutdown();

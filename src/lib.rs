@@ -19,7 +19,7 @@
 //! | [`baselines`] | `explainti-baselines` | Sherlock…TCN, SelfExplain, post-hoc |
 //! | [`xeval`] | `explainti-xeval` | sufficiency, judges, online simulation |
 //! | [`api`] | `explainti-api` | typed request/response DTOs + error codes |
-//! | [`serve`] | `explainti-serve` | micro-batching HTTP inference server |
+//! | [`serve`] | `explainti-serve` | event-driven HTTP inference server |
 //!
 //! ## Quickstart
 //!

@@ -6,9 +6,9 @@
 //!                     [--report-out report.json]
 //! explainti interpret --model model-dir [--json] [--top-k N] file.csv [file2.csv …]
 //! explainti evaluate  --model model-dir
-//! explainti serve     --model model-dir [--addr host:port] [--workers N] [--max-batch N]
-//!                     [--cache-cap N] [--deadline-ms N] [--top-k N] [--slo-window-s S]
-//!                     [--max-conns N] [--read-timeout-ms MS] [--idle-timeout-ms MS]
+//! explainti serve     --model model-dir [--addr host:port] [--workers N] [--cache-cap N]
+//!                     [--deadline-ms N] [--top-k N] [--slo-window-s S] [--max-conns N]
+//!                     [--read-timeout-ms MS] [--idle-timeout-ms MS]
 //! ```
 //!
 //! Every command accepts `--trace-out <trace.jsonl>` to stream telemetry
@@ -93,11 +93,10 @@ fn all_specs() -> Vec<CommandSpec> {
             ),
         ),
         with_common(
-            CommandSpec::new("serve", "run the micro-batching HTTP inference server")
+            CommandSpec::new("serve", "run the HTTP inference server")
                 .required_value("model", "DIR", "model directory from `train`")
                 .value("addr", "HOST:PORT", "bind address (default 127.0.0.1:7431)")
                 .value("workers", "N", "request worker threads (default 2)")
-                .value("max-batch", "N", "max requests per batched forward (default 8)")
                 .value("cache-cap", "N", "LRU response cache capacity (default 256)")
                 .value("deadline-ms", "MS", "per-request deadline; late → 504 (default 30000)")
                 .value("top-k", "N", "explanations per view in responses (default 3)")
@@ -303,7 +302,6 @@ fn cmd_serve(args: &Parsed) -> Result<ExitCode, String> {
     let cfg = explainti::serve::ServeConfig {
         addr: args.get("addr").unwrap_or("127.0.0.1:7431").to_string(),
         workers: args.get_or("workers", 2usize).map_err(|e| e.to_string())?,
-        max_batch: args.get_or("max-batch", 8usize).map_err(|e| e.to_string())?,
         cache_cap: args.get_or("cache-cap", 256usize).map_err(|e| e.to_string())?,
         deadline_ms: args.get_or("deadline-ms", 30_000u64).map_err(|e| e.to_string())?,
         top_k: args.get_or("top-k", explainti::api::DEFAULT_TOP_K).map_err(|e| e.to_string())?,
