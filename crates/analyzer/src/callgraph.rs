@@ -1,9 +1,9 @@
 //! Lightweight intra-crate call graph over the token stream.
 //!
-//! The concurrency checks (EA007–EA009) need more than per-line token
-//! lints: whether the epoll reactor can *reach* a blocking call two
-//! hops away, or whether a lock is held *across* a call that may take
-//! another lock. This module recovers just enough structure from the
+//! The concurrency checks (EA007, EA009) need more than per-line token
+//! lints: whether a hot path can *reach* an allocation two hops away,
+//! or whether a lock is held *across* a call that may take another
+//! lock. This module recovers just enough structure from the
 //! [`SourceFile`] token stream to answer those questions:
 //!
 //! * **function boundaries** — every `fn name …` with a body, located

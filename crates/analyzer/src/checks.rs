@@ -428,8 +428,12 @@ const METRIC_FNS: [(&str, bool, &str); 4] = [
     ("counter", true, "counter"),
     ("span", true, "histogram"),
 ];
-const METRIC_METHODS: [(&str, &str); 3] =
-    [("counter", "counter"), ("gauge", "gauge"), ("histogram", "histogram")];
+const METRIC_METHODS: [(&str, &str); 4] = [
+    ("counter", "counter"),
+    ("gauge", "gauge"),
+    ("histogram", "histogram"),
+    ("count_histogram", "histogram"),
+];
 
 fn metric_name_wellformed(name: &str) -> bool {
     if name.is_empty() {

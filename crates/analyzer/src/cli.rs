@@ -30,7 +30,7 @@ options:
   --wire-fingerprint F     EA005 fingerprint (workspace default: crates/api/wire.fingerprint)
   --api-file F             EA005 DTO source (workspace default: crates/api/src/lib.rs)
   --unsafe-inventory F     also write the EA002 unsafe-site inventory JSON to F
-  --locks-registry F       EA007/EA008 lock classes (workspace default: crates/sync/LOCKS.registry)
+  --locks-registry F       EA007 lock classes (workspace default: crates/sync/LOCKS.registry)
   --lock-inventory F       also write the EA007 lock-site + EA010 ordering inventories JSON to F
   --emit-metrics-md        print the README metrics table from the registry and exit
   --all-scopes             treat every scanned file as in scope for EA001/EA006 (fixture mode)

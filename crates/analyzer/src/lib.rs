@@ -3,7 +3,7 @@
 //! A dependency-free static-analysis pass that turns this repository's
 //! conventions into CI-gated errors. It scans the workspace's Rust
 //! sources with a hand-rolled token scanner ([`lexer`]) and enforces
-//! ten invariants, each with a stable error code:
+//! nine invariants, each with a stable error code:
 //!
 //! | code  | invariant |
 //! |-------|-----------|
@@ -14,11 +14,13 @@
 //! | EA005 | the `crates/api` DTO shape matches the committed `crates/api/wire.fingerprint` unless `SCHEMA_VERSION` was bumped |
 //! | EA006 | no `unwrap`/`expect`/`panic!`-family macros or indexing-by-literal in the `crates/serve` request path |
 //! | EA007 | every lock acquisition maps to a class in `crates/sync/LOCKS.registry`, and no path through the [call graph](callgraph) inverts the declared rank order |
-//! | EA008 | the epoll reactor thread never blocks: no sleeps/joins/receives, no file I/O, no non-`reactor` lock classes in its transitive reach |
 //! | EA009 | the SIMD kernel paths and the inference encoder's `forward` never heap-allocate transitively — scratch comes from callers |
 //! | EA010 | every weakened atomic `Ordering::…` site carries a `// ORDERING:` justification (plus a machine-readable inventory) |
 //!
-//! EA007–EA009 run on the whole-workspace [call graph](callgraph) —
+//! EA008 (reactor purity) was retired with the epoll event loop it
+//! guarded; its code is not reused.
+//!
+//! EA007 and EA009 run on the whole-workspace [call graph](callgraph) —
 //! a conservative, intra-crate approximation whose soundness limits
 //! are documented in DESIGN.md §17. The runtime shadow-lock verifier
 //! in `explainti-sync` is the dynamic complement for what the static
@@ -46,10 +48,8 @@ use lexer::{lex, Tok};
 
 /// Stable diagnostic codes. `EA000` is reserved for analyzer
 /// self-hygiene (unused suppressions, malformed registry files).
-pub const CODES: [&str; 11] = [
-    "EA000", "EA001", "EA002", "EA003", "EA004", "EA005", "EA006", "EA007", "EA008", "EA009",
-    "EA010",
-];
+pub const CODES: [&str; 10] =
+    ["EA000", "EA001", "EA002", "EA003", "EA004", "EA005", "EA006", "EA007", "EA009", "EA010"];
 
 /// One finding, pointing at a source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -329,7 +329,7 @@ pub struct Config {
     pub wire_fingerprint: Option<PathBuf>,
     /// The DTO source file EA005 fingerprints.
     pub api_file: Option<PathBuf>,
-    /// Lock-class registry for EA007/EA008 (`None` skips both checks).
+    /// Lock-class registry for EA007 (`None` skips the check).
     pub locks_registry: Option<PathBuf>,
     /// Treat every scanned file as in scope for the path-scoped checks
     /// (EA001, EA006) — used by fixture tests.
@@ -466,12 +466,11 @@ pub fn run(cfg: &Config) -> io::Result<Report> {
         checks::ea005_wire_freeze(&files, &cfg.root, fp, api, cfg.bless, &mut diags)?;
     }
 
-    // The call-graph-backed concurrency checks (EA007–EA010).
+    // The call-graph-backed concurrency checks (EA007, EA009, EA010).
     let cg = callgraph::CallGraph::build(&files);
     if let Some(reg_path) = &cfg.locks_registry {
         if let Some(mut reg) = locks::load_registry(&cfg.root, reg_path, &mut diags)? {
             locks::ea007_lock_order(&cg, &mut reg, &mut diags, &mut lock_sites);
-            locks::ea008_reactor_purity(&files, &cg, &reg, &mut diags);
         }
     }
     locks::ea009_hot_alloc(&files, &cg, &mut diags);

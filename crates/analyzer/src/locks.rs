@@ -1,4 +1,4 @@
-//! The concurrency checks (EA007–EA010).
+//! The concurrency checks (EA007, EA009, EA010).
 //!
 //! * **EA007** — lock-order analysis: every zero-argument `.lock()` /
 //!   `.read()` / `.write()` site must map to a class declared in
@@ -7,12 +7,6 @@
 //!   ≤ a class already held (directly, or transitively across a call).
 //!   The registry reconciles bidirectionally: unregistered sites and
 //!   stale rows are both errors.
-//! * **EA008** — reactor purity: functions defined in `event_loop.rs`
-//!   files and everything they transitively call (intra-crate) must not
-//!   block — no sleeps/joins/receives/waits, no `fs::`/`File::` I/O,
-//!   and no lock classes that are not `reactor`-flagged in the
-//!   registry. The epoll readiness wait itself (receiver `ep`/`epoll`)
-//!   is the one sanctioned block point.
 //! * **EA009** — hot-path allocation: the SIMD kernels
 //!   (`nn/src/simd.rs`) and the tape-free inference encoder's `forward`
 //!   (`encoder/src/infer.rs`) must not heap-allocate, transitively —
@@ -49,12 +43,10 @@ fn is_sync_crate(rel_path: &str) -> bool {
 
 /// One parsed registry row.
 pub struct LockRow {
-    /// Dotted class name (`serve.conn.out`).
+    /// Dotted class name (`serve.cache`).
     pub class: String,
     /// Position in the global acquisition order.
     pub rank: u16,
-    /// Whether the epoll reactor may acquire this class (EA008).
-    pub reactor: bool,
     /// File whose acquisition sites map to this class.
     pub path: String,
     /// Receiver identifier at the acquisition site.
@@ -88,21 +80,19 @@ impl LockRegistry {
             }
             let fields: Vec<&str> = line.split_whitespace().collect();
             let parsed = match fields.as_slice() {
-                [class, rank, flags, path, receiver] => {
-                    rank.parse::<u16>().ok().filter(|_| matches!(*flags, "reactor" | "-")).map(
-                        |rank| (class.to_string(), rank, *flags == "reactor", *path, *receiver),
-                    )
+                [class, rank, path, receiver] => {
+                    rank.parse::<u16>().ok().map(|rank| (class.to_string(), rank, *path, *receiver))
                 }
                 _ => None,
             };
-            let Some((class, rank, reactor, path, receiver)) = parsed else {
+            let Some((class, rank, path, receiver)) = parsed else {
                 diags.push(Diag {
                     code: "EA007",
                     path: rel.to_string(),
                     line: line_no,
                     col: 1,
                     message: format!(
-                        "malformed registry row {line:?}: expected `class rank reactor|- path receiver`"
+                        "malformed registry row {line:?}: expected `class rank path receiver`"
                     ),
                 });
                 continue;
@@ -140,7 +130,6 @@ impl LockRegistry {
             rows.push(LockRow {
                 class,
                 rank,
-                reactor,
                 path: path.to_string(),
                 receiver: receiver.to_string(),
                 line: line_no,
@@ -157,7 +146,7 @@ impl LockRegistry {
 }
 
 /// Loads and parses the registry at `path`. A missing file is an EA007
-/// diagnostic and returns `None` (EA007/EA008 are then skipped).
+/// diagnostic and returns `None` (EA007 is then skipped).
 pub fn load_registry(
     root: &Path,
     path: &Path,
@@ -386,151 +375,6 @@ pub fn ea007_lock_order(
 
 fn site_diag(func: &crate::callgraph::Func, a: &AcquireSite, message: String) -> Diag {
     Diag { code: "EA007", path: func.rel_path.clone(), line: a.line, col: a.col, message }
-}
-
-// ---- EA008: reactor purity --------------------------------------------
-
-/// Call names that block (or may block) the calling thread.
-const DENY_CALLS: [&str; 14] = [
-    "sleep",
-    "join",
-    "recv",
-    "recv_timeout",
-    "recv_deadline",
-    "wait",
-    "wait_timeout",
-    "wait_while",
-    "park",
-    "park_timeout",
-    "pop_wait",
-    "read_to_end",
-    "read_to_string",
-    "connect",
-];
-
-/// Receivers for which a `.wait(…)` call is the reactor's own epoll
-/// readiness wait — the single sanctioned block point.
-const REACTOR_WAIT_RECEIVERS: [&str; 2] = ["ep", "epoll"];
-
-/// Path roots whose `::` calls do blocking file I/O.
-const DENY_PATH_ROOTS: [&str; 2] = ["fs", "File"];
-
-/// EA008: nothing reachable (intra-crate) from a function defined in an
-/// `event_loop.rs` file may block or take a non-reactor lock class.
-pub fn ea008_reactor_purity(
-    files: &[SourceFile],
-    cg: &CallGraph,
-    reg: &LockRegistry,
-    diags: &mut Vec<Diag>,
-) {
-    let mut queue: Vec<usize> = Vec::new();
-    let mut origin: BTreeMap<usize, usize> = BTreeMap::new(); // fn -> parent fn
-    for (fi, func) in cg.funcs.iter().enumerate() {
-        if func.rel_path.ends_with("event_loop.rs") {
-            queue.push(fi);
-        }
-    }
-    let mut visited: BTreeSet<usize> = queue.iter().copied().collect();
-    let mut qi = 0usize;
-    while qi < queue.len() {
-        let fi = queue[qi];
-        qi += 1;
-        let func = &cg.funcs[fi];
-        if is_sync_crate(&func.rel_path) {
-            continue;
-        }
-        let key = crate_key(&func.rel_path);
-        let chain = chain_of(cg, &origin, fi);
-        for ev in &func.events {
-            match ev {
-                Event::Call(c) => {
-                    let sanctioned_wait = c.name == "wait"
-                        && c.receiver
-                            .as_deref()
-                            .is_some_and(|r| REACTOR_WAIT_RECEIVERS.contains(&r));
-                    if DENY_CALLS.contains(&c.name.as_str()) && !sanctioned_wait {
-                        diags.push(Diag {
-                            code: "EA008",
-                            path: func.rel_path.clone(),
-                            line: c.line,
-                            col: c.col,
-                            message: format!(
-                                "blocking call `{}` on the reactor thread ({chain}) — the event loop must never block",
-                                c.name
-                            ),
-                        });
-                    }
-                    for &callee in cg.resolve(&key, &c.name) {
-                        if visited.insert(callee) {
-                            origin.insert(callee, fi);
-                            queue.push(callee);
-                        }
-                    }
-                }
-                Event::Acquire(a) => {
-                    if IO_HANDLE_RECEIVERS.contains(&a.receiver.as_str()) {
-                        continue;
-                    }
-                    // Unregistered sites are EA007's finding, not ours.
-                    if let Some(row) = reg.lookup(&func.rel_path, &a.receiver) {
-                        if !reg.rows[row].reactor {
-                            diags.push(Diag {
-                                code: "EA008",
-                                path: func.rel_path.clone(),
-                                line: a.line,
-                                col: a.col,
-                                message: format!(
-                                    "reactor thread acquires non-reactor lock class `{}` ({chain}) — only `reactor`-flagged classes may be taken on the event loop",
-                                    reg.rows[row].class
-                                ),
-                            });
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        // `fs::…(…)` / `File::…(…)` blocking file I/O, via raw tokens.
-        let f = &files[func.file];
-        for ci in cg.own_body_indices(fi) {
-            let t = f.tok(ci);
-            if t.kind == TokKind::Ident
-                && DENY_PATH_ROOTS.contains(&t.text.as_str())
-                && ci + 2 < f.code.len()
-                && f.tok(ci + 1).is_punct(':')
-                && f.tok(ci + 2).is_punct(':')
-            {
-                diags.push(Diag {
-                    code: "EA008",
-                    path: func.rel_path.clone(),
-                    line: t.line,
-                    col: t.col,
-                    message: format!(
-                        "blocking file I/O (`{}::…`) on the reactor thread ({chain})",
-                        t.text
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// `reachable from reactor entry `run`` or `… via `a` → `b``.
-fn chain_of(cg: &CallGraph, origin: &BTreeMap<usize, usize>, fi: usize) -> String {
-    let mut names = vec![cg.funcs[fi].name.clone()];
-    let mut cur = fi;
-    while let Some(&p) = origin.get(&cur) {
-        names.push(cg.funcs[p].name.clone());
-        cur = p;
-    }
-    names.reverse();
-    let entry = names.first().cloned().unwrap_or_default();
-    if names.len() == 1 {
-        format!("reachable from reactor entry `{entry}`")
-    } else {
-        let via: Vec<String> = names.iter().map(|n| format!("`{n}`")).collect();
-        format!("reachable from reactor entry {}", via.join(" → "))
-    }
 }
 
 // ---- EA009: hot-path allocation ---------------------------------------

@@ -248,28 +248,6 @@ fn ea007_missing_registry_is_an_error() {
 }
 
 #[test]
-fn ea008_flags_blocking_two_hops_deep_and_non_reactor_locks() {
-    let mut cfg = fixture_cfg(&["ea008/event_loop.rs", "ea008/backlog.rs"]);
-    cfg.locks_registry = Some(fixtures_root().join("ea008.locks"));
-    let report = run(&cfg).unwrap();
-    assert_eq!(
-        positions(&report),
-        vec![
-            ("EA008", "ea008/backlog.rs".to_string(), 10, 18), // sleep, two hops deep
-            ("EA008", "ea008/backlog.rs".to_string(), 11, 18), // fs::read
-            ("EA008", "ea008/event_loop.rs".to_string(), 20, 28), // non-reactor class
-        ]
-    );
-    // The chain names every hop from the reactor entry.
-    assert!(report.diags[0].message.contains("`tick` → `drain_backlog` → `persist`"));
-    assert!(report.diags[1].message.contains("blocking file I/O"));
-    assert!(report.diags[2].message.contains("non-reactor lock class `fixture.state`"));
-    // The reactor-flagged `dirty` acquisition is sanctioned: no EA008
-    // diag points at it, but it still appears in the lock inventory.
-    assert!(report.lock_sites.iter().any(|l| l.class == "fixture.dirty"));
-}
-
-#[test]
 fn ea009_flags_transitive_allocation_but_not_constructors() {
     let report = run(&fixture_cfg(&["ea009/nn/src/simd.rs", "ea009/nn/src/util.rs"])).unwrap();
     assert_eq!(positions(&report), vec![("EA009", "ea009/nn/src/util.rs".to_string(), 5, 5)]);

@@ -305,7 +305,7 @@ pub struct ModelInfo {
 pub struct ConfigResponse {
     /// Wire-format version ([`SCHEMA_VERSION`]).
     pub schema_version: u32,
-    /// Request-handling worker threads (HTTP concurrency).
+    /// Forward permits: how many forwards run at once.
     pub workers: usize,
     /// Embedding-store refresh threads (the `--threads` width).
     pub threads: usize,
@@ -315,9 +315,8 @@ pub struct ConfigResponse {
     pub deadline_ms: u64,
     /// Explanations per view in responses.
     pub top_k: usize,
-    /// Hard cap on simultaneously open connections; beyond it new
-    /// connections answer a typed 429 with `Retry-After`. Also the
-    /// request queue's capacity.
+    /// Hard cap on simultaneously open connections (one thread each);
+    /// beyond it new connections answer a typed 429 with `Retry-After`.
     pub max_conns: usize,
     /// Slow-loris read deadline: a partially received request older
     /// than this answers a typed 408 and the connection closes.
@@ -379,9 +378,10 @@ pub enum ErrorCode {
     MethodNotAllowed,
     /// Request body exceeds the configured limit.
     PayloadTooLarge,
-    /// The bounded request queue is full — retry with backoff.
+    /// The server reports no capacity for the request's forward (the
+    /// `serve.queue.full` failpoint) — retry with backoff.
     QueueFull,
-    /// The per-request deadline elapsed before a worker answered.
+    /// The per-request deadline elapsed before the server answered.
     DeadlineExceeded,
     /// The server is draining for shutdown and takes no new work.
     ShuttingDown,

@@ -32,7 +32,7 @@
 //! |Δ| to the libm reference. Retrieval records each round's per-query
 //! p50, with no speed floor.
 //!
-//! The JSON records which dispatch tier (`avx2`/`neon`/`scalar`)
+//! The JSON records which dispatch tier (`avx2`/`scalar`)
 //! actually ran, so a flat speedup on a scalar-only container is
 //! interpretable from the artifact alone rather than alarming. When the
 //! machine has fewer cores than N, the embedding arm's thread-scaling

@@ -315,8 +315,8 @@ impl ExplainTi {
     /// training pass and `None` at inference.
     ///
     /// Takes `&self`: the prediction path reads shared state only, so
-    /// concurrent callers (the inference server's worker pool) can share
-    /// one model behind an `Arc` without locking.
+    /// concurrent callers (the inference server's connection threads) can
+    /// share one model behind an `Arc` without locking.
     #[allow(clippy::too_many_arguments)]
     fn heads(
         &self,

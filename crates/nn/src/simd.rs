@@ -2,7 +2,8 @@
 //!
 //! Every kernel in this module comes in (at least) two arms: a portable
 //! 8-lane-unrolled scalar fallback and an x86_64 AVX2 arm built on
-//! `std::arch` intrinsics (aarch64 NEON where noted). The arms are
+//! `std::arch` intrinsics; every other target (aarch64 included) runs
+//! the scalar arm. The arms are
 //! **bitwise equivalent** for f32 inputs: the AVX2 code uses separate
 //! multiply + add (never FMA, which fuses the rounding step) and reduces
 //! its 8 lane accumulators in exactly the same tree order as the scalar
@@ -22,8 +23,6 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum SimdTier {
     /// x86_64 AVX2 256-bit arm (8 × f32 lanes).
     Avx2,
-    /// aarch64 NEON 128-bit arm (2 × 4 f32 lanes).
-    Neon,
     /// Portable 8-lane-unrolled scalar fallback.
     Scalar,
 }
@@ -33,7 +32,6 @@ impl SimdTier {
     pub fn name(self) -> &'static str {
         match self {
             SimdTier::Avx2 => "avx2",
-            SimdTier::Neon => "neon",
             SimdTier::Scalar => "scalar",
         }
     }
@@ -41,8 +39,7 @@ impl SimdTier {
 
 const TIER_UNSET: u8 = 0;
 const TIER_AVX2: u8 = 1;
-const TIER_NEON: u8 = 2;
-const TIER_SCALAR: u8 = 3;
+const TIER_SCALAR: u8 = 2;
 
 static TIER: AtomicU8 = AtomicU8::new(TIER_UNSET);
 
@@ -61,12 +58,6 @@ fn detect() -> u8 {
             return TIER_AVX2;
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            return TIER_NEON;
-        }
-    }
     TIER_SCALAR
 }
 
@@ -83,7 +74,6 @@ pub fn tier() -> SimdTier {
     }
     match t {
         TIER_AVX2 => SimdTier::Avx2,
-        TIER_NEON => SimdTier::Neon,
         _ => SimdTier::Scalar,
     }
 }
@@ -95,7 +85,6 @@ pub fn tier() -> SimdTier {
 pub fn force_tier(t: SimdTier) {
     let v = match t {
         SimdTier::Avx2 => TIER_AVX2,
-        SimdTier::Neon => TIER_NEON,
         SimdTier::Scalar => TIER_SCALAR,
     };
     // ORDERING: Relaxed — see `tier`; the forced value is self-contained.
@@ -145,12 +134,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
             // AVX2-capable host).
             unsafe { dot_avx2(a, b) }
         }
-        #[cfg(target_arch = "aarch64")]
-        SimdTier::Neon => {
-            // SAFETY: tier() only returns Neon when NEON support was
-            // detected at runtime.
-            unsafe { dot_neon(a, b) }
-        }
         _ => dot_scalar(a, b),
     }
 }
@@ -194,48 +177,6 @@ unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-// SAFETY: caller must ensure NEON is available (dispatch via tier()).
-unsafe fn dot_neon(a: &[f32], b: &[f32]) -> f32 {
-    use std::arch::aarch64::*;
-    let n = a.len().min(b.len());
-    let chunks = n / 8;
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    // Two 4-lane accumulators == scalar acc[0..4] and acc[4..8].
-    let mut acc_lo = vdupq_n_f32(0.0);
-    let mut acc_hi = vdupq_n_f32(0.0);
-    for c in 0..chunks {
-        // SAFETY: c < chunks so c*8 + 7 < n; all loads in bounds.
-        let x0 = unsafe { vld1q_f32(ap.add(c * 8)) };
-        // SAFETY: as above.
-        let x1 = unsafe { vld1q_f32(ap.add(c * 8 + 4)) };
-        // SAFETY: as above for slice b.
-        let y0 = unsafe { vld1q_f32(bp.add(c * 8)) };
-        // SAFETY: as above for slice b.
-        let y1 = unsafe { vld1q_f32(bp.add(c * 8 + 4)) };
-        // Separate mul + add (vmulq/vaddq, not vfmaq) to match scalar
-        // rounding per lane.
-        acc_lo = vaddq_f32(acc_lo, vmulq_f32(x0, y0));
-        acc_hi = vaddq_f32(acc_hi, vmulq_f32(x1, y1));
-    }
-    // half[l] = acc[l] + acc[l+4]
-    let half = vaddq_f32(acc_lo, acc_hi);
-    // vpaddq pairs: (h0+h1, h2+h3, h0+h1, h2+h3); second pass gives
-    // (h0+h1)+(h2+h3) — the scalar tree order.
-    let p = vpaddq_f32(half, half);
-    let s = vpaddq_f32(p, p);
-    let mut sum = vgetq_lane_f32::<0>(s);
-    let mut tail = 0.0f32;
-    for i in chunks * 8..n {
-        // SAFETY: i < n <= len of both slices.
-        tail += unsafe { *ap.add(i) * *bp.add(i) };
-    }
-    sum += tail;
-    sum
-}
-
 // ---------------------------------------------------------------------------
 // Row-block kernel: one A row against NR packed B^T rows at a time.
 // ---------------------------------------------------------------------------
@@ -254,13 +195,6 @@ pub fn row_times_rows(a_row: &[f32], bt: &[f32], k: usize, out: &mut [f32]) {
             // SAFETY: tier() returned Avx2 only after runtime detection of
             // AVX2 (or a forced tier on a capable host).
             unsafe { row_times_rows_avx2(a_row, bt, k, out) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        SimdTier::Neon => {
-            for (j, out_v) in out.iter_mut().enumerate() {
-                // SAFETY: tier() returned Neon only after runtime detection.
-                *out_v = unsafe { dot_neon(a_row, &bt[j * k..j * k + k]) };
-            }
         }
         _ => {
             for (j, out_v) in out.iter_mut().enumerate() {
@@ -501,11 +435,6 @@ pub fn axpy(a: f32, row: &[f32], out: &mut [f32]) {
             // SAFETY: tier() returned Avx2 only after runtime detection.
             unsafe { axpy_avx2(a, row, out) }
         }
-        #[cfg(target_arch = "aarch64")]
-        SimdTier::Neon => {
-            // SAFETY: tier() returned Neon only after runtime detection.
-            unsafe { axpy_neon(a, row, out) }
-        }
         _ => axpy_scalar(a, row, out),
     }
 }
@@ -538,31 +467,6 @@ unsafe fn axpy_avx2(a: f32, row: &[f32], out: &mut [f32]) {
         }
     }
     for i in chunks * 8..n {
-        // SAFETY: i < n <= lengths of row and out.
-        unsafe { *op.add(i) += a * *rp.add(i) };
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-// SAFETY: caller must ensure NEON is available (dispatch via tier()).
-unsafe fn axpy_neon(a: f32, row: &[f32], out: &mut [f32]) {
-    use std::arch::aarch64::*;
-    let n = row.len().min(out.len());
-    let chunks = n / 4;
-    let rp = row.as_ptr();
-    let op = out.as_mut_ptr();
-    let va = vdupq_n_f32(a);
-    for c in 0..chunks {
-        let off = c * 4;
-        // SAFETY: off + 3 < n <= lengths of row and out; rp/op don't alias.
-        unsafe {
-            let vr = vld1q_f32(rp.add(off));
-            let vo = vld1q_f32(op.add(off));
-            vst1q_f32(op.add(off), vaddq_f32(vo, vmulq_f32(va, vr)));
-        }
-    }
-    for i in chunks * 4..n {
         // SAFETY: i < n <= lengths of row and out.
         unsafe { *op.add(i) += a * *rp.add(i) };
     }

@@ -41,7 +41,6 @@ const PACK_MIN: usize = 8;
 fn note_dispatch() {
     match crate::simd::tier() {
         crate::simd::SimdTier::Avx2 => explainti_obs::counter!("nn.kernel.dispatch.avx2", 1),
-        crate::simd::SimdTier::Neon => explainti_obs::counter!("nn.kernel.dispatch.neon", 1),
         crate::simd::SimdTier::Scalar => explainti_obs::counter!("nn.kernel.dispatch.scalar", 1),
     }
 }

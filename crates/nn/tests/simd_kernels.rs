@@ -1,7 +1,7 @@
 //! Differential battery for the runtime-dispatched SIMD kernels.
 //!
 //! The contract under test (DESIGN.md §16): every dispatch arm of the f32
-//! kernels — AVX2, NEON, and the 8-lane-unrolled scalar fallback — is
+//! kernels — AVX2 and the 8-lane-unrolled scalar fallback — is
 //! **bitwise equivalent**, so forcing the fallback on a SIMD host must
 //! reproduce the exact same bytes, on shapes chosen to stress the
 //! remainder handling (primes, degenerate rows, and lengths that are not
@@ -67,7 +67,7 @@ const SHAPES: &[(usize, usize, usize)] = &[
 ];
 
 /// The SIMD tier the host would pick with no overrides. On a machine
-/// without AVX2/NEON this is `Scalar` and the battery degenerates to a
+/// without AVX2 this is `Scalar` and the battery degenerates to a
 /// self-comparison, which is still a valid (if weak) run.
 fn detected() -> SimdTier {
     simd::reset_tier();

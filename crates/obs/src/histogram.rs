@@ -1,6 +1,7 @@
-//! Lock-free log-linear histogram for latency distributions.
+//! Lock-free log-linear histogram for latency and count distributions.
 //!
-//! Values (span durations in nanoseconds) land in buckets arranged as
+//! Values (span durations in nanoseconds, or counts — see [`Unit`])
+//! land in buckets arranged as
 //! powers of two subdivided into 16 linear sub-buckets, the same layout
 //! HdrHistogram popularised: relative quantile error is bounded by the
 //! sub-bucket width (≤ ~6%) at every magnitude, and recording is a
@@ -15,8 +16,18 @@ const SUB: usize = 1 << SUB_BITS;
 /// the exact small values 0..15.
 const BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB;
 
-/// A concurrent histogram of `u64` samples (nanoseconds by convention).
+/// What a histogram's samples measure, fixed when it is created.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unit {
+    /// Durations in nanoseconds (spans, latencies).
+    Nanos,
+    /// Plain counts (columns per forward, queue depth).
+    Count,
+}
+
+/// A concurrent histogram of `u64` samples in one [`Unit`].
 pub struct Histogram {
+    unit: Unit,
     counts: Box<[AtomicU64; BUCKETS]>,
     count: AtomicU64,
     sum: AtomicU64,
@@ -31,8 +42,13 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram.
+    /// An empty histogram of nanosecond durations.
     pub fn new() -> Self {
+        Self::with_unit(Unit::Nanos)
+    }
+
+    /// An empty histogram whose samples are in `unit`.
+    pub fn with_unit(unit: Unit) -> Self {
         // [AtomicU64; N] has no Copy init, so build via Vec and convert.
         let counts: Vec<AtomicU64> = (0..BUCKETS).map(|_| AtomicU64::new(0)).collect();
         let counts: Box<[AtomicU64; BUCKETS]> = match counts.into_boxed_slice().try_into() {
@@ -40,6 +56,7 @@ impl Histogram {
             Err(_) => unreachable!("bucket count is fixed"),
         };
         Self {
+            unit,
             counts,
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
@@ -72,6 +89,11 @@ impl Histogram {
             let width = 1u64 << (msb - SUB_BITS);
             low + width / 2
         }
+    }
+
+    /// What the samples measure.
+    pub fn unit(&self) -> Unit {
+        self.unit
     }
 
     /// Records one sample.

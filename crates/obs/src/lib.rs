@@ -35,7 +35,7 @@ pub mod prom;
 pub mod slo;
 pub mod trace;
 
-pub use histogram::Histogram;
+pub use histogram::{Histogram, Unit};
 pub use prom::prometheus;
 pub use slo::{SloSnapshot, SloWindow};
 pub use trace::{next_trace_id, set_trace_seed, RequestTrace, SpanCapture, TraceId, STAGES};
@@ -140,10 +140,20 @@ impl Registry {
         map.entry(name.to_string()).or_default().clone()
     }
 
-    /// The named histogram, created on first use.
+    /// The named histogram of nanosecond durations, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+        self.histogram_in(name, Unit::Nanos)
+    }
+
+    /// The named histogram of plain counts, created on first use.
+    pub fn count_histogram(&self, name: &str) -> Arc<Histogram> {
+        self.histogram_in(name, Unit::Count)
+    }
+
+    /// The named histogram; `unit` applies only if this call creates it.
+    fn histogram_in(&self, name: &str, unit: Unit) -> Arc<Histogram> {
         let mut map = self.histograms.lock();
-        map.entry(name.to_string()).or_default().clone()
+        map.entry(name.to_string()).or_insert_with(|| Arc::new(Histogram::with_unit(unit))).clone()
     }
 
     /// Zeroes every metric in place (handles cached by call sites keep

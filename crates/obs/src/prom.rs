@@ -6,12 +6,14 @@
 //!
 //! - counters → `counter`, gauges → `gauge`, verbatim values;
 //! - histograms → `summary` with `quantile` labels 0.5/0.9/0.99/0.999
-//!   plus `_sum` / `_count`, under a `_ns` suffix (span durations are
-//!   nanoseconds by convention);
+//!   plus `_sum` / `_count`; a time histogram ([`Unit::Nanos`]) carries
+//!   a `_ns` suffix, a count histogram ([`Unit::Count`]) none;
 //! - dotted metric names sanitise `.` → `_` (registry names are
 //!   `[a-z0-9_.]+`, so the result is a valid Prometheus identifier).
 
 use std::fmt::Write as _;
+
+use crate::Unit;
 
 /// `.`-separated registry name → Prometheus-legal identifier.
 fn sanitize(name: &str) -> String {
@@ -38,7 +40,10 @@ pub fn prometheus() -> String {
         if h.count() == 0 {
             continue;
         }
-        let n = format!("{}_ns", sanitize(name));
+        let n = match h.unit() {
+            Unit::Nanos => format!("{}_ns", sanitize(name)),
+            Unit::Count => sanitize(name),
+        };
         let _ = writeln!(out, "# TYPE {n} summary");
         for (q, label) in [(0.50, "0.5"), (0.90, "0.9"), (0.99, "0.99"), (0.999, "0.999")] {
             let _ = writeln!(out, "{n}{{quantile=\"{label}\"}} {}", h.quantile(q));
@@ -110,6 +115,8 @@ mod tests {
         for i in 1..=100u64 {
             h.record(i * 1_000);
         }
+        let sizes = crate::registry().count_histogram("promtest.batch.size");
+        sizes.record(3);
         let text = prometheus();
         assert_exposition_parses(&text);
         assert!(text.contains("# TYPE promtest_hits counter"));
@@ -119,6 +126,10 @@ mod tests {
         assert!(text.contains("# TYPE promtest_latency_ns summary"));
         assert!(text.contains("promtest_latency_ns{quantile=\"0.999\"}"));
         assert!(text.contains("promtest_latency_ns_count 100"));
+        // A count histogram keeps its name: no time suffix.
+        assert!(text.contains("# TYPE promtest_batch_size summary"));
+        assert!(text.contains("promtest_batch_size_count 1"));
+        assert!(!text.contains("promtest_batch_size_ns"));
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //!   seeded SplitMix64 sequence (`EXPLAINTI_TRACE_SEED` /
 //!   [`set_trace_seed`]), so test runs produce reproducible ids and the
 //!   sequence never collides (SplitMix64 is a bijection).
-//! - [`SpanCapture`] — a shareable accumulator of span durations. While
-//!   installed on a thread (RAII guard), every closing [`span!`](crate::span!)
-//!   adds its duration under its name. A serve worker installs one around
-//!   a request's forward, which runs on that worker, so its spans
-//!   (`explain.le`, `model.forward`, …) attribute to that request.
+//! - [`SpanCapture`] — a thread-local accumulator of span durations.
+//!   While installed on a thread (RAII guard), every closing
+//!   [`span!`](crate::span!) adds its duration under its name. A serve
+//!   connection thread installs one around a request's forward, which
+//!   runs on that thread, so its spans (`explain.le`, `model.forward`, …)
+//!   attribute to that request.
 //! - [`RequestTrace`] — the wide-event builder: one JSONL record per
 //!   request carrying the trace id, status, and a canonical per-stage
 //!   duration map ([`STAGES`]) that mirrors the paper's Table V
@@ -20,10 +21,9 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-
-use explainti_sync::{classes, OrderedMutex};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use serde_json::{json, Value};
@@ -116,21 +116,16 @@ pub fn next_trace_id() -> TraceId {
 
 type StageSums = BTreeMap<&'static str, u64>;
 
-/// A shareable accumulator of closed-span durations, keyed by span name.
+/// An accumulator of closed-span durations on one thread, keyed by span
+/// name.
 ///
-/// Install it on a thread with [`SpanCapture::install`]; while the
-/// returned guard lives, every span closing on that thread adds its
-/// duration here. Clones share the same accumulator, so a clone
-/// installed on another thread feeds it too.
-#[derive(Clone)]
+/// Install it with [`SpanCapture::install`]; while the returned guard
+/// lives, every span closing on this thread adds its duration here. It
+/// is neither `Send` nor shared: spans closing on other threads never
+/// reach it, and feeding it takes no lock.
+#[derive(Default)]
 pub struct SpanCapture {
-    sums: Arc<OrderedMutex<StageSums>>,
-}
-
-impl Default for SpanCapture {
-    fn default() -> Self {
-        Self { sums: Arc::new(OrderedMutex::new(&classes::OBS_TRACE_SUMS, StageSums::new())) }
-    }
+    sums: Rc<RefCell<StageSums>>,
 }
 
 impl SpanCapture {
@@ -142,24 +137,24 @@ impl SpanCapture {
     /// Installs this capture as the thread's active one until the guard
     /// drops (the previous capture, if any, is restored — captures nest).
     pub fn install(&self) -> CaptureGuard {
-        let prev = ACTIVE_CAPTURE.with(|c| c.borrow_mut().replace(self.clone()));
+        let prev = ACTIVE_CAPTURE.with(|c| c.borrow_mut().replace(Rc::clone(&self.sums)));
         CaptureGuard { prev }
     }
 
     /// Snapshot of the accumulated `span name → total ns` map.
     pub fn sums(&self) -> StageSums {
-        self.sums.lock().clone()
+        self.sums.borrow().clone()
     }
 
     /// Total nanoseconds accumulated under `name` (0 when unseen).
     pub fn get(&self, name: &str) -> u64 {
-        self.sums.lock().get(name).copied().unwrap_or(0)
+        self.sums.borrow().get(name).copied().unwrap_or(0)
     }
 }
 
 /// Restores the previously active capture when dropped.
 pub struct CaptureGuard {
-    prev: Option<SpanCapture>,
+    prev: Option<Rc<RefCell<StageSums>>>,
 }
 
 impl Drop for CaptureGuard {
@@ -170,16 +165,16 @@ impl Drop for CaptureGuard {
 }
 
 thread_local! {
-    /// The capture currently receiving this thread's span closes.
-    static ACTIVE_CAPTURE: RefCell<Option<SpanCapture>> = const { RefCell::new(None) };
+    /// The accumulator currently receiving this thread's span closes.
+    static ACTIVE_CAPTURE: RefCell<Option<Rc<RefCell<StageSums>>>> = const { RefCell::new(None) };
 }
 
 /// Feeds one closed span into the active capture (called by
 /// `SpanGuard::drop`; a no-op when no capture is installed).
 pub(crate) fn note_span(name: &'static str, ns: u64) {
     ACTIVE_CAPTURE.with(|c| {
-        if let Some(cap) = c.borrow().as_ref() {
-            *cap.sums.lock().entry(name).or_insert(0) += ns;
+        if let Some(sums) = c.borrow().as_ref() {
+            *sums.borrow_mut().entry(name).or_insert(0) += ns;
         }
     });
 }
@@ -360,17 +355,5 @@ mod tests {
         note_span("x", 2);
         assert_eq!(inner.get("x"), 1);
         assert_eq!(outer.get("x"), 2);
-    }
-
-    #[test]
-    fn capture_clones_share_one_accumulator_across_threads() {
-        let cap = SpanCapture::new();
-        let clone = cap.clone();
-        let t = std::thread::spawn(move || {
-            let _g = clone.install();
-            note_span("cross", 11);
-        });
-        t.join().expect("capture thread");
-        assert_eq!(cap.get("cross"), 11);
     }
 }

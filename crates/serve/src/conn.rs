@@ -1,35 +1,45 @@
-//! Per-connection state for the event-driven front-end.
+//! Connections: the blocking accept loop and one thread per connection.
 //!
-//! Each accepted socket gets a [`Conn`], owned by the event loop: a
-//! read buffer the incremental parser pumps ([`Conn::on_readable`]), a
-//! queue of parsed-but-not-yet-queued pipelined requests, and the shared
-//! [`ConnIo`] outbound state that worker threads write responses into
-//! from their side of the wall. The connection moves through three
-//! logical states — *reading* (accumulating bytes), *in flight* (a
-//! request is on the request queue or with a worker), *writing*
-//! (response bytes draining to the socket) — and keep-alive loops it
-//! back to *reading* instead of closing.
+//! The accept loop blocks in `accept(2)`, turns connections over the
+//! `max_conns` limit away with a typed 429 + `Retry-After`, and gives
+//! every admitted socket its own thread. That thread reads into a
+//! buffer capped at `MAX_CONN_BUF`, pumps the incremental parser, and
+//! answers each complete request in order — route, handler, response —
+//! writing the bytes before it reads again, so keep-alive and pipelined
+//! requests are answered in request order without any hand-off between
+//! threads. The socket's read timeout is the thread's 50 ms tick:
+//! between reads it enforces the read deadline (slow-loris → one typed
+//! 408, then close), the idle timeout and the shutdown drain.
 //!
-//! [`ResponseSink`] is the worker-side handle: exactly one response per
-//! request, either a fixed `Content-Length` body ([`ResponseSink::
-//! send_json`]) or a chunked stream ([`ResponseSink::begin_stream`] /
+//! Threads are reused across connections, not across requests: when its
+//! connection closes, a thread parks for up to one idle timeout and the
+//! accept loop hands the next admitted connection to a parked thread
+//! before it spawns a new one. Spawning costs tens of microseconds, so
+//! a client that opens a socket per request would otherwise pay it on
+//! every request. A thread serves one connection at a time, so there
+//! are never more connection threads than `max_conns`.
+//!
+//! [`ResponseSink`] collects exactly one response per request, either a
+//! fixed `Content-Length` body ([`ResponseSink::send_json`]) or a
+//! chunked stream ([`ResponseSink::begin_stream`] /
 //! [`ResponseSink::stream_chunk`] / [`ResponseSink::end_stream`]) for
-//! table responses, one chunk per column. A worker only opens a stream
+//! table responses, one chunk per column. A handler only opens a stream
 //! once every column is computed, so a stream never has to be cut short
-//! by a failure. Every enqueue nudges the event loop through a [`Waker`].
+//! by a failure.
 
-use std::collections::{BTreeSet, VecDeque};
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
+use std::collections::VecDeque;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
-use explainti_sync::{classes, OrderedMutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use explainti_api::ApiError;
 
 use crate::http;
+use crate::server::{self, Shared};
 
 /// Hard cap on a connection's unparsed read buffer: one maximal request
 /// head + body plus pipelined slack. Beyond it the peer is flooding.
@@ -38,139 +48,362 @@ const MAX_CONN_BUF: usize = http::MAX_HEAD_BYTES + http::MAX_BODY_BYTES + 64 * 1
 /// Scratch read size per `read(2)` call.
 const READ_CHUNK: usize = 16 * 1024;
 
-// ---- Waker ------------------------------------------------------------
+/// Socket read and write timeout: how often a connection thread that is
+/// waiting on its peer re-checks its deadlines and the shutdown flag.
+pub(crate) const TICK: Duration = Duration::from_millis(50);
 
-/// Wakes the event loop from a worker thread: marks the connection
-/// dirty and writes one byte into the loop's wake pipe.
-#[derive(Clone)]
-pub struct Waker {
-    dirty: Arc<OrderedMutex<BTreeSet<u64>>>,
-    pipe: Arc<UnixStream>,
+/// How long a drain waits for in-flight connections before force-close.
+const DRAIN_GRACE: Duration = Duration::from_secs(5);
+
+/// How long a failed connection's one error response may take to drain
+/// (peer not reading) before the socket is closed anyway.
+const FAIL_FLUSH_GRACE: Duration = Duration::from_secs(5);
+
+// ---- Accept -----------------------------------------------------------
+
+/// Admitted connections waiting for a parked connection thread.
+#[derive(Default)]
+pub(crate) struct Parked {
+    /// Connections handed over but not yet taken.
+    streams: VecDeque<TcpStream>,
+    /// Threads parked in [`park`]; never fewer than `streams.len()`, so
+    /// every handed-over connection has a thread that will take it.
+    threads: usize,
 }
 
-impl Waker {
-    /// A waker writing to `pipe`, sharing the loop's dirty set.
-    pub fn new(dirty: Arc<OrderedMutex<BTreeSet<u64>>>, pipe: Arc<UnixStream>) -> Self {
-        Self { dirty, pipe }
-    }
-
-    /// Marks `conn_id` as needing event-loop attention.
-    pub fn wake(&self, conn_id: u64) {
-        self.dirty.lock().insert(conn_id);
-        // A full pipe already guarantees a pending wake-up; any other
-        // failure means the loop is gone and the write is moot.
-        let _ = (&*self.pipe).write(&[1u8]);
-    }
-
-    /// Drains and returns the dirty set (event-loop side).
-    pub fn take_dirty(&self) -> Vec<u64> {
-        let mut set = self.dirty.lock();
-        let ids: Vec<u64> = set.iter().copied().collect();
-        set.clear();
-        ids
-    }
-}
-
-// ---- Outbound state (shared with workers) -----------------------------
-
-/// Outbound bytes and response bookkeeping, written by workers and
-/// drained by the event loop.
-struct OutState {
-    /// Response byte runs, in send order.
-    queue: VecDeque<Vec<u8>>,
-    /// Bytes of `queue.front()` already written to the socket.
-    front_written: usize,
-    /// The in-flight request's response has been fully enqueued.
-    response_done: bool,
-    /// Close the connection once the queue drains.
-    close_after: bool,
-}
-
-/// The half of a connection worker threads may touch.
-pub struct ConnIo {
-    out: OrderedMutex<OutState>,
-}
-
-impl Default for ConnIo {
-    fn default() -> Self {
-        Self {
-            out: OrderedMutex::new(
-                &classes::SERVE_CONN_OUT,
-                OutState {
-                    queue: VecDeque::new(),
-                    front_written: 0,
-                    response_done: false,
-                    close_after: false,
-                },
-            ),
+/// Accepts until the shutdown flag is seen, giving each admitted
+/// connection a parked thread or a new one. Returns the handles of the
+/// connection threads still running, for the drain to join.
+pub(crate) fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) -> Vec<JoinHandle<()>> {
+    let mut conns: Vec<JoinHandle<()>> = Vec::new();
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            // Shutdown (or its wake-up connect): stop accepting; the
+            // listener closes when the caller drops it.
+            return conns;
+        }
+        let stream = match accepted {
+            Ok((stream, _addr)) => stream,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => {
+                explainti_obs::counter!("serve.accept.errors", 1);
+                continue;
+            }
+        };
+        explainti_obs::counter!("serve.conns.accepted", 1);
+        conns.retain(|c| !c.is_finished());
+        let over_limit = shared.open_conns.load(Ordering::SeqCst) >= shared.max_conns;
+        if over_limit || explainti_faults::triggered("serve.conn.accept") {
+            explainti_obs::counter!("serve.conns.rejected", 1);
+            reject(stream, shared.max_conns);
+            continue;
+        }
+        let open = shared.open_conns.fetch_add(1, Ordering::SeqCst) + 1;
+        explainti_obs::set_gauge("serve.conns.active", open as f64);
+        let Err(stream) = hand_to_parked(shared, stream) else { continue };
+        let conn_shared = Arc::clone(shared);
+        let spawned = std::thread::Builder::new()
+            .name("serve-conn".to_string())
+            .spawn(move || conn_thread(&conn_shared, stream));
+        match spawned {
+            Ok(handle) => conns.push(handle),
+            Err(_) => {
+                // The closure (and the socket in it) was dropped unrun.
+                shared.open_conns.fetch_sub(1, Ordering::SeqCst);
+                explainti_obs::counter!("serve.accept.errors", 1);
+            }
         }
     }
 }
 
-impl ConnIo {
-    /// Appends response bytes to the outbound queue.
-    pub fn enqueue(&self, bytes: Vec<u8>) {
-        if bytes.is_empty() {
+/// Gives `stream` to a parked connection thread, or hands it back when
+/// every parked thread already has one waiting.
+fn hand_to_parked(shared: &Shared, stream: TcpStream) -> Result<(), TcpStream> {
+    let mut parked = shared.parked.lock();
+    if parked.threads <= parked.streams.len() {
+        return Err(stream);
+    }
+    parked.streams.push_back(stream);
+    drop(parked);
+    shared.parked_ready.notify_one();
+    Ok(())
+}
+
+/// A connection thread: serves `first`, then every connection the
+/// accept loop hands it while parked, until it parks too long.
+fn conn_thread(shared: &Shared, first: TcpStream) {
+    let mut scratch = [0u8; READ_CHUNK];
+    let mut next = Some(first);
+    while let Some(stream) = next {
+        Conn::run(shared, stream, &mut scratch);
+        next = park(shared);
+    }
+}
+
+/// Closes out a served connection's count and waits, for up to one idle
+/// timeout, for the accept loop to hand this thread the next one.
+/// `None` means exit: the wait ran out or the server is shutting down.
+fn park(shared: &Shared) -> Option<TcpStream> {
+    let parked_at = Instant::now();
+    let mut parked = shared.parked.lock();
+    parked.threads += 1;
+    // Counted out under the lock, so the accept loop never spawns a
+    // thread while this one is about to park.
+    let open = shared.open_conns.fetch_sub(1, Ordering::SeqCst) - 1;
+    explainti_obs::set_gauge("serve.conns.active", open as f64);
+    loop {
+        if let Some(stream) = parked.streams.pop_front() {
+            parked.threads -= 1;
+            return Some(stream);
+        }
+        if shared.shutdown.load(Ordering::SeqCst) || parked_at.elapsed() >= shared.idle_timeout {
+            parked.threads -= 1;
+            return None;
+        }
+        parked = parked.wait_timeout(&shared.parked_ready, TICK).0;
+    }
+}
+
+/// Best-effort typed 429 on a connection we will not keep: one
+/// nonblocking pass over the bytes, since backpressure on a brand-new
+/// socket means the client is not reading.
+fn reject(stream: TcpStream, max_conns: usize) {
+    let _ = stream.set_nonblocking(true);
+    let err = ApiError::too_many_connections(format!("connection limit ({max_conns}) reached"), 1);
+    let tid = explainti_obs::next_trace_id().to_string();
+    let bytes = http::render_error(&err, &tid, false, None);
+    let mut remaining: &[u8] = &bytes;
+    while !remaining.is_empty() {
+        match (&stream).write(remaining) {
+            Ok(0) => break,
+            Ok(n) => remaining = remaining.get(n..).unwrap_or_default(),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        }
+    }
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+// ---- One connection ---------------------------------------------------
+
+/// One admitted connection, owned by its thread.
+struct Conn {
+    stream: TcpStream,
+    /// Unparsed inbound bytes.
+    buf: Vec<u8>,
+    /// Parsed requests not yet answered (pipelining).
+    pending: VecDeque<http::Request>,
+    /// When the current incomplete request's first byte arrived.
+    partial_since: Option<Instant>,
+    /// When the connection last finished a read or a response.
+    idle_since: Instant,
+    /// Requests answered so far (keep-alive reuse = anything past one).
+    served: u64,
+}
+
+impl Conn {
+    /// Serves `stream` until the peer closes, a request asks to close,
+    /// the idle timeout or a deadline ends it, or the drain does.
+    fn run(shared: &Shared, stream: TcpStream, scratch: &mut [u8]) {
+        let _ = stream.set_nodelay(true);
+        if stream.set_read_timeout(Some(TICK)).is_err()
+            || stream.set_write_timeout(Some(TICK)).is_err()
+        {
             return;
         }
-        self.out.lock().queue.push_back(bytes);
+        let mut conn = Conn {
+            stream,
+            buf: Vec::new(),
+            pending: VecDeque::new(),
+            partial_since: None,
+            idle_since: Instant::now(),
+            served: 0,
+        };
+        conn.serve(shared, scratch);
+        let _ = conn.stream.shutdown(Shutdown::Both);
     }
 
-    /// Marks the current response complete; `close` additionally closes
-    /// the connection once the bytes drain.
-    pub fn finish_response(&self, close: bool) {
-        let mut st = self.out.lock();
-        st.response_done = true;
-        st.close_after |= close;
+    /// Answers every complete request in order, then reads for more.
+    fn serve(&mut self, shared: &Shared, scratch: &mut [u8]) {
+        loop {
+            let invalid = self.parse();
+            while let Some(mut request) = self.pending.pop_front() {
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    // Draining: close after this response.
+                    request.keep_alive = false;
+                }
+                if self.served > 0 {
+                    explainti_obs::counter!("serve.keepalive.reused", 1);
+                }
+                self.served += 1;
+                let keep_alive = request.keep_alive;
+                let bytes = server::answer(shared, request);
+                if !self.write_all(shared, &bytes, None) || !keep_alive {
+                    return;
+                }
+                self.idle_since = Instant::now();
+            }
+            if let Some(err) = invalid {
+                return self.fail(shared, err);
+            }
+            if !self.read_more(shared, scratch) {
+                return;
+            }
+        }
     }
 
-    /// Whether any bytes are waiting to be written.
-    pub fn has_output(&self) -> bool {
-        !self.out.lock().queue.is_empty()
+    /// Moves every complete request in the buffer to `pending`, stamping
+    /// its `parse_ns` and `received_at`. Returns the error of an
+    /// unparseable stream; the requests before it are still answered.
+    fn parse(&mut self) -> Option<ApiError> {
+        loop {
+            match http::parse_request(&self.buf) {
+                http::Parse::Complete { mut request, consumed } => {
+                    let now = Instant::now();
+                    let started = self.partial_since.take().unwrap_or(now);
+                    request.parse_ns =
+                        now.saturating_duration_since(started).as_nanos().min(u64::MAX as u128)
+                            as u64;
+                    request.received_at = Some(started);
+                    self.buf.drain(..consumed);
+                    if !self.buf.is_empty() {
+                        // The next pipelined request is already arriving.
+                        self.partial_since = Some(now);
+                    }
+                    self.pending.push_back(request);
+                }
+                http::Parse::Partial => return None,
+                http::Parse::Invalid(err) => return Some(err),
+            }
+        }
+    }
+
+    /// Blocks until more request bytes arrive, waking every [`TICK`] to
+    /// enforce the read deadline, the idle timeout and the drain.
+    /// Returns `false` when the connection should close.
+    fn read_more(&mut self, shared: &Shared, scratch: &mut [u8]) -> bool {
+        loop {
+            let now = Instant::now();
+            if shared.shutdown.load(Ordering::SeqCst)
+                && (self.buf.is_empty() || now >= drain_deadline(shared))
+            {
+                return false;
+            }
+            if let Some(since) = self.partial_since {
+                if now.saturating_duration_since(since) >= shared.read_timeout
+                    || explainti_faults::triggered("serve.conn.stall")
+                {
+                    explainti_obs::counter!("serve.conns.timeout", 1);
+                    let err = ApiError::request_timeout(
+                        format!(
+                            "request not completed within {} ms",
+                            shared.read_timeout.as_millis()
+                        ),
+                        1,
+                    );
+                    self.fail(shared, err);
+                    return false;
+                }
+            } else if now.saturating_duration_since(self.idle_since) >= shared.idle_timeout {
+                return false;
+            }
+            match self.stream.read(scratch) {
+                Ok(0) => return false,
+                Ok(n) => {
+                    let now = Instant::now();
+                    if self.buf.is_empty() && self.partial_since.is_none() {
+                        self.partial_since = Some(now);
+                    }
+                    self.buf.extend_from_slice(scratch.get(..n).unwrap_or_default());
+                    self.idle_since = now;
+                    if self.buf.len() > MAX_CONN_BUF {
+                        self.fail(
+                            shared,
+                            ApiError::new(
+                                explainti_api::ErrorCode::PayloadTooLarge,
+                                format!("connection buffer exceeds {MAX_CONN_BUF} bytes"),
+                            ),
+                        );
+                        return false;
+                    }
+                    return true;
+                }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        }
+    }
+
+    /// Writes `bytes` in full. Gives up when the socket fails, when the
+    /// drain's grace ends, or at `give_up` (a peer not reading).
+    fn write_all(&mut self, shared: &Shared, mut bytes: &[u8], give_up: Option<Instant>) -> bool {
+        while !bytes.is_empty() {
+            match self.stream.write(bytes) {
+                Ok(0) => return false,
+                Ok(n) => bytes = bytes.get(n..).unwrap_or_default(),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    let now = Instant::now();
+                    let draining =
+                        shared.shutdown.load(Ordering::SeqCst) && now >= drain_deadline(shared);
+                    if draining || give_up.is_some_and(|t| now >= t) {
+                        return false;
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        }
+        true
+    }
+
+    /// Answers a malformed stream (400/413) or a read-deadline expiry
+    /// (408) with exactly one typed error; the caller then closes, so
+    /// the connection is never read or parsed again.
+    fn fail(&mut self, shared: &Shared, err: ApiError) {
+        let trace_id = explainti_obs::next_trace_id();
+        let mut rtrace = explainti_obs::RequestTrace::new(trace_id);
+        rtrace.set_endpoint("conn");
+        rtrace.set_status(err.status());
+        let bytes = http::render_error(&err, &trace_id.to_string(), false, None);
+        rtrace.finish();
+        self.write_all(shared, &bytes, Some(Instant::now() + FAIL_FLUSH_GRACE));
     }
 }
 
-// ---- Worker-side response writer --------------------------------------
+/// When a drain that has begun force-closes what is left (set by the
+/// first connection thread to see the shutdown flag).
+fn drain_deadline(shared: &Shared) -> Instant {
+    *shared.drain_deadline.get_or_init(|| Instant::now() + DRAIN_GRACE)
+}
 
-/// Builds exactly one response for one request and feeds it into the
-/// connection's outbound queue, waking the event loop per enqueue.
+// ---- Response writer --------------------------------------------------
+
+/// Builds exactly one response for one request; the connection thread
+/// writes [`ResponseSink::into_bytes`] once the handler returns.
 pub struct ResponseSink {
-    io: Arc<ConnIo>,
-    waker: Waker,
-    conn_id: u64,
+    out: Vec<u8>,
     trace_id: String,
     keep_alive: bool,
     chunked_ok: bool,
     status: u16,
-    streaming: bool,
     /// HTTP/1.0 fallback: chunks accumulate here and ship as one fixed
     /// body on [`ResponseSink::end_stream`].
     buffered: Option<Vec<u8>>,
-    buffered_status: u16,
     generation: Option<u64>,
 }
 
 impl ResponseSink {
-    /// A sink for one request on connection `conn_id`.
-    pub fn new(
-        io: Arc<ConnIo>,
-        waker: Waker,
-        conn_id: u64,
-        trace_id: String,
-        keep_alive: bool,
-        chunked_ok: bool,
-    ) -> Self {
+    /// A sink for one request.
+    pub fn new(trace_id: String, keep_alive: bool, chunked_ok: bool) -> Self {
         Self {
-            io,
-            waker,
-            conn_id,
+            out: Vec::new(),
             trace_id,
             keep_alive,
             chunked_ok,
             status: 0,
-            streaming: false,
             buffered: None,
-            buffered_status: 0,
             generation: None,
         }
     }
@@ -180,14 +413,14 @@ impl ResponseSink {
         self.generation = Some(generation);
     }
 
-    /// The trace id every response from this sink carries.
-    pub fn trace_id(&self) -> &str {
-        &self.trace_id
-    }
-
     /// The committed HTTP status (0 before any response).
     pub fn status(&self) -> u16 {
         self.status
+    }
+
+    /// The response bytes, ready for the socket.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.out
     }
 
     fn extras(&self) -> http::Extras<'_> {
@@ -198,58 +431,52 @@ impl ResponseSink {
         }
     }
 
-    fn commit(&self, bytes: Vec<u8>, done: bool) {
-        self.io.enqueue(bytes);
-        if done {
-            self.io.finish_response(!self.keep_alive);
+    fn commit(&mut self, bytes: Vec<u8>) {
+        if self.out.is_empty() {
+            self.out = bytes;
+        } else {
+            self.out.extend_from_slice(&bytes);
         }
-        self.waker.wake(self.conn_id);
     }
 
     /// Sends a complete JSON response.
     pub fn send_json(&mut self, status: u16, body: &str) {
         self.status = status;
-        self.commit(
-            http::render_full(status, "application/json", body, &self.extras(), self.keep_alive),
-            true,
-        );
+        let bytes =
+            http::render_full(status, "application/json", body, &self.extras(), self.keep_alive);
+        self.commit(bytes);
     }
 
     /// Sends a complete plain-text response (Prometheus exposition).
     pub fn send_text(&mut self, status: u16, body: &str) {
         self.status = status;
-        self.commit(
-            http::render_full(
-                status,
-                "text/plain; version=0.0.4",
-                body,
-                &self.extras(),
-                self.keep_alive,
-            ),
-            true,
+        let bytes = http::render_full(
+            status,
+            "text/plain; version=0.0.4",
+            body,
+            &self.extras(),
+            self.keep_alive,
         );
+        self.commit(bytes);
     }
 
     /// Sends a typed error response (`Retry-After` mirrored from the
     /// error, `Allow` attached for 405s).
     pub fn send_error(&mut self, err: &ApiError, allow: Option<&str>) {
         self.status = err.status();
-        self.commit(http::render_error(err, &self.trace_id, self.keep_alive, allow), true);
+        self.commit(http::render_error(err, &self.trace_id, self.keep_alive, allow));
     }
 
     /// Opens a streamed response: chunked on HTTP/1.1, buffered into a
     /// single fixed body for HTTP/1.0 clients.
     pub fn begin_stream(&mut self, status: u16, content_type: &str) {
-        self.streaming = true;
         self.status = status;
         if self.chunked_ok {
-            self.commit(
-                http::render_chunked_head(status, content_type, &self.extras(), self.keep_alive),
-                false,
-            );
+            let head =
+                http::render_chunked_head(status, content_type, &self.extras(), self.keep_alive);
+            self.commit(head);
         } else {
             self.buffered = Some(Vec::new());
-            self.buffered_status = status;
         }
     }
 
@@ -259,250 +486,23 @@ impl ResponseSink {
             buf.extend_from_slice(payload);
             return;
         }
-        self.commit(http::render_chunk(payload), false);
+        self.commit(http::render_chunk(payload));
     }
 
     /// Terminates a streamed response cleanly.
     pub fn end_stream(&mut self) {
         if let Some(buf) = self.buffered.take() {
             let body = String::from_utf8(buf).unwrap_or_default();
-            self.commit(
-                http::render_full(
-                    self.buffered_status,
-                    "application/json",
-                    &body,
-                    &self.extras(),
-                    self.keep_alive,
-                ),
-                true,
+            let bytes = http::render_full(
+                self.status,
+                "application/json",
+                &body,
+                &self.extras(),
+                self.keep_alive,
             );
+            self.commit(bytes);
             return;
         }
-        self.commit(http::LAST_CHUNK.to_vec(), true);
-    }
-}
-
-// ---- Event-loop-side connection ---------------------------------------
-
-/// What [`Conn::on_readable`] concluded.
-pub enum ReadOutcome {
-    /// Bytes (possibly zero) consumed; connection stays open.
-    Ok,
-    /// Peer closed its write side and nothing remains to process.
-    Closed,
-    /// The stream is unparseable; answer this and close.
-    Error(ApiError),
-}
-
-/// How flushing the outbound queue went.
-#[derive(PartialEq, Eq)]
-pub enum FlushOutcome {
-    /// Queue fully drained.
-    Drained,
-    /// Socket backpressure — arm `EPOLLOUT` and retry on writability.
-    Blocked,
-    /// The socket is dead; drop the connection.
-    Closed,
-}
-
-/// One accepted connection, owned by the event loop.
-pub struct Conn {
-    /// The nonblocking socket.
-    pub stream: TcpStream,
-    /// Outbound state shared with workers.
-    pub io: Arc<ConnIo>,
-    /// Unparsed inbound bytes.
-    buf: Vec<u8>,
-    /// Parsed requests awaiting the queue (pipelining).
-    pub pending: VecDeque<http::Request>,
-    /// A request is currently queued or with a worker.
-    pub in_flight: bool,
-    /// When the current incomplete request's first byte arrived.
-    pub partial_since: Option<Instant>,
-    /// Last moment the connection did useful work.
-    pub idle_since: Instant,
-    /// Peer closed its write side (EOF on read).
-    pub peer_closed: bool,
-    /// `EPOLLOUT` currently armed.
-    pub want_write: bool,
-    /// Requests fully dispatched on this connection (keep-alive reuse
-    /// = anything past the first).
-    pub requests_dispatched: u64,
-    /// The inbound stream went bad while a response was in flight:
-    /// close as soon as that response drains (never interleave an
-    /// error body into an in-progress response).
-    pub poisoned: bool,
-    /// When the connection was failed terminally ([`Conn::quiesce`]):
-    /// exactly one error response goes out, inbound bytes are drained
-    /// and discarded, and no further parsing or dispatch happens. The
-    /// event loop force-closes the socket if the error response cannot
-    /// drain within a grace period (peer not reading).
-    pub failed_since: Option<Instant>,
-}
-
-impl Conn {
-    /// Wraps an accepted, already-nonblocking stream.
-    pub fn new(stream: TcpStream) -> Self {
-        Self {
-            stream,
-            io: Arc::new(ConnIo::default()),
-            buf: Vec::new(),
-            pending: VecDeque::new(),
-            in_flight: false,
-            partial_since: None,
-            idle_since: Instant::now(),
-            peer_closed: false,
-            want_write: false,
-            requests_dispatched: 0,
-            poisoned: false,
-            failed_since: None,
-        }
-    }
-
-    /// Terminally fails the connection: drops all inbound state so the
-    /// deadline sweep cannot re-match it and the buffer cannot grow,
-    /// and flips it into drain-and-discard reading. The caller decides
-    /// what (single) response, if any, still goes out.
-    pub fn quiesce(&mut self) {
-        self.failed_since = Some(Instant::now());
-        self.partial_since = None;
-        self.buf.clear();
-        self.pending.clear();
-    }
-
-    /// Reads everything the socket has, then pumps the parser: complete
-    /// requests land in `pending` with `parse_ns` and `received_at`
-    /// stamped.
-    pub fn on_readable(&mut self) -> ReadOutcome {
-        let mut scratch = [0u8; READ_CHUNK];
-        if self.failed_since.is_some() {
-            // Terminal: keep level-triggered EPOLLIN quiet by draining
-            // the socket, but never buffer, parse, or answer again.
-            loop {
-                match (&self.stream).read(&mut scratch) {
-                    Ok(0) => {
-                        self.peer_closed = true;
-                        break;
-                    }
-                    Ok(_) => continue,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        self.peer_closed = true;
-                        break;
-                    }
-                }
-            }
-            return ReadOutcome::Ok;
-        }
-        loop {
-            match (&self.stream).read(&mut scratch) {
-                Ok(0) => {
-                    self.peer_closed = true;
-                    break;
-                }
-                Ok(n) => {
-                    if self.buf.is_empty() && self.partial_since.is_none() {
-                        self.partial_since = Some(Instant::now());
-                    }
-                    self.buf.extend_from_slice(scratch.get(..n).unwrap_or_default());
-                    self.idle_since = Instant::now();
-                    if self.buf.len() > MAX_CONN_BUF {
-                        return ReadOutcome::Error(ApiError::new(
-                            explainti_api::ErrorCode::PayloadTooLarge,
-                            format!("connection buffer exceeds {MAX_CONN_BUF} bytes"),
-                        ));
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.peer_closed = true;
-                    break;
-                }
-            }
-        }
-        loop {
-            match http::parse_request(&self.buf) {
-                http::Parse::Complete { mut request, consumed } => {
-                    let started = self.partial_since.take().unwrap_or_else(Instant::now);
-                    request.parse_ns = Instant::now()
-                        .saturating_duration_since(started)
-                        .as_nanos()
-                        .min(u64::MAX as u128) as u64;
-                    request.received_at = Some(started);
-                    self.buf.drain(..consumed);
-                    if !self.buf.is_empty() {
-                        // The next pipelined request is already arriving.
-                        self.partial_since = Some(Instant::now());
-                    }
-                    self.pending.push_back(request);
-                }
-                http::Parse::Partial => break,
-                http::Parse::Invalid(err) => return ReadOutcome::Error(err),
-            }
-        }
-        if self.peer_closed
-            && self.buf.is_empty()
-            && self.pending.is_empty()
-            && !self.in_flight
-            && !self.io.has_output()
-        {
-            return ReadOutcome::Closed;
-        }
-        ReadOutcome::Ok
-    }
-
-    /// Whether a request is sitting half-received past `deadline_ok`.
-    pub fn has_stalled_read(&self, started_before: Instant) -> bool {
-        self.failed_since.is_none()
-            && !self.in_flight
-            && self.pending.is_empty()
-            && self.partial_since.is_some_and(|t| t < started_before)
-    }
-
-    /// Whether the connection has no work in any direction.
-    pub fn is_idle(&self) -> bool {
-        !self.in_flight && self.pending.is_empty() && self.buf.is_empty() && !self.io.has_output()
-    }
-
-    /// Writes queued response bytes until drained or blocked. Returns
-    /// whether the current response finished and whether to close.
-    pub fn flush(&mut self) -> (FlushOutcome, bool, bool) {
-        let mut st = self.io.out.lock();
-        let outcome = loop {
-            let Some(front) = st.queue.front() else { break FlushOutcome::Drained };
-            let remaining = front.get(st.front_written..).unwrap_or_default();
-            if remaining.is_empty() {
-                st.queue.pop_front();
-                st.front_written = 0;
-                continue;
-            }
-            match (&self.stream).write(remaining) {
-                Ok(0) => break FlushOutcome::Closed,
-                Ok(n) => {
-                    st.front_written += n;
-                    self.idle_since = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    break FlushOutcome::Blocked
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => break FlushOutcome::Closed,
-            }
-        };
-        let response_done = st.response_done;
-        if response_done {
-            st.response_done = false;
-        }
-        let close_after = st.close_after && st.queue.is_empty();
-        (outcome, response_done, close_after)
-    }
-
-    /// Directly enqueues a rendered response from the event loop (parse
-    /// errors, 408s) and marks the connection to close after it drains.
-    pub fn enqueue_direct_close(&self, bytes: Vec<u8>) {
-        self.io.enqueue(bytes);
-        self.io.finish_response(true);
+        self.commit(http::LAST_CHUNK.to_vec());
     }
 }

@@ -1,5 +1,5 @@
-//! HTTP/1.1 framing for the event-driven front-end: an **incremental**
-//! request parser over in-memory byte buffers (the event loop reads
+//! HTTP/1.1 framing for the front-end: an **incremental** request
+//! parser over in-memory byte buffers (a connection thread reads
 //! whatever the socket has and asks "is a full request here yet?"),
 //! plus response rendering — fixed `Content-Length` bodies and
 //! `Transfer-Encoding: chunked` streams — for persistent (keep-alive)
@@ -7,8 +7,8 @@
 //!
 //! Nothing here touches a socket: the parser consumes `&[u8]` and
 //! reports how many bytes it used, the renderers return `Vec<u8>`. That
-//! keeps the module trivially testable and lets the event loop own all
-//! I/O (and its readiness bookkeeping) in one place.
+//! keeps the module trivially testable and leaves all socket I/O to the
+//! connection threads.
 
 use std::time::Instant;
 
@@ -40,12 +40,12 @@ pub struct Request {
     /// (HTTP/1.1 only — 1.0 clients get a buffered body instead).
     pub http11: bool,
     /// Nanoseconds from the request's first byte arriving to the parse
-    /// completing — the wide-event `parse` stage, stamped by the event
-    /// loop (0 until it does).
+    /// completing — the wide-event `parse` stage, stamped by the
+    /// connection thread (0 until it does).
     pub parse_ns: u64,
     /// When the request's first byte arrived: the start of its
-    /// wide-event clock, stamped by the event loop with `parse_ns`
-    /// (`None` until it does).
+    /// wide-event clock, stamped by the connection thread with
+    /// `parse_ns` (`None` until it does).
     pub received_at: Option<Instant>,
 }
 

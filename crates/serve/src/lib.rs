@@ -1,28 +1,26 @@
 //! # explainti-serve
 //!
-//! A dependency-free event-driven HTTP/1.1 inference server for
-//! ExplainTI, exposed via `explainti serve`. The moving parts, each its
-//! own module:
+//! A dependency-free HTTP/1.1 inference server for ExplainTI, exposed
+//! via `explainti serve`. One blocking accept thread plus one thread per
+//! connection: each request is read, answered and written on its
+//! connection's thread. The moving parts, each its own module:
 //!
-//! - [`event_loop`] — a raw-syscall epoll loop owning every socket:
-//!   nonblocking accept with a hard connection limit (typed 429 +
-//!   `Retry-After`), per-connection read deadlines (slow-loris → typed
-//!   408), keep-alive with pipelining, and write flushing.
-//! - [`conn`] — per-connection state machines (reading → in flight →
-//!   writing) plus the worker-side response sink, which streams table
-//!   responses as chunked transfer-encoding.
+//! - [`conn`] — the accept loop (hard connection limit → typed 429 +
+//!   `Retry-After`) and the per-connection thread: a capped read buffer,
+//!   read deadlines (slow-loris → typed 408), keep-alive with
+//!   pipelining, idle reaping and the shutdown drain; plus the response
+//!   sink, which streams table responses as chunked transfer-encoding.
 //! - [`http`] — an incremental buffer-based HTTP/1.1 parser and
 //!   response renderer; no socket I/O of its own.
-//! - [`queue`] — the bounded MPMC request queue (one entry per
-//!   request) the workers pop from; the backpressure point (full
-//!   queue → HTTP 503).
+//! - [`queue`] — a bounded MPMC queue, used as the pool of `workers`
+//!   forward permits: at most `workers` forwards run at once.
 //! - [`cache`] — an LRU cache of full responses keyed by a hash of
 //!   `(title, header, cells)`, so repeat predictions short-circuit the
 //!   model *including* their explanations.
-//! - [`server`] — the declarative route table, the worker pool (each
-//!   worker answers the request it popped, one forward over its cache
-//!   misses), the admin thread that runs model swaps, and graceful
-//!   shutdown (drain in-flight work, then stop).
+//! - [`server`] — the declarative route table, the handlers (an
+//!   interpret request's misses run through one forward under a permit;
+//!   a model swap runs inline under the swap lock), and the server's
+//!   lifecycle: start, and the graceful drain on shutdown.
 //!
 //! Endpoints: `POST /v1/interpret` (a whole table or a single column,
 //! as [`explainti_api`] DTOs), `GET /v1/healthz`, `GET /v1/metrics`
@@ -35,7 +33,6 @@
 
 pub mod cache;
 pub mod conn;
-pub mod event_loop;
 pub mod http;
 pub mod queue;
 pub mod server;

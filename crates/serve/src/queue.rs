@@ -1,24 +1,20 @@
-//! Bounded MPMC request queue.
+//! Bounded MPMC queue, used as the server's pool of forward permits.
 //!
-//! The event loop pushes one item per parsed request, and a worker
-//! blocks on [`BatchQueue::pop_wait`] for the next one and answers it
-//! whole. The queue is bounded: a full queue refuses the push and hands
-//! the item back (the server answers it with HTTP 503) instead of
-//! buffering unboundedly.
+//! The server fills a `BatchQueue<()>` with one item per `--workers`
+//! permit. A connection thread blocks on [`BatchQueue::pop_wait`] for a
+//! permit before it runs a forward and pushes the permit back after, so
+//! at most `workers` forwards run at once while cache hits, GETs and
+//! errors never wait. The queue is bounded: a full queue refuses the
+//! push and hands the item back instead of buffering unboundedly.
 
 use std::collections::VecDeque;
 use std::sync::Condvar;
 
 use explainti_sync::{classes, OrderedMutex};
 
-struct Inner<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
 /// A bounded multi-producer/multi-consumer FIFO queue.
 pub struct BatchQueue<T> {
-    inner: OrderedMutex<Inner<T>>,
+    items: OrderedMutex<VecDeque<T>>,
     available: Condvar,
     cap: usize,
 }
@@ -27,10 +23,7 @@ impl<T> BatchQueue<T> {
     /// A queue holding at most `cap` items (`cap >= 1`).
     pub fn new(cap: usize) -> Self {
         Self {
-            inner: OrderedMutex::new(
-                &classes::SERVE_QUEUE_BATCH,
-                Inner { items: VecDeque::new(), closed: false },
-            ),
+            items: OrderedMutex::new(&classes::SERVE_QUEUE_BATCH, VecDeque::new()),
             available: Condvar::new(),
             cap: cap.max(1),
         }
@@ -43,7 +36,7 @@ impl<T> BatchQueue<T> {
 
     /// Current queue depth.
     pub fn len(&self) -> usize {
-        self.inner.lock().items.len()
+        self.items.lock().len()
     }
 
     /// Whether the queue is currently empty.
@@ -52,39 +45,27 @@ impl<T> BatchQueue<T> {
     }
 
     /// Enqueues one item, waking a waiting consumer. Fails fast (no
-    /// blocking) when the queue is full or closed, handing the item back.
+    /// blocking) when the queue is full, handing the item back.
     pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut inner = self.inner.lock();
-        if inner.closed || inner.items.len() >= self.cap {
+        let mut items = self.items.lock();
+        if items.len() >= self.cap {
             return Err(item);
         }
-        inner.items.push_back(item);
-        drop(inner);
+        items.push_back(item);
+        drop(items);
         self.available.notify_one();
         Ok(())
     }
 
-    /// Blocks until an item is available (or the queue closes) and takes
-    /// the oldest. Returns `None` only when the queue is closed *and*
-    /// fully drained — the consumer's signal to exit.
-    pub fn pop_wait(&self) -> Option<T> {
-        let mut inner = self.inner.lock();
+    /// Blocks until an item is available and takes the oldest.
+    pub fn pop_wait(&self) -> T {
+        let mut items = self.items.lock();
         loop {
-            if let Some(item) = inner.items.pop_front() {
-                return Some(item);
+            if let Some(item) = items.pop_front() {
+                return item;
             }
-            if inner.closed {
-                return None;
-            }
-            inner = inner.wait(&self.available);
+            items = items.wait(&self.available);
         }
-    }
-
-    /// Closes the queue: pushes fail from now on, and consumers drain
-    /// what remains before [`Self::pop_wait`] returns `None`.
-    pub fn close(&self) {
-        self.inner.lock().closed = true;
-        self.available.notify_all();
     }
 }
 
@@ -92,6 +73,7 @@ impl<T> BatchQueue<T> {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -102,7 +84,7 @@ mod tests {
             q.try_push(i).unwrap();
         }
         for i in 0..5 {
-            assert_eq!(q.pop_wait(), Some(i));
+            assert_eq!(q.pop_wait(), i);
         }
         assert!(q.is_empty());
     }
@@ -114,18 +96,8 @@ mod tests {
         q.try_push(2).unwrap();
         assert_eq!(q.try_push(3), Err(3));
         // Draining frees capacity again.
-        q.pop_wait().unwrap();
+        q.pop_wait();
         q.try_push(3).unwrap();
-    }
-
-    #[test]
-    fn closed_queue_rejects_push_and_drains() {
-        let q = BatchQueue::new(4);
-        q.try_push(7).unwrap();
-        q.close();
-        assert_eq!(q.try_push(8), Err(8));
-        assert_eq!(q.pop_wait(), Some(7));
-        assert!(q.pop_wait().is_none());
     }
 
     #[test]
@@ -137,22 +109,16 @@ mod tests {
         };
         std::thread::sleep(Duration::from_millis(30));
         q.try_push(42).unwrap();
-        assert_eq!(consumer.join().unwrap(), Some(42));
+        assert_eq!(consumer.join().unwrap(), 42);
     }
 
     #[test]
     fn concurrent_producers_and_consumers_see_every_item() {
         let q = Arc::new(BatchQueue::new(64));
-        let consumers: Vec<_> = (0..3)
+        let consumers: Vec<_> = (0..4)
             .map(|_| {
                 let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    while let Some(item) = q.pop_wait() {
-                        got.push(item);
-                    }
-                    got
-                })
+                std::thread::spawn(move || (0..25).map(|_| q.pop_wait()).collect::<Vec<u32>>())
             })
             .collect();
         let producers: Vec<_> = (0..4)
@@ -172,12 +138,43 @@ mod tests {
         for p in producers {
             p.join().unwrap();
         }
-        q.close();
         let mut all: Vec<u32> = consumers.into_iter().flat_map(|c| c.join().unwrap()).collect();
         all.sort_unstable();
         let mut expected: Vec<u32> =
             (0..4).flat_map(|p| (0..25).map(move |i| p * 100 + i)).collect();
         expected.sort_unstable();
         assert_eq!(all, expected);
+    }
+
+    #[test]
+    fn a_permit_pool_bounds_concurrent_holders() {
+        const PERMITS: usize = 2;
+        let pool = Arc::new(BatchQueue::new(PERMITS));
+        for _ in 0..PERMITS {
+            pool.try_push(()).unwrap();
+        }
+        let holding = Arc::new(AtomicUsize::new(0));
+        let most = Arc::new(AtomicUsize::new(0));
+        let threads: Vec<_> = (0..6)
+            .map(|_| {
+                let (pool, holding, most) =
+                    (Arc::clone(&pool), Arc::clone(&holding), Arc::clone(&most));
+                std::thread::spawn(move || {
+                    for _ in 0..20 {
+                        pool.pop_wait();
+                        let now = holding.fetch_add(1, Ordering::SeqCst) + 1;
+                        most.fetch_max(now, Ordering::SeqCst);
+                        std::thread::yield_now();
+                        holding.fetch_sub(1, Ordering::SeqCst);
+                        pool.try_push(()).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert!(most.load(Ordering::SeqCst) <= PERMITS, "more holders than permits");
+        assert_eq!(pool.len(), PERMITS, "every permit came back");
     }
 }

@@ -1,26 +1,20 @@
-//! The inference server behind the epoll front-end.
+//! The inference server: routes, handlers and the server's lifecycle.
 //!
-//! Two thread tiers plus one admin thread. The **event loop**
-//! ([`crate::event_loop`]) owns every socket: it accepts, enforces the
-//! connection limit (typed 429) and read deadlines (typed 408), parses
-//! requests incrementally, and flushes response bytes. Each complete
-//! request becomes one [`Job`] on the request [`BatchQueue`], drained by
-//! the **worker pool**. A worker answers exactly the request it popped —
-//! route, JSON parse, per-column cache lookup, encode, forward, render —
-//! and writes the bytes back through the connection's [`ResponseSink`].
-//! A request's cache misses run through one
+//! One thread per connection (`crate::conn`) reads each request, calls
+//! `answer` — route, handler, response — and writes the bytes back,
+//! so a request is read, answered and written on one thread. An
+//! interpret request's cache misses run through one
 //! [`ExplainTi::predict_encoded_batch`] on the generation it snapshotted
-//! at pop; a request that needs no forward (a cache hit, a GET, an
-//! error) is answered at once. `POST /v1/admin/swap` is admitted on a
-//! worker and run on the **admin thread**, so a model load never holds a
-//! worker.
+//! when its answer began, under one of `workers` forward permits (a
+//! [`BatchQueue`] of permits); a request that needs no forward (a cache
+//! hit, a GET, an error) never waits for one. `POST /v1/admin/swap` runs
+//! on its own connection's thread under the swap lock, so a model load
+//! holds neither a permit nor any other connection.
 //!
-//! The queue holds at most one request per connection, so `max_conns`
-//! bounds it (a refused push answers 503). Every interpret request
-//! carries a deadline, checked at pop, before a retry and after the
-//! forward (typed 504), and a table is one queue entry whose response
-//! streams per column as chunked transfer-encoding once its forward is
-//! done.
+//! Every interpret request carries a deadline, checked when its answer
+//! begins, after its permit wait, before a retry and after the forward
+//! (typed 504), and a table's response streams per column as chunked
+//! transfer-encoding once its forward is done.
 //!
 //! Routing is a declarative table ([`ROUTES`]): one `Route` per
 //! endpoint, from which both the 405 `Allow` set and the known-path
@@ -29,10 +23,10 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, OnceLock};
 
 use explainti_sync::{classes, OrderedMutex};
 use std::thread::JoinHandle;
@@ -49,25 +43,25 @@ use serde::Deserialize;
 use serde_json::{json, Value};
 
 use crate::cache::LruCache;
-use crate::conn::{ConnIo, ResponseSink, Waker};
-use crate::event_loop::{self, LoopCfg};
+use crate::conn::{self, ResponseSink, TICK};
 use crate::http;
 use crate::queue::BatchQueue;
 
 /// How the server is sized; every knob has a CLI flag.
 ///
-/// Each forward runs on the worker that popped it, so `workers` is the
-/// serving path's only parallelism. The process-wide
-/// `explainti_pool` width (the CLI's `--threads`) sizes only the
-/// embedding-store refresh at boot and at every swap; `/v1/config`
-/// reports it as `threads`. Every swap runs a smoke prediction on the
+/// Each connection gets its own thread, and each forward runs on the
+/// thread of the connection that asked for it under one of `workers`
+/// permits, so `workers` bounds the serving path's model parallelism.
+/// The process-wide `explainti_pool` width (the CLI's `--threads`) sizes
+/// only the embedding-store refresh at boot and at every swap;
+/// `/v1/config` reports it as `threads`. Every swap runs a smoke prediction on the
 /// candidate before it commits.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:8080` (`:0` for an ephemeral port).
     pub addr: String,
-    /// Worker threads answering requests from the queue: they bound
-    /// how many requests, and so how many forwards, are in flight.
+    /// How many forwards may run at once (the size of the permit pool);
+    /// cache hits, GETs and errors never wait for a permit.
     pub workers: usize,
     /// LRU cache capacity (cached full responses, explanations included).
     pub cache_cap: usize,
@@ -79,9 +73,9 @@ pub struct ServeConfig {
     /// error rate over the trailing window, published as `serve.slo.*`
     /// gauges at metrics-scrape time.
     pub slo_window_s: u64,
-    /// Hard cap on concurrently open connections; excess connects are
-    /// answered with a typed 429 + `Retry-After` and closed. Also the
-    /// request queue's capacity (one request per connection at a time).
+    /// Hard cap on concurrently open connections (one thread each);
+    /// excess connects are answered with a typed 429 + `Retry-After`
+    /// and closed.
     pub max_conns: usize,
     /// A connection that has started but not completed a request within
     /// this window answers a typed 408 and closes (slow-loris defence).
@@ -107,7 +101,7 @@ impl Default for ServeConfig {
 }
 
 /// Hard cap on columns per `/v1/interpret` table request: a pathological
-/// 10k-column row must answer a clean 400, not monopolise a worker.
+/// 10k-column row must answer a clean 400, not monopolise a permit.
 const MAX_TABLE_COLUMNS: usize = 512;
 
 /// How many forwards a request may run in total (1 initial + retries).
@@ -124,41 +118,31 @@ fn ns_since(earlier: Instant, later: Instant) -> u64 {
     later.saturating_duration_since(earlier).as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// One parsed request on its way from the event loop to a worker,
-/// carrying everything needed to answer it.
-pub(crate) struct Job {
+/// One request being answered, carrying everything needed to answer it.
+struct Job {
     request: http::Request,
     sink: ResponseSink,
     /// Started when the request's first byte arrived, so its HTTP parse
-    /// and queue time count toward the request's total.
+    /// counts toward the request's total.
     rtrace: explainti_obs::RequestTrace,
-    /// When the job entered the queue (wide-event `queue_wait`).
-    enqueued_at: Instant,
 }
 
 impl Job {
-    /// Wraps a request parsed on connection `conn_id`.
-    pub(crate) fn new(conn_id: u64, request: http::Request, io: Arc<ConnIo>, waker: Waker) -> Self {
+    fn new(request: http::Request) -> Self {
         let trace_id = explainti_obs::next_trace_id();
         let start = request.received_at.unwrap_or_else(Instant::now);
         let mut rtrace = explainti_obs::RequestTrace::starting_at(trace_id, start);
         rtrace.add_stage("parse", request.parse_ns);
         explainti_obs::counter!("serve.requests", 1);
-        let sink = ResponseSink::new(
-            io,
-            waker,
-            conn_id,
-            trace_id.to_string(),
-            request.keep_alive,
-            request.http11,
-        );
-        Self { request, sink, rtrace, enqueued_at: Instant::now() }
+        let sink = ResponseSink::new(trace_id.to_string(), request.keep_alive, request.http11);
+        Self { request, sink, rtrace }
     }
 }
 
-/// Answers `result`'s typed error if the request failed, then records
-/// the wide event — and, for `/v1/interpret` (`slo`), the SLO sample.
-pub(crate) fn finish(shared: &Shared, mut job: Job, result: Result<(), ApiError>, slo: bool) {
+/// Answers `result`'s typed error if the request failed, records the
+/// wide event — and, for `/v1/interpret` (`slo`), the SLO sample — and
+/// returns the response bytes.
+fn finish(shared: &Shared, mut job: Job, result: Result<(), ApiError>, slo: bool) -> Vec<u8> {
     let status = match result {
         Ok(()) => job.sink.status(),
         Err(err) => {
@@ -173,30 +157,39 @@ pub(crate) fn finish(shared: &Shared, mut job: Job, result: Result<(), ApiError>
         shared.slo.record(job.rtrace.elapsed_ns(), status >= 500);
     }
     job.rtrace.finish();
-}
-
-/// A swap admitted past the swap lock, waiting for the admin thread.
-struct SwapJob {
-    job: Job,
-    model_dir: String,
+    job.sink.into_bytes()
 }
 
 pub(crate) struct Shared {
-    /// The live model generation; requests snapshot it once at pop.
+    /// The live model generation; a request snapshots it once.
     generations: GenerationHandle,
-    /// Parsed requests awaiting a worker (at most one per connection).
-    pub(crate) queue: BatchQueue<Job>,
-    /// Admitted swaps awaiting the admin thread (at most one: the swap
-    /// lock is held from admission until the swap finishes).
-    admin: BatchQueue<SwapJob>,
+    /// The forward permits, `workers` of them.
+    permits: BatchQueue<()>,
+    /// Forwards currently waiting for a permit.
+    permit_waiters: AtomicUsize,
     cache: OrderedMutex<LruCache<u64, Arc<PredictResponse>>>,
     pub(crate) shutdown: Arc<AtomicBool>,
+    /// Set by the first connection thread to see the shutdown flag: when
+    /// the drain force-closes what is left.
+    pub(crate) drain_deadline: OnceLock<Instant>,
+    /// Connections currently open, each with its own thread.
+    pub(crate) open_conns: AtomicUsize,
+    /// Connection threads waiting for their next connection.
+    pub(crate) parked: OrderedMutex<conn::Parked>,
+    /// Wakes a parked thread when a connection is handed to it.
+    pub(crate) parked_ready: Condvar,
+    /// Hard cap on `open_conns` (typed 429 beyond).
+    pub(crate) max_conns: usize,
+    /// Incomplete-request deadline (typed 408 beyond).
+    pub(crate) read_timeout: Duration,
+    /// Idle keep-alive connections older than this are closed.
+    pub(crate) idle_timeout: Duration,
     top_k: usize,
     deadline: Duration,
     /// Rolling latency/error window behind the `serve.slo.*` gauges.
     slo: explainti_obs::SloWindow,
-    /// Held (CAS) from a swap's admission until it finishes; a second
-    /// concurrent swap answers a typed 409 instead of queueing.
+    /// Held (CAS) while a swap runs; a second concurrent swap answers a
+    /// typed 409 instead of queueing.
     swap_lock: AtomicBool,
     /// Effective knobs, frozen at startup for `/v1/config`; the `model`
     /// block is refreshed per request from the live generation.
@@ -224,26 +217,11 @@ fn cache_key(generation: u64, title: &str, header: &str, cells: &[String]) -> u6
     h.finish()
 }
 
-// ---- Worker pool ------------------------------------------------------
-
-fn worker_loop(shared: &Shared) {
-    while let Some(job) = shared.queue.pop_wait() {
-        let depth = shared.queue.len();
-        explainti_obs::set_gauge("serve.queue.depth", depth as f64);
-        if explainti_obs::enabled() {
-            // Depth sampled at every pop: a distribution (not just the
-            // latest gauge value), so load tests can plot queue pressure.
-            explainti_obs::registry().histogram("serve.queue.depth.sampled").record(depth as u64);
-        }
-        answer(shared, job);
-    }
-}
-
-/// Answers one popped request: routes it, then runs its handler on this
-/// worker (an interpret request's forward included) or hands an admitted
-/// swap to the admin thread.
-fn answer(shared: &Shared, mut job: Job) {
-    let popped_at = Instant::now();
+/// Answers one request on its connection's thread: routes it, runs its
+/// handler (an interpret request's forward included) and returns the
+/// response bytes.
+pub(crate) fn answer(shared: &Shared, request: http::Request) -> Vec<u8> {
+    let mut job = Job::new(request);
     // One generation snapshot per request: every byte of this response —
     // prediction, labels, config block, `X-Model-Generation` header —
     // comes from the same generation even if a swap commits mid-request.
@@ -254,40 +232,52 @@ fn answer(shared: &Shared, mut job: Job) {
         RouteMatch::WrongMethod(allow) => {
             let err = ApiError::new(ErrorCode::MethodNotAllowed, "wrong method for this endpoint");
             job.sink.send_error(&err, Some(&allow));
-            finish(shared, job, Ok(()), false);
-            return;
+            return finish(shared, job, Ok(()), false);
         }
         RouteMatch::Unknown => {
             let err = ApiError::new(
                 ErrorCode::NotFound,
                 format!("no such endpoint: {}", job.request.path),
             );
-            finish(shared, job, Err(err), false);
-            return;
+            return finish(shared, job, Err(err), false);
         }
     };
     job.rtrace.set_endpoint(r.name);
     match r.handler {
         Handler::Direct(handler) => {
             let result = handler(shared, &gen, &job.request, &mut job.sink);
-            finish(shared, job, result, false);
+            finish(shared, job, result, false)
         }
         Handler::Interpret => {
-            let result = interpret(shared, &gen, &mut job, popped_at);
-            finish(shared, job, result, true);
+            let result = interpret(shared, &gen, &mut job);
+            finish(shared, job, result, true)
         }
-        Handler::Swap => match admit_swap(shared, &job.request) {
-            Ok(model_dir) => {
-                if let Err(SwapJob { job, .. }) = shared.admin.try_push(SwapJob { job, model_dir })
-                {
-                    shared.swap_lock.store(false, Ordering::SeqCst);
-                    let err = ApiError::new(ErrorCode::ShuttingDown, "server is shutting down");
-                    finish(shared, job, Err(err), false);
-                }
-            }
-            Err(err) => finish(shared, job, Err(err), false),
-        },
     }
+}
+
+/// One of the `workers` forward permits, returned to the pool on drop.
+struct Permit<'a>(&'a BatchQueue<()>);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        // The pool holds exactly the permits handed out, so this fits.
+        let _ = self.0.try_push(());
+    }
+}
+
+/// Waits for a forward permit, sampling how many other forwards are
+/// still waiting once this one has it (`serve.queue.depth`).
+fn take_permit(shared: &Shared) -> Permit<'_> {
+    shared.permit_waiters.fetch_add(1, Ordering::SeqCst);
+    shared.permits.pop_wait();
+    let depth = shared.permit_waiters.fetch_sub(1, Ordering::SeqCst) - 1;
+    explainti_obs::set_gauge("serve.queue.depth", depth as f64);
+    if explainti_obs::enabled() {
+        // A distribution, not just the latest gauge value, so load
+        // tests can plot permit pressure.
+        explainti_obs::registry().count_histogram("serve.queue.depth.sampled").record(depth as u64);
+    }
+    Permit(&shared.permits)
 }
 
 // ---- Interpret --------------------------------------------------------
@@ -386,11 +376,11 @@ fn prepare_interpret(
     if hits < columns.len() {
         explainti_obs::counter!("serve.cache.miss", (columns.len() - hits) as u64);
         // Chaos site: backpressure on a request whose misses need a
-        // forward, without actually filling the queue.
+        // forward, without actually exhausting the permits.
         if explainti_faults::triggered("serve.queue.full") {
             return Err(ApiError::new(
                 ErrorCode::QueueFull,
-                format!("request queue at capacity ({})", shared.queue.capacity()),
+                format!("forward pool at capacity ({} permits)", shared.permits.capacity()),
             ));
         }
         let encode_start = Instant::now();
@@ -406,17 +396,12 @@ fn prepare_interpret(
     Ok(Interpret { answers, keys, encoded, table })
 }
 
-/// `/v1/interpret` on the popping worker: parse and cache lookup, one
-/// forward over the request's misses, then the response.
-fn interpret(
-    shared: &Shared,
-    gen: &Generation,
-    job: &mut Job,
-    popped_at: Instant,
-) -> Result<(), ApiError> {
+/// `/v1/interpret`: parse and cache lookup, one forward over the
+/// request's misses, then the response.
+fn interpret(shared: &Shared, gen: &Generation, job: &mut Job) -> Result<(), ApiError> {
     let mut work = prepare_interpret(shared, gen, job)?;
     if !work.encoded.is_empty() {
-        let preds = forward(shared, gen, job, &work.encoded, popped_at)?;
+        let preds = forward(shared, gen, job, &work.encoded)?;
         let resps: Vec<Arc<PredictResponse>> = preds
             .iter()
             .map(|pred| Arc::new(PredictResponse::from_prediction(pred, &gen.labels, shared.top_k)))
@@ -437,22 +422,28 @@ fn interpret(
 }
 
 /// Runs a request's encoded cache misses through one forward on this
-/// worker and charges the wide event's queue, assembly, predict and
-/// view stages. A panicking forward (injected via `serve.worker.panic`
-/// or real) must not kill the worker: it is retried in place — same
-/// generation, same encoded columns — after a backoff, and answers a
-/// typed 500 once [`MAX_ATTEMPTS`] forwards have panicked (a typed 504
-/// if the deadline passes first).
+/// thread, under a forward permit, and charges the wide event's permit
+/// wait (`queue_wait`), assembly, predict and view stages. A panicking
+/// forward (injected via `serve.worker.panic` or real) must not kill the
+/// connection: it is retried in place — same generation, same encoded
+/// columns — after a backoff, and answers a typed 500 once
+/// [`MAX_ATTEMPTS`] forwards have panicked (a typed 504 if the deadline
+/// passes first).
 fn forward(
     shared: &Shared,
     gen: &Generation,
     job: &mut Job,
     encs: &[Encoded],
-    popped_at: Instant,
 ) -> Result<Vec<Prediction>, ApiError> {
+    let wait_at = Instant::now();
+    let _permit = take_permit(shared);
     let ready_at = Instant::now();
+    job.rtrace.add_stage("queue_wait", ns_since(wait_at, ready_at));
+    if past_deadline(shared, job) {
+        return Err(expire());
+    }
     if explainti_obs::enabled() {
-        explainti_obs::registry().histogram("serve.batch.size").record(encs.len() as u64);
+        explainti_obs::registry().count_histogram("serve.batch.size").record(encs.len() as u64);
     }
     let _span = explainti_obs::span!("serve.batch.predict");
     // Chaos site: a slow forward (GC pause / noisy neighbour stand-in)
@@ -461,7 +452,7 @@ fn forward(
         std::thread::sleep(Duration::from_millis(50));
     }
     let forward_at = Instant::now();
-    // Capture every span the forward closes on this worker, so the wide
+    // Capture every span the forward closes on this thread, so the wide
     // event can attribute predict/LE/GE/SE.
     let capture = explainti_obs::SpanCapture::new();
     let mut attempt = 1;
@@ -495,7 +486,6 @@ fn forward(
         ["explain.le", "explain.ge", "explain.se"].map(|view| capture.get(view)),
     );
     let trace = &mut job.rtrace;
-    trace.add_stage("queue_wait", ns_since(job.enqueued_at, popped_at));
     trace.add_stage("batch_assembly", ns_since(ready_at, forward_at));
     trace.add_stage("predict", predict_ns);
     trace.add_stage("explain_le", le_ns);
@@ -507,7 +497,7 @@ fn forward(
 
 /// Splits a forward's wall time `wall_ns` between `predict` and the
 /// three explanation views (LE, GE, SE). The forward runs on this
-/// worker, so each view's captured span sum is wall time inside it: the
+/// thread, so each view's captured span sum is wall time inside it: the
 /// views are charged as measured and `predict` keeps the rest.
 fn forward_stages(wall_ns: u64, views_ns: [u64; 3]) -> (u64, [u64; 3]) {
     (wall_ns.saturating_sub(views_ns.iter().sum()), views_ns)
@@ -690,33 +680,6 @@ impl Drop for SwapGuard<'_> {
     }
 }
 
-/// `POST /v1/admin/swap` on a worker: parses the body and takes the swap
-/// lock (a concurrent swap answers a typed 409 with `retry_after_s`),
-/// returning the snapshot directory for the admin thread.
-fn admit_swap(shared: &Shared, request: &http::Request) -> Result<String, ApiError> {
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return Err(ApiError::new(ErrorCode::ShuttingDown, "server is shutting down"));
-    }
-    let req: SwapRequest = std::str::from_utf8(&request.body)
-        .map_err(|_| ApiError::bad_request("body is not valid UTF-8"))
-        .and_then(|text| {
-            serde_json::from_str(text)
-                .map_err(|e| ApiError::bad_request(format!("bad swap request: {e}")))
-        })?;
-    if shared.swap_lock.compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst).is_err() {
-        return Err(ApiError::swap_in_progress("a swap is already in flight", 2));
-    }
-    Ok(req.model_dir)
-}
-
-/// The admin thread: runs admitted swaps one at a time.
-fn admin_loop(shared: &Shared) {
-    while let Some(SwapJob { mut job, model_dir }) = shared.admin.pop_wait() {
-        let result = handle_swap(shared, &model_dir, &mut job.sink);
-        finish(shared, job, result, false);
-    }
-}
-
 /// The load → verify → commit pipeline of one swap, run under the swap
 /// lock. Returns `(previous_id, new_id)`.
 fn run_swap(shared: &Shared, model_dir: &str) -> Result<(u64, u64), ApiError> {
@@ -763,20 +726,37 @@ fn run_swap(shared: &Shared, model_dir: &str) -> Result<(u64, u64), ApiError> {
     Ok((previous, id))
 }
 
-/// Runs an admitted `POST /v1/admin/swap` on the admin thread: load a new
+/// `POST /v1/admin/swap`, run on its connection's thread: load a new
 /// model generation from a snapshot directory and atomically install it.
-/// In-flight requests finish on the generation they started on; the
-/// next request sees the new one.
+/// A concurrent swap answers a typed 409 with `retry_after_s`. In-flight
+/// requests finish on the generation they started on; the next request
+/// sees the new one.
 ///
 /// Failure matrix (DESIGN.md §15): load and verify failures answer 400
 /// with the old generation untouched; a commit failure answers 500 and
 /// rolls back the same way.
-fn handle_swap(shared: &Shared, model_dir: &str, sink: &mut ResponseSink) -> Result<(), ApiError> {
+fn handle_swap(
+    shared: &Shared,
+    _gen: &Arc<Generation>,
+    request: &http::Request,
+    sink: &mut ResponseSink,
+) -> Result<(), ApiError> {
     let _span = explainti_obs::span!("serve.request.swap");
-    // Releases the lock the admitting worker took.
+    if shared.shutdown.load(Ordering::SeqCst) {
+        return Err(ApiError::new(ErrorCode::ShuttingDown, "server is shutting down"));
+    }
+    let req: SwapRequest = std::str::from_utf8(&request.body)
+        .map_err(|_| ApiError::bad_request("body is not valid UTF-8"))
+        .and_then(|text| {
+            serde_json::from_str(text)
+                .map_err(|e| ApiError::bad_request(format!("bad swap request: {e}")))
+        })?;
+    if shared.swap_lock.compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst).is_err() {
+        return Err(ApiError::swap_in_progress("a swap is already in flight", 2));
+    }
     let _guard = SwapGuard(&shared.swap_lock);
     explainti_obs::counter!("serve.swap.attempts", 1);
-    match run_swap(shared, model_dir) {
+    match run_swap(shared, &req.model_dir) {
         Ok((previous_generation, generation)) => {
             explainti_obs::counter!("serve.swap.committed", 1);
             explainti_obs::set_gauge("serve.swap.generation", generation as f64);
@@ -796,16 +776,14 @@ fn handle_swap(shared: &Shared, model_dir: &str, sink: &mut ResponseSink) -> Res
 
 /// How a route is answered.
 enum Handler {
-    /// At once, on the worker that popped the request. An `Err` return
-    /// becomes a typed error body.
+    /// At once, with no forward. An `Err` return becomes a typed error
+    /// body.
     Direct(
         fn(&Shared, &Arc<Generation>, &http::Request, &mut ResponseSink) -> Result<(), ApiError>,
     ),
     /// `/v1/interpret`: the request's cache misses run through one
     /// forward first.
     Interpret,
-    /// `/v1/admin/swap`: admitted on the worker, run on the admin thread.
-    Swap,
 }
 
 /// One endpoint in the declarative route table.
@@ -817,15 +795,15 @@ struct Route {
     handler: Handler,
 }
 
-/// The single source of truth for routing: the workers derive both the
-/// 405 `Allow` header set and the known-path list from this table.
+/// The single source of truth for routing: both the 405 `Allow` header
+/// set and the known-path list derive from this table.
 #[rustfmt::skip]
 const ROUTES: &[Route] = &[
     Route { method: "POST", path: "/v1/interpret", name: "interpret", handler: Handler::Interpret },
     Route { method: "GET", path: "/v1/healthz", name: "healthz", handler: Handler::Direct(handle_healthz) },
     Route { method: "GET", path: "/v1/metrics", name: "metrics", handler: Handler::Direct(handle_metrics) },
     Route { method: "GET", path: "/v1/config", name: "config", handler: Handler::Direct(handle_config) },
-    Route { method: "POST", path: "/v1/admin/swap", name: "swap", handler: Handler::Swap },
+    Route { method: "POST", path: "/v1/admin/swap", name: "swap", handler: Handler::Direct(handle_swap) },
     Route { method: "GET", path: "/v1/admin/store", name: "store", handler: Handler::Direct(handle_store) },
     Route { method: "POST", path: "/v1/admin/shutdown", name: "shutdown", handler: Handler::Direct(handle_shutdown) },
 ];
@@ -864,7 +842,7 @@ fn route(method: &str, path: &str) -> RouteMatch {
 pub struct ServerHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    event_thread: Option<JoinHandle<()>>,
+    supervisor: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -873,30 +851,56 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Requests a graceful shutdown: stop accepting, drain in-flight
-    /// connections and queued requests, stop the workers and the admin
-    /// thread.
+    /// Requests a graceful shutdown: stop accepting, close idle
+    /// connections, and let in-flight requests finish.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 
     /// The shutdown flag, for wiring to an external signal (the CLI
     /// registers this so Ctrl-C triggers the same graceful drain).
+    /// Storing it alone is enough: the server notices within one tick.
     pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.shutdown)
     }
 
-    /// Blocks until the event loop, every worker, and the admin thread
-    /// have exited. Idempotent.
+    /// Blocks until the server has stopped accepting and every
+    /// connection thread has exited. Idempotent.
     pub fn join(&mut self) {
-        if let Some(t) = self.event_thread.take() {
+        if let Some(t) = self.supervisor.take() {
             let _ = t.join();
         }
     }
 }
 
-/// Binds the listener and spawns the event loop, the worker pool, and
-/// the admin thread.
+/// Wakes a blocked `accept` by connecting to the listener (an
+/// unspecified bind address is reached over loopback).
+fn wake_accept(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, Duration::from_secs(1));
+}
+
+/// The drain: waits for the shutdown flag, unblocks and joins the accept
+/// thread (which drops the listener), then joins every connection
+/// thread; each closes once idle, or at the drain's grace bound.
+fn supervise(shared: &Shared, addr: SocketAddr, accept: JoinHandle<Vec<JoinHandle<()>>>) {
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        std::thread::sleep(TICK);
+    }
+    wake_accept(addr);
+    for conn in accept.join().unwrap_or_default() {
+        let _ = conn.join();
+    }
+}
+
+/// Binds the listener and spawns the accept thread and the supervisor
+/// that runs the drain; connection threads are spawned per accept.
 ///
 /// `labels` are the human-readable names responses resolve label indices
 /// against (typically the corpus's `type_labels`).
@@ -932,60 +936,47 @@ pub fn start(
     };
     drop(boot);
 
+    let permits = cfg.workers.max(1);
     let shutdown = Arc::new(AtomicBool::new(false));
     let shared = Arc::new(Shared {
         generations,
-        // One in-flight request per connection bounds the queue, so
-        // size it to the connection limit.
-        queue: BatchQueue::new(max_conns),
-        admin: BatchQueue::new(1),
+        permits: BatchQueue::new(permits),
+        permit_waiters: AtomicUsize::new(0),
         cache: OrderedMutex::new(&classes::SERVE_CACHE, LruCache::new(cfg.cache_cap)),
         shutdown: Arc::clone(&shutdown),
+        drain_deadline: OnceLock::new(),
+        open_conns: AtomicUsize::new(0),
+        parked: OrderedMutex::new(&classes::SERVE_CONN_PARKED, conn::Parked::default()),
+        parked_ready: Condvar::new(),
+        max_conns,
+        read_timeout: Duration::from_millis(cfg.read_timeout_ms.max(1)),
+        idle_timeout: Duration::from_millis(cfg.idle_timeout_ms.max(1)),
         top_k: cfg.top_k.max(1),
         deadline: Duration::from_millis(cfg.deadline_ms.max(1)),
         slo: explainti_obs::SloWindow::new(cfg.slo_window_s.max(1)),
         swap_lock: AtomicBool::new(false),
         config,
     });
+    for _ in 0..permits {
+        let _ = shared.permits.try_push(());
+    }
 
-    let workers: Vec<JoinHandle<()>> = (0..cfg.workers)
-        .map(|i| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("serve-worker-{i}"))
-                .spawn(move || worker_loop(&shared))
-        })
-        .collect::<io::Result<_>>()?;
-    let admin = {
+    let accept = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
-            .name("serve-admin".to_string())
-            .spawn(move || admin_loop(&shared))?
+            .name("serve-accept".to_string())
+            .spawn(move || conn::accept_loop(&shared, &listener))?
     };
-
-    let loop_cfg = LoopCfg {
-        max_conns,
-        read_timeout: Duration::from_millis(cfg.read_timeout_ms.max(1)),
-        idle_timeout: Duration::from_millis(cfg.idle_timeout_ms.max(1)),
-    };
-    let (run_loop, _waker) = event_loop::prepare(listener, Arc::clone(&shared), loop_cfg)?;
-
-    let event_shared = Arc::clone(&shared);
-    let event_thread =
-        std::thread::Builder::new().name("serve-eventloop".to_string()).spawn(move || {
-            run_loop();
-            // The loop drained every connection (or hit the grace
-            // bound): let the workers answer what is already queued and
-            // exit, then stop the admin thread they hand swaps to.
-            event_shared.queue.close();
-            for w in workers {
-                let _ = w.join();
-            }
-            event_shared.admin.close();
-            let _ = admin.join();
+    let supervisor = std::thread::Builder::new()
+        .name("serve-supervisor".to_string())
+        .spawn(move || supervise(&shared, addr, accept))
+        .inspect_err(|_| {
+            // The accept thread cannot be joined now; stop it anyway.
+            shutdown.store(true, Ordering::SeqCst);
+            wake_accept(addr);
         })?;
 
-    Ok(ServerHandle { addr, shutdown, event_thread: Some(event_thread) })
+    Ok(ServerHandle { addr, shutdown, supervisor: Some(supervisor) })
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
-//! Connection-layer semantics of the epoll front-end: HTTP/1.1
-//! keep-alive (two requests, one socket), pipelining (responses in
-//! request order), the slow-loris read deadline (typed 408), the hard
-//! connection limit (typed 429 + `Retry-After`), and chunked streaming
-//! of table responses (with the HTTP/1.0 buffered fallback).
+//! Connection-layer semantics of the thread-per-connection front-end:
+//! HTTP/1.1 keep-alive (two requests, one socket), pipelining (responses
+//! in request order), the slow-loris read deadline (typed 408), the hard
+//! connection limit (typed 429 + `Retry-After`), chunked streaming of
+//! table responses (with the HTTP/1.0 buffered fallback), and a drain
+//! started by the shutdown flag alone.
 
 // Integration tests may panic freely; the crate's unwrap/expect
 // lints target the request path (EA006), not test assertions.
@@ -10,8 +11,9 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use explainti_core::{ExplainTi, ExplainTiConfig};
 use explainti_serve::{start, ServeConfig};
@@ -366,4 +368,29 @@ fn table_responses_stream_chunked_and_match_buffered_http10() {
 
     handle.shutdown();
     handle.join();
+}
+
+#[test]
+fn shutdown_flag_alone_closes_idle_connections() {
+    let (model, labels) = tiny_model();
+    let cfg = ServeConfig { workers: 1, ..Default::default() };
+    let mut handle = start(model, labels, cfg).expect("start server");
+    let addr = handle.addr();
+
+    // One keep-alive connection, left idle after its request.
+    let mut client = Client::connect(&addr);
+    client.send(&Client::request_text("GET", "/v1/healthz", ""));
+    assert_eq!(client.read_response().status, 200);
+
+    // Store the flag the way a signal handler or a stdin watcher does,
+    // and send nothing more: no request may be needed to start the drain.
+    handle.shutdown_flag().store(true, Ordering::SeqCst);
+    let started = Instant::now();
+    handle.join();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "join took {took:?} after the flag was stored");
+
+    let mut rest = Vec::new();
+    client.stream.read_to_end(&mut rest).expect("the idle connection closes cleanly");
+    assert!(rest.is_empty(), "unexpected bytes after the drain: {rest:?}");
 }

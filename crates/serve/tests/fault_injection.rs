@@ -1,7 +1,8 @@
-//! End-to-end chaos drills against a live server: worker panics within
-//! and past the retry budget, injected queue backpressure, slow batches
-//! against tight deadlines — the server must stay up through all of it,
-//! and `/v1/metrics` must account for every trip and retry.
+//! End-to-end chaos drills against a live server: forward panics within
+//! and past the retry budget, injected backpressure, slow forwards
+//! against tight deadlines and beside cache hits — the server must stay
+//! up through all of it, and `/v1/metrics` must account for every trip
+//! and retry.
 //!
 //! The failpoint registry is process-global, so every test serialises on
 //! one mutex and clears the registry before and after its drill.
@@ -13,6 +14,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use explainti_core::{ExplainTi, ExplainTiConfig};
 use explainti_faults as faults;
@@ -178,6 +180,51 @@ fn slow_batch_against_tight_deadline_times_out_cleanly() {
     let (status, health) = request(&addr, "GET", "/v1/healthz", "");
     assert_eq!(status, 200);
     assert!(health.contains("\"degraded\":false"), "healthz carries the flag: {health}");
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn a_cache_hit_does_not_wait_behind_a_forward() {
+    let _g = lock();
+    faults::clear_all();
+    let (model, labels) = tiny_model();
+    // One forward permit, held by a stalled cold request.
+    let cfg = ServeConfig { workers: 1, deadline_ms: 30_000, ..Default::default() };
+    let mut handle = start(model, labels, cfg).expect("start server");
+    let addr = handle.addr();
+
+    let (status, body) = request(&addr, "POST", "/v1/interpret", &column_body("warm"));
+    assert_eq!(status, 200, "warming the cache: {body}");
+
+    // The cold column's forward stalls 50 ms holding the only permit;
+    // once the stall has begun, the warm column follows on a second
+    // connection and must not wait for it.
+    let trips = faults::hit_count("serve.batch.slow");
+    faults::configure("serve.batch.slow", faults::Policy::Times(1));
+    let send = |tag: &'static str| {
+        std::thread::spawn(move || {
+            let (status, body) = request(&addr, "POST", "/v1/interpret", &column_body(tag));
+            (status, body, Instant::now())
+        })
+    };
+    let cold_sent = Instant::now();
+    let cold = send("cold");
+    while faults::hit_count("serve.batch.slow") == trips {
+        assert!(cold_sent.elapsed() < Duration::from_secs(10), "the stall never began");
+        std::thread::yield_now();
+    }
+    let warm = send("warm");
+    let (cold, warm) = (cold.join().unwrap(), warm.join().unwrap());
+    faults::clear_all();
+    assert_eq!(cold.0, 200, "cold column: {}", cold.1);
+    assert_eq!(warm.0, 200, "warm column: {}", warm.1);
+    // The stall starts after the cold request is sent, so a hit queued
+    // behind it cannot finish inside this bound.
+    let stalled_until = cold_sent + Duration::from_millis(50);
+    assert!(warm.2 < stalled_until, "the cache hit waited behind the stalled forward");
+    assert!(warm.2 < cold.2, "the cache hit's response arrived after the forward's");
 
     handle.shutdown();
     handle.join();

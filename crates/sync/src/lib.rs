@@ -24,8 +24,8 @@
 //! workspace leaves its data consistent under panic by construction
 //! (plain field updates), and the serving path must not panic on a
 //! poisoned mutex (EA006). This replaces the idiom previously copy-pasted
-//! across serve/conn, serve/queue, the event-loop waker, and the obs
-//! crate, giving EA007 one canonical acquisition-site shape to match.
+//! across the serve and obs crates, giving EA007 one canonical
+//! acquisition-site shape to match.
 //!
 //! Cost model: disarmed (release default), each acquisition adds one
 //! relaxed atomic load over a bare `std::sync` lock. Armed, it adds a
@@ -66,17 +66,16 @@ impl LockClass {
 
 /// Every lock class in the workspace, ranks mirroring `LOCKS.registry`.
 ///
-/// Rank bands: serve front-end 10–40, core 45, pool 50, bench 70–74,
-/// faults 80, obs 90–95 (obs is innermost: it is called from inside
+/// Rank bands: serve front-end 20–40, core 45, pool 50, bench 70–74,
+/// faults 80, obs 91–95 (obs is innermost: it is called from inside
 /// nearly every other critical section, never the reverse).
 pub mod classes {
     use super::LockClass;
 
-    /// Event-loop dirty set, written by worker-side wakers.
-    pub static SERVE_WAKER_DIRTY: LockClass = LockClass::new("serve.waker.dirty", 10);
-    /// Per-connection outbound byte queue (`ConnIo`).
-    pub static SERVE_CONN_OUT: LockClass = LockClass::new("serve.conn.out", 20);
-    /// Bounded request queues (worker requests + admin swaps).
+    /// Connections handed from the accept loop to parked connection
+    /// threads.
+    pub static SERVE_CONN_PARKED: LockClass = LockClass::new("serve.conn.parked", 20);
+    /// The serve forward-permit pool (`BatchQueue`).
     pub static SERVE_QUEUE_BATCH: LockClass = LockClass::new("serve.queue.batch", 30);
     /// Server-wide LRU response cache.
     pub static SERVE_CACHE: LockClass = LockClass::new("serve.cache", 40);
@@ -97,8 +96,6 @@ pub mod classes {
     pub static BENCH_SWAP_TALLIES: LockClass = LockClass::new("bench.swap.tallies", 74);
     /// Failpoint site registry (observer runs under it).
     pub static FAULTS_REGISTRY: LockClass = LockClass::new("faults.registry", 80);
-    /// Span-capture stage sums (fed from `SpanGuard::drop`).
-    pub static OBS_TRACE_SUMS: LockClass = LockClass::new("obs.trace.sums", 90);
     /// Sliding SLO window slot ring.
     pub static OBS_SLO_WINDOW: LockClass = LockClass::new("obs.slo.window", 91);
     /// Metrics registry: counter map.
@@ -545,8 +542,7 @@ mod tests {
     #[test]
     fn classes_mirror_locks_registry() {
         let all: &[&LockClass] = &[
-            &classes::SERVE_WAKER_DIRTY,
-            &classes::SERVE_CONN_OUT,
+            &classes::SERVE_CONN_PARKED,
             &classes::SERVE_QUEUE_BATCH,
             &classes::SERVE_CACHE,
             &classes::CORE_GENERATION,
@@ -556,7 +552,6 @@ mod tests {
             &classes::BENCH_LOADGEN_QUEUE_CURVE,
             &classes::BENCH_SWAP_TALLIES,
             &classes::FAULTS_REGISTRY,
-            &classes::OBS_TRACE_SUMS,
             &classes::OBS_SLO_WINDOW,
             &classes::OBS_COUNTERS,
             &classes::OBS_GAUGES,
