@@ -92,7 +92,13 @@ pub const DEFAULT_TOP_K: usize = 3;
 /// cache misses of the request it popped and never batches requests
 /// together, so [`ConfigResponse`] lost `max_batch`. Every other body
 /// is unchanged apart from `schema_version`.
-pub const SCHEMA_VERSION: u32 = 9;
+///
+/// **v10** (persisted embedding store): a model loads its embedding
+/// store from its snapshot instead of re-embedding it, so the
+/// `--threads` width sizes nothing a server runs and [`ConfigResponse`]
+/// lost `threads`. Every other body is unchanged apart from
+/// `schema_version`.
+pub const SCHEMA_VERSION: u32 = 10;
 
 // ---- Requests ---------------------------------------------------------
 
@@ -307,8 +313,6 @@ pub struct ConfigResponse {
     pub schema_version: u32,
     /// Forward permits: how many forwards run at once.
     pub workers: usize,
-    /// Embedding-store refresh threads (the `--threads` width).
-    pub threads: usize,
     /// Prediction cache capacity (entries).
     pub cache_cap: usize,
     /// Per-request deadline in milliseconds.
@@ -573,7 +577,7 @@ mod tests {
             "{\"pair_start\":null,\"relevance\":0.25,\"start\":3,\"text\":\"costa rica\",\"window\":4},",
             "{\"pair_start\":1,\"relevance\":0.125,\"start\":9,\"text\":\"norway\",\"window\":2}",
             "],",
-            "\"schema_version\":9,",
+            "\"schema_version\":10,",
             "\"structural\":[{\"attention\":0.5,\"label\":4,\"node\":7}]",
             "}",
         );
@@ -588,7 +592,7 @@ mod tests {
             SwapResponse { schema_version: SCHEMA_VERSION, generation: 2, previous_generation: 1 };
         assert_eq!(
             serde_json::to_string(&swap).unwrap(),
-            "{\"generation\":2,\"previous_generation\":1,\"schema_version\":9}",
+            "{\"generation\":2,\"previous_generation\":1,\"schema_version\":10}",
         );
         let status = StoreStatusResponse {
             schema_version: SCHEMA_VERSION,
@@ -600,7 +604,7 @@ mod tests {
             serde_json::to_string(&status).unwrap(),
             concat!(
                 "{\"generation\":2,",
-                "\"schema_version\":9,",
+                "\"schema_version\":10,",
                 "\"stored\":81,",
                 "\"swap_in_progress\":false}",
             ),
@@ -693,7 +697,6 @@ mod tests {
         let cfg = ConfigResponse {
             schema_version: SCHEMA_VERSION,
             workers: 4,
-            threads: 8,
             cache_cap: 1024,
             deadline_ms: 5000,
             top_k: 3,
@@ -713,10 +716,9 @@ mod tests {
         let json = serde_json::to_string(&cfg).unwrap();
         let back: ConfigResponse = serde_json::from_str(&json).unwrap();
         assert_eq!(back, cfg);
-        assert!(json.contains("\"threads\":8"));
         assert!(json.contains("\"max_conns\":1024"));
         assert!(json.contains("\"generation\":1"));
-        assert!(json.contains("\"schema_version\":9"));
+        assert!(json.contains("\"schema_version\":10"));
     }
 
     #[test]

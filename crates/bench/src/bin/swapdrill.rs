@@ -9,6 +9,9 @@
 //!   `X-Model-Generation` values on the same persistent connection),
 //! * the final `/v1/config` generation must be `1 + swaps`.
 //!
+//! The JSON report also carries `swap_ms`: the wall time of each
+//! `POST /v1/admin/swap` exchange, one entry per swap, in order.
+//!
 //! The chaos arm (`--expect-swap-failures`, paired with
 //! `--failpoints serve.swap.commit=always`) inverts the swap gate:
 //! every swap must fail with a typed 5xx on the admin endpoint, the
@@ -22,7 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use explainti_sync::{classes, OrderedMutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use explainti_bench::{column_payloads, exchange, read_framed};
 use explainti_core::{ExplainTi, ExplainTiConfig};
@@ -262,12 +265,15 @@ fn main() {
 
     // -- Swaps under load ---------------------------------------------------
     let mut swap_results = Vec::new();
+    let mut swap_ms = Vec::new();
     for (i, dir) in candidates.iter().enumerate() {
         let body = format!(
             r#"{{"model_dir":{}}}"#,
             serde_json::to_string(&dir.display().to_string()).unwrap_or_default()
         );
+        let sent = Instant::now();
         let result = admin(&addr, "POST", "/v1/admin/swap", &body);
+        swap_ms.push(sent.elapsed().as_secs_f64() * 1e3);
         match &result {
             Ok((status, body)) => eprintln!("[swap {}/{}: {status} {body}]", i + 1, args.swaps),
             Err(e) => eprintln!("[swap {}/{}: transport error {e}]", i + 1, args.swaps),
@@ -373,6 +379,7 @@ fn main() {
         "conns": args.conns,
         "swaps_requested": args.swaps,
         "swap_statuses": swap_statuses,
+        "swap_ms": swap_ms,
         "serving": serving,
         "final_generation": final_generation,
         "failures": failures,

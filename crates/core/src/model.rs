@@ -85,7 +85,7 @@ pub struct ExplainTi {
     pub(crate) encoder: TransformerEncoder,
     pub(crate) tasks: Vec<TaskState>,
     pub(crate) rng: SmallRng,
-    /// Set when the GE store could not be refreshed at load time;
+    /// Set when the GE store was unavailable at load time;
     /// serving continues with `global: []` and reports the flag through
     /// `/v1/healthz` and `/v1/metrics` (DESIGN.md §11).
     degraded: std::sync::atomic::AtomicBool,
@@ -214,20 +214,31 @@ impl ExplainTi {
 
     /// Runs the encoder over every training sample of `task` and rewrites
     /// each sample's row in the embedding store `Q` (Algorithm 2's
-    /// initialisation/refresh).
+    /// initialisation/refresh), stamped with the current weights.
     ///
-    /// One [`TransformerEncoder::embed_cls_batch`] call embeds the whole
-    /// split on the tape-free inference encoder.
+    /// Training runs it; a loaded model reads the rows its snapshot
+    /// persisted instead (`store.bin`, written by
+    /// [`Self::save_to_dir`]).
     pub fn refresh_store(&mut self, task: usize) {
         let _span = explainti_obs::span!("store.refresh");
-        let data = &self.tasks[task].data;
-        let encs: Vec<explainti_tokenizer::Encoded> =
-            data.train_idx.iter().map(|&idx| data.samples[idx].encoded.clone()).collect();
-        let cls = self.encoder.embed_cls_batch(&self.store, &encs);
+        let stamp = self.weights_stamp();
+        let cls = self.embed_train_split(task);
         let state = &mut self.tasks[task];
         for (&idx, cls) in state.data.train_idx.iter().zip(cls) {
             state.q.set(idx, cls.as_slice(), state.data.samples[idx].label);
         }
+        state.q.stamp(stamp);
+    }
+
+    /// `E_[CLS]` of every training sample of `task` under the current
+    /// weights, in `train_idx` order: one
+    /// [`TransformerEncoder::embed_cls_batch`] call on the tape-free
+    /// inference encoder.
+    pub(crate) fn embed_train_split(&self, task: usize) -> Vec<Tensor> {
+        let data = &self.tasks[task].data;
+        let encs: Vec<explainti_tokenizer::Encoded> =
+            data.train_idx.iter().map(|&idx| data.samples[idx].encoded.clone()).collect();
+        self.encoder.embed_cls_batch(&self.store, &encs)
     }
 
     /// Full tape forward over one sample, producing all logits and

@@ -8,6 +8,29 @@
 //! (construction order defines the parameter layout), which mirrors how
 //! pre-trained LM checkpoints work.
 //!
+//! ## Snapshot layout (format version 2)
+//!
+//! A model directory holds `corpus.json`, `variant.txt`, `weights.bin`,
+//! `store.bin` and `MANIFEST.json`. `store.bin` is the embedding store
+//! `Q` of every task, so a load reads the rows instead of re-embedding
+//! every training sample:
+//!
+//! ```text
+//! magic    8 bytes   "EXPLTIQ1"
+//! stamp    u64 LE    FNV-1a 64 of the weights.bin bytes the rows were embedded under
+//! dim      u32 LE    embedding width (the encoder's d_model)
+//! tasks    u32 LE    number of tasks
+//! rows     u64 LE    per task: its train-split size
+//! payload  f32 LE    per task, rows × dim, in train_idx order
+//! ```
+//!
+//! The rows are bit-for-bit what [`ExplainTi::refresh_store`] computes
+//! from the saved weights: a save writes the rows a store holds when
+//! their stamp is the saved weights' (a trained model's case) and
+//! re-embeds the task otherwise, and a load refuses a `store.bin` whose
+//! stamp, width, task count or row counts disagree with `weights.bin`
+//! and the corpus.
+//!
 //! ## Snapshot atomicity (DESIGN.md §11)
 //!
 //! `save_to_dir` treats the model directory as durable production state,
@@ -35,8 +58,16 @@ use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"EXPLTI01";
 
+/// `store.bin` magic (see the module docs for the layout).
+const STORE_MAGIC: &[u8; 8] = b"EXPLTIQ1";
+
+/// `store.bin` bytes before the per-task row counts: magic, stamp, dim
+/// and task count.
+const STORE_HEADER: usize = 8 + 8 + 4 + 4;
+
 /// Snapshot directory format version recorded in `MANIFEST.json`.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
+/// Version 2 added `store.bin`.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
 
 /// Manifest file name, written last so its presence certifies a complete
 /// snapshot.
@@ -146,6 +177,25 @@ fn write_artifact(dir: &Path, name: &str, short: &str, data: &[u8]) -> Result<()
     Ok(())
 }
 
+/// Writes one artifact with [`write_artifact`] and lists it in
+/// `manifest`; returns its FNV-1a 64.
+fn write_listed(
+    dir: &Path,
+    manifest: &mut Manifest,
+    name: &str,
+    short: &str,
+    data: &[u8],
+) -> Result<u64, PersistError> {
+    write_artifact(dir, name, short, data)?;
+    let sum = fnv1a64(data);
+    manifest.files.push(ManifestFile {
+        name: name.to_string(),
+        bytes: data.len() as u64,
+        fnv1a64: format!("{sum:016x}"),
+    });
+    Ok(sum)
+}
+
 /// Fsyncs the directory itself so renames are durable (best-effort: not
 /// every filesystem supports opening a directory for sync).
 fn sync_dir(dir: &Path) {
@@ -175,7 +225,7 @@ pub fn decode_weights(mut data: &[u8]) -> io::Result<Vec<f32>> {
     }
     data.advance(MAGIC.len());
     let n = data.get_u64_le() as usize;
-    if data.remaining() != n * 4 {
+    if n.checked_mul(4) != Some(data.remaining()) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!(
@@ -237,8 +287,14 @@ impl ExplainTi {
         Ok(())
     }
 
+    /// The stamp of the current weights: the FNV-1a 64 of the
+    /// `weights.bin` bytes [`Self::save_to_dir`] writes for them.
+    pub(crate) fn weights_stamp(&self) -> u64 {
+        fnv1a64(&encode_weights(&self.export_all_weights()))
+    }
+
     /// Writes the full model-directory layout (`corpus.json`,
-    /// `variant.txt`, `weights.bin`, `MANIFEST.json`) that
+    /// `variant.txt`, `weights.bin`, `store.bin`, `MANIFEST.json`) that
     /// [`Self::load_from_dir`], the CLI and the inference server all
     /// consume. The corpus snapshot is required because tokenizer and
     /// parameter layouts derive deterministically from it.
@@ -250,28 +306,24 @@ impl ExplainTi {
     pub fn save_to_dir(&self, dir: &Path, dataset: &Dataset) -> Result<(), PersistError> {
         let _span = explainti_obs::span!("persist.save_dir");
         std::fs::create_dir_all(dir)?;
-        let corpus = serde_json::to_string(dataset)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e}")))?;
+        let mut manifest = Manifest { format_version: SNAPSHOT_FORMAT_VERSION, files: Vec::new() };
+        {
+            // The corpus text is the largest buffer a save makes; it is
+            // dropped before the weights and the store are encoded.
+            let corpus = serde_json::to_string(dataset)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e}")))?;
+            write_listed(dir, &mut manifest, "corpus.json", "corpus", corpus.as_bytes())?;
+        }
         let variant = match self.cfg.encoder.variant {
             explainti_encoder::Variant::BertLike => "bert",
             explainti_encoder::Variant::RobertaLike => "roberta",
         };
+        write_listed(dir, &mut manifest, "variant.txt", "variant", variant.as_bytes())?;
         let weights = encode_weights(&self.export_all_weights());
-
-        let artifacts: [(&str, &str, &[u8]); 3] = [
-            ("corpus.json", "corpus", corpus.as_bytes()),
-            ("variant.txt", "variant", variant.as_bytes()),
-            ("weights.bin", "weights", &weights),
-        ];
-        let mut manifest = Manifest { format_version: SNAPSHOT_FORMAT_VERSION, files: Vec::new() };
-        for (name, short, data) in artifacts {
-            write_artifact(dir, name, short, data)?;
-            manifest.files.push(ManifestFile {
-                name: name.to_string(),
-                bytes: data.len() as u64,
-                fnv1a64: format!("{:016x}", fnv1a64(data)),
-            });
-        }
+        let stamp = write_listed(dir, &mut manifest, "weights.bin", "weights", &weights)?;
+        drop(weights);
+        let store = self.encode_store(stamp);
+        write_listed(dir, &mut manifest, "store.bin", "store", &store)?;
         let manifest_json = serde_json::to_string_pretty(&manifest)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e}")))?;
         write_artifact(dir, MANIFEST_NAME, "manifest", manifest_json.as_bytes())?;
@@ -279,18 +331,115 @@ impl ExplainTi {
         Ok(())
     }
 
+    /// `store.bin` for the weights stamped `stamp`, encoded straight into
+    /// one buffer. A task whose store holds every train-split row under
+    /// these weights is written as it stands; any other task is embedded
+    /// afresh, so the rows are always what [`Self::refresh_store`]
+    /// computes from the saved weights.
+    fn encode_store(&self, stamp: u64) -> Vec<u8> {
+        let d = self.encoder.d_model();
+        let rows: usize = self.tasks.iter().map(|t| t.data.train_idx.len()).sum();
+        let mut buf = Vec::with_capacity(STORE_HEADER + 8 * self.tasks.len() + rows * d * 4);
+        buf.extend_from_slice(STORE_MAGIC);
+        buf.extend_from_slice(&stamp.to_le_bytes());
+        buf.extend_from_slice(&(d as u32).to_le_bytes());
+        buf.extend_from_slice(&(self.tasks.len() as u32).to_le_bytes());
+        for state in &self.tasks {
+            buf.extend_from_slice(&(state.data.train_idx.len() as u64).to_le_bytes());
+        }
+        let mut put = |row: &[f32]| {
+            for v in row {
+                buf.extend_from_slice(&v.to_le_bytes());
+            }
+        };
+        for (task, state) in self.tasks.iter().enumerate() {
+            let held: Option<Vec<&[f32]>> = match state.q.embedded_under() {
+                Some(s) if s == stamp => {
+                    state.data.train_idx.iter().map(|&idx| state.q.get(idx)).collect()
+                }
+                _ => None,
+            };
+            match held {
+                Some(held) => held.into_iter().for_each(&mut put),
+                None => self.embed_train_split(task).iter().for_each(|cls| put(cls.as_slice())),
+            }
+        }
+        buf
+    }
+
+    /// Fills every task's store from `store.bin` bytes as
+    /// [`Self::refresh_store`] fills it — rows in `train_idx` order,
+    /// labels from the corpus — and stamps it `stamp`, the checksum of
+    /// the loaded `weights.bin`. The header is checked against this model
+    /// before any store is touched, so a row count read from the file
+    /// never sizes an allocation; a mismatch is the returned detail.
+    fn load_store(&mut self, mut data: &[u8], stamp: u64) -> Result<(), String> {
+        if data.len() < STORE_HEADER || &data[..STORE_MAGIC.len()] != STORE_MAGIC {
+            return Err("missing or bad store header".to_string());
+        }
+        data.advance(STORE_MAGIC.len());
+        let found = data.get_u64_le();
+        if found != stamp {
+            return Err(format!(
+                "rows were embedded under weights {found:016x}, but weights.bin is {stamp:016x}"
+            ));
+        }
+        let d = self.encoder.d_model();
+        let dim = data.get_u32_le() as usize;
+        if dim != d {
+            return Err(format!("rows are {dim} wide; the encoder embeds {d}"));
+        }
+        let tasks = data.get_u32_le() as usize;
+        if tasks != self.tasks.len() {
+            return Err(format!("{tasks} tasks stored; the corpus has {}", self.tasks.len()));
+        }
+        if data.remaining() < 8 * tasks {
+            return Err("truncated row counts".to_string());
+        }
+        for (task, state) in self.tasks.iter().enumerate() {
+            let rows = data.get_u64_le();
+            let want = state.data.train_idx.len();
+            if rows != want as u64 {
+                return Err(format!("task {task} stores {rows} rows; its train split has {want}"));
+            }
+        }
+        let want: usize = self.tasks.iter().map(|t| t.data.train_idx.len() * d * 4).sum();
+        if data.remaining() != want {
+            return Err(format!(
+                "payload is {} bytes; the train splits need {want}",
+                data.remaining()
+            ));
+        }
+        let mut row = vec![0.0f32; d];
+        for state in &mut self.tasks {
+            for &idx in &state.data.train_idx {
+                for v in &mut row {
+                    *v = data.get_f32_le();
+                }
+                state.q.set(idx, &row, state.data.samples[idx].label);
+            }
+            state.q.stamp(stamp);
+        }
+        Ok(())
+    }
+
     /// Rebuilds a model from a directory written by [`Self::save_to_dir`]
     /// (or the `train` CLI command): verifies the manifest, reads the
     /// corpus snapshot, picks the recorded encoder variant, loads the
-    /// weight checkpoint, and refreshes every task's embedding store so
-    /// GE/SE retrievals match the loaded weights. Returns the dataset
-    /// alongside the model because serving needs the label names.
+    /// weight checkpoint, and fills every task's embedding store from
+    /// `store.bin`, whose rows are the ones the loaded weights embed, so
+    /// GE/SE retrievals match them without re-embedding a sample. Returns
+    /// the dataset alongside the model because serving needs the label
+    /// names.
     ///
     /// Refuses to load torn or corrupt snapshots with a typed error:
     /// every file must be present, match its manifest size and FNV-1a 64
-    /// checksum, and parse — otherwise the previous snapshot (if the
-    /// manifest still describes it) is what gets loaded, by construction
-    /// of [`Self::save_to_dir`].
+    /// checksum, and parse, and `store.bin` must agree with `weights.bin`
+    /// and the corpus — otherwise the previous snapshot (if the manifest
+    /// still describes it) is what gets loaded, by construction of
+    /// [`Self::save_to_dir`]. A snapshot of another format version
+    /// (version 1 had no `store.bin`) is `Corrupt` naming the manifest;
+    /// re-run `train` to write a current one.
     pub fn load_from_dir(dir: &Path) -> Result<(ExplainTi, Dataset), PersistError> {
         let _span = explainti_obs::span!("persist.load_dir");
         let manifest_path = dir.join(MANIFEST_NAME);
@@ -313,13 +462,15 @@ impl ExplainTi {
             return Err(PersistError::Corrupt {
                 file: MANIFEST_NAME.to_string(),
                 detail: format!(
-                    "format_version {} (this build reads {SNAPSHOT_FORMAT_VERSION})",
+                    "format_version {} (this build reads {SNAPSHOT_FORMAT_VERSION}); \
+                     re-run `train` to write a current snapshot",
                     manifest.format_version
                 ),
             });
         }
 
-        let mut verified: std::collections::HashMap<String, Vec<u8>> =
+        // Each verified artifact with its FNV-1a 64.
+        let mut verified: std::collections::HashMap<String, (Vec<u8>, u64)> =
             std::collections::HashMap::new();
         for entry in &manifest.files {
             let path = dir.join(&entry.name);
@@ -350,27 +501,27 @@ impl ExplainTi {
                     ),
                 });
             }
-            let sum = format!("{:016x}", fnv1a64(&data));
-            if sum != entry.fnv1a64 {
+            let sum = fnv1a64(&data);
+            if format!("{sum:016x}") != entry.fnv1a64 {
                 return Err(PersistError::Corrupt {
                     file: entry.name.clone(),
                     detail: format!(
-                        "checksum mismatch: manifest {} != actual {sum}",
+                        "checksum mismatch: manifest {} != actual {sum:016x}",
                         entry.fnv1a64
                     ),
                 });
             }
-            verified.insert(entry.name.clone(), data);
+            verified.insert(entry.name.clone(), (data, sum));
         }
-        let take = |verified: &mut std::collections::HashMap<String, Vec<u8>>,
+        let take = |verified: &mut std::collections::HashMap<String, (Vec<u8>, u64)>,
                     name: &str|
-         -> Result<Vec<u8>, PersistError> {
+         -> Result<(Vec<u8>, u64), PersistError> {
             verified.remove(name).ok_or_else(|| PersistError::TornSnapshot {
                 detail: format!("{name} absent from manifest"),
             })
         };
 
-        let corpus_bytes = take(&mut verified, "corpus.json")?;
+        let (corpus_bytes, _) = take(&mut verified, "corpus.json")?;
         let corpus_text = String::from_utf8(corpus_bytes).map_err(|e| PersistError::Corrupt {
             file: "corpus.json".to_string(),
             detail: format!("not UTF-8: {e}"),
@@ -378,7 +529,8 @@ impl ExplainTi {
         let dataset: Dataset = serde_json::from_str(&corpus_text).map_err(|e| {
             PersistError::Corrupt { file: "corpus.json".to_string(), detail: format!("{e}") }
         })?;
-        let variant_bytes = take(&mut verified, "variant.txt")?;
+        drop(corpus_text);
+        let (variant_bytes, _) = take(&mut verified, "variant.txt")?;
         let roberta =
             std::str::from_utf8(&variant_bytes).map(|v| v.trim() == "roberta") == Ok(true);
         // The vocabulary cap and sequence length are the fixed CLI-wide
@@ -389,21 +541,23 @@ impl ExplainTi {
             ExplainTiConfig::bert_like(2048, 32)
         };
         let mut model = ExplainTi::new(&dataset, cfg);
-        let weight_bytes = take(&mut verified, "weights.bin")?;
+        let (weight_bytes, stamp) = take(&mut verified, "weights.bin")?;
         model.load_weight_bytes(&weight_bytes).map_err(|e| PersistError::Corrupt {
             file: "weights.bin".to_string(),
             detail: format!("{e}"),
         })?;
-        // Chaos site: the GE store is re-embedded (not persisted); when a
-        // drill marks it unavailable, serve predictions with `global: []`
-        // instead of failing the whole load.
+        drop(weight_bytes);
+        let (store_bytes, _) = take(&mut verified, "store.bin")?;
+        // Chaos site: the GE store is unavailable; serve predictions with
+        // `global: []` from empty stores instead of failing the whole load.
         if explainti_faults::triggered("persist.load.ge") {
             model.set_degraded(true);
             explainti_obs::add_counter("persist.load.degraded", 1);
         } else {
-            for task in 0..model.tasks().len() {
-                model.refresh_store(task);
-            }
+            model.load_store(&store_bytes, stamp).map_err(|detail| PersistError::Corrupt {
+                file: "store.bin".to_string(),
+                detail,
+            })?;
         }
         Ok((model, dataset))
     }

@@ -10,6 +10,10 @@
 //!
 //! Algorithm 2 refreshes `Q` wholesale: [`EmbeddingStore::set`] every
 //! sample, which overwrites its row in place; the next query sees it.
+//!
+//! A store filled wholesale under one set of weights carries their stamp
+//! (the FNV-1a 64 of the `weights.bin` bytes), so a snapshot can persist
+//! its rows instead of re-embedding them; `set` clears the stamp.
 
 use explainti_nn::Tensor;
 use std::cmp::Ordering;
@@ -39,12 +43,22 @@ pub struct EmbeddingStore {
     labels: Vec<usize>,
     /// Sample id → row.
     rows: BTreeMap<usize, usize>,
+    /// Stamp of the weights every row was embedded under, if one set of
+    /// weights vouches for all of them.
+    embedded_under: Option<u64>,
 }
 
 impl EmbeddingStore {
     /// Creates an empty store for embeddings of dimension `dim`.
     pub fn new(dim: usize) -> Self {
-        Self { dim, slab: Vec::new(), ids: Vec::new(), labels: Vec::new(), rows: BTreeMap::new() }
+        Self {
+            dim,
+            slab: Vec::new(),
+            ids: Vec::new(),
+            labels: Vec::new(),
+            rows: BTreeMap::new(),
+            embedded_under: None,
+        }
     }
 
     /// Embedding dimensionality.
@@ -56,12 +70,14 @@ impl EmbeddingStore {
         &self.slab[r * self.dim..(r + 1) * self.dim]
     }
 
-    /// Stores (or overwrites in place) the embedding of sample `idx`.
+    /// Stores (or overwrites in place) the embedding of sample `idx`, and
+    /// clears the weights stamp.
     ///
     /// # Panics
     /// Panics if the embedding is not `dim` long.
     pub fn set(&mut self, idx: usize, embedding: &[f32], label: usize) {
         assert_eq!(embedding.len(), self.dim, "embedding length mismatch");
+        self.embedded_under = None;
         match self.rows.get(&idx) {
             Some(&r) => {
                 self.slab[r * self.dim..(r + 1) * self.dim].copy_from_slice(embedding);
@@ -94,6 +110,19 @@ impl EmbeddingStore {
     /// Number of stored embeddings.
     pub fn stored(&self) -> usize {
         self.ids.len()
+    }
+
+    /// The stamp of the weights every stored row was embedded under, or
+    /// `None` if a row was [`set`](Self::set) since the store was last
+    /// stamped.
+    pub(crate) fn embedded_under(&self) -> Option<u64> {
+        self.embedded_under
+    }
+
+    /// Records that every stored row was embedded under the weights with
+    /// this stamp.
+    pub(crate) fn stamp(&mut self, weights: u64) {
+        self.embedded_under = Some(weights);
     }
 
     /// Top-`k` most similar stored samples to `query`, optionally
@@ -177,6 +206,17 @@ mod tests {
         assert_eq!(res.len(), 3);
         assert_eq!(res[0].id, 3);
         assert_eq!(res[1].id, 9);
+    }
+
+    #[test]
+    fn set_clears_the_stamp() {
+        let mut q = EmbeddingStore::new(2);
+        q.set(0, &[1.0, 0.0], 0);
+        assert_eq!(q.embedded_under(), None);
+        q.stamp(7);
+        assert_eq!(q.embedded_under(), Some(7));
+        q.set(0, &[0.0, 1.0], 0);
+        assert_eq!(q.embedded_under(), None, "a hand-set row voids the stamp");
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! serialises on one mutex (cargo runs `#[test]` fns of one binary on
 //! parallel threads).
 
-use explainti_core::{ExplainTi, ExplainTiConfig, PersistError, MANIFEST_NAME};
+use explainti_core::{fnv1a64, ExplainTi, ExplainTiConfig, Manifest, PersistError, MANIFEST_NAME};
 use explainti_corpus::{generate_wiki, Dataset, WikiConfig};
 use explainti_faults as faults;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -46,7 +46,7 @@ fn test_dir(name: &str) -> PathBuf {
 }
 
 /// Every failpoint site inside `save_to_dir`, in write order.
-const SAVE_SITES: [&str; 12] = [
+const SAVE_SITES: [&str; 15] = [
     "persist.before_write.corpus",
     "persist.after_write.corpus",
     "persist.after_rename.corpus",
@@ -56,6 +56,9 @@ const SAVE_SITES: [&str; 12] = [
     "persist.before_write.weights",
     "persist.after_write.weights",
     "persist.after_rename.weights",
+    "persist.before_write.store",
+    "persist.after_write.store",
+    "persist.after_rename.store",
     "persist.before_write.manifest",
     "persist.after_write.manifest",
     "persist.after_rename.manifest",
@@ -143,7 +146,7 @@ fn clean_roundtrip_preserves_predictions_exactly() {
     // Saving the loaded model again reproduces identical artifact bytes.
     let dir2 = test_dir("clean-roundtrip-2");
     loaded.save_to_dir(&dir2, &d).unwrap();
-    for name in ["corpus.json", "variant.txt", "weights.bin", MANIFEST_NAME] {
+    for name in ["corpus.json", "variant.txt", "weights.bin", "store.bin", MANIFEST_NAME] {
         assert_eq!(
             std::fs::read(dir.join(name)).unwrap(),
             std::fs::read(dir2.join(name)).unwrap(),
@@ -165,7 +168,7 @@ fn corrupt_read_failpoints_are_detected() {
 
     // (The manifest itself is not in the loop: it is verified by parsing,
     // covered in `real_on_disk_damage_is_detected_without_failpoints`.)
-    for short in ["corpus", "variant", "weights"] {
+    for short in ["corpus", "variant", "weights", "store"] {
         faults::configure(&format!("persist.load.corrupt.{short}"), faults::Policy::Always);
         let res = ExplainTi::load_from_dir(&dir);
         faults::clear_all();
@@ -238,5 +241,97 @@ fn ge_store_failure_degrades_instead_of_failing() {
         "degraded mode serves predictions with empty global explanations"
     );
     assert!(!pred.probs.is_empty(), "the prediction itself still works");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Replaces `name` in the snapshot at `dir` with `bytes` and re-lists it
+/// in the manifest with their true size and checksum, so only the
+/// loader's content checks stand between the bytes and a model.
+fn rewrite_listed(dir: &Path, name: &str, bytes: &[u8]) {
+    std::fs::write(dir.join(name), bytes).unwrap();
+    let path = dir.join(MANIFEST_NAME);
+    let mut manifest: Manifest =
+        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let entry = manifest.files.iter_mut().find(|f| f.name == name).expect("listed artifact");
+    entry.bytes = bytes.len() as u64;
+    entry.fnv1a64 = format!("{:016x}", fnv1a64(bytes));
+    std::fs::write(&path, serde_json::to_string_pretty(&manifest).unwrap()).unwrap();
+}
+
+/// A `store.bin` that passes its checksum but disagrees with the corpus
+/// or with `weights.bin` is refused as `Corrupt { file: "store.bin" }`,
+/// without a panic. Header offsets: stamp 8..16, dim 16..20, task count
+/// 20..24, then one u64 row count per task.
+#[test]
+fn store_bin_disagreeing_with_weights_or_corpus_is_corrupt() {
+    let _g = lock();
+    faults::clear_all();
+    let d = tiny_dataset();
+    let model = build_model(&d);
+    let tasks = model.tasks().len() as u32;
+    assert_eq!(tasks, 2, "the probe corpus registers both tasks");
+    let dir = test_dir("store-mismatch");
+    model.save_to_dir(&dir, &d).unwrap();
+    let good = std::fs::read(dir.join("store.bin")).unwrap();
+    let field = |at: usize, value: &[u8]| {
+        let mut b = good.clone();
+        b[at..at + value.len()].copy_from_slice(value);
+        b
+    };
+    let dim = u32::from_le_bytes(good[16..20].try_into().unwrap());
+    let stamp = u64::from_le_bytes(good[8..16].try_into().unwrap());
+    let header = 24 + 8 * tasks as usize;
+    let mut cases: Vec<(String, Vec<u8>)> = vec![
+        ("a truncated row".into(), good[..good.len() - 2].to_vec()),
+        ("an extra row".into(), [&good[..], &good[header..header + 4 * dim as usize]].concat()),
+        ("a wrong task count".into(), field(20, &(tasks - 1).to_le_bytes())),
+        ("too many tasks".into(), field(20, &u32::MAX.to_le_bytes())),
+        ("a wrong width".into(), field(16, &(dim + 1).to_le_bytes())),
+        ("a foreign stamp".into(), field(8, &(stamp ^ 1).to_le_bytes())),
+        ("a wrong row count".into(), field(24, &u64::MAX.to_le_bytes())),
+        ("a bad magic".into(), field(0, b"EXPLTI01")),
+    ];
+    for cut in [0, 7, 8, 23, 24, header - 1, header] {
+        cases.push((format!("a file cut at byte {cut}"), good[..cut].to_vec()));
+    }
+    for (what, bytes) in cases {
+        model.save_to_dir(&dir, &d).unwrap();
+        rewrite_listed(&dir, "store.bin", &bytes);
+        match ExplainTi::load_from_dir(&dir) {
+            Err(PersistError::Corrupt { file, .. }) => {
+                assert_eq!(file, "store.bin", "{what} blamed {file}")
+            }
+            Err(e) => panic!("{what}: wrong error kind: {e}"),
+            Ok(_) => panic!("{what} loaded"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A version-1 snapshot (no `store.bin`) is refused with a typed error
+/// that names the manifest and says how to get a current snapshot.
+#[test]
+fn a_version_1_snapshot_is_a_typed_format_error() {
+    let _g = lock();
+    faults::clear_all();
+    let d = tiny_dataset();
+    let model = build_model(&d);
+    let dir = test_dir("format-v1");
+    model.save_to_dir(&dir, &d).unwrap();
+    let path = dir.join(MANIFEST_NAME);
+    let mut manifest: Manifest =
+        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    manifest.format_version = 1;
+    manifest.files.retain(|f| f.name != "store.bin");
+    std::fs::remove_file(dir.join("store.bin")).unwrap();
+    std::fs::write(&path, serde_json::to_string_pretty(&manifest).unwrap()).unwrap();
+    match ExplainTi::load_from_dir(&dir) {
+        Err(PersistError::Corrupt { file, detail }) => {
+            assert_eq!(file, MANIFEST_NAME);
+            assert!(detail.contains("format_version 1") && detail.contains("re-run `train`"));
+        }
+        Err(e) => panic!("wrong error kind: {e}"),
+        Ok(_) => panic!("a version-1 snapshot loaded"),
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

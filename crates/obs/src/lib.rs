@@ -431,30 +431,43 @@ fn fmt_ms(ns: u64) -> String {
     format!("{:.3}", ns as f64 / 1e6)
 }
 
-/// Human-readable end-of-run summary of every recorded metric.
+/// Human-readable end-of-run summary of every recorded metric. Time
+/// histograms print in milliseconds under `spans`; count histograms
+/// ([`Unit::Count`]) print their plain values in a table of their own.
 pub fn report() -> String {
     let snap = registry().snapshot();
     let mut out = String::new();
 
     let mut spans =
         TextTable::new(["span", "count", "p50 ms", "p90 ms", "p99 ms", "max ms", "total ms"]);
+    let mut counts = TextTable::new(["histogram", "count", "p50", "p90", "p99", "max", "sum"]);
     for (name, h) in &snap.histograms {
         if h.count() == 0 {
             continue;
         }
-        spans.row([
+        let (table, fmt): (&mut TextTable, fn(u64) -> String) = match h.unit() {
+            Unit::Nanos => (&mut spans, fmt_ms),
+            Unit::Count => (&mut counts, |v| v.to_string()),
+        };
+        table.row([
             name.clone(),
             h.count().to_string(),
-            fmt_ms(h.quantile(0.50)),
-            fmt_ms(h.quantile(0.90)),
-            fmt_ms(h.quantile(0.99)),
-            fmt_ms(h.max()),
-            fmt_ms(h.sum()),
+            fmt(h.quantile(0.50)),
+            fmt(h.quantile(0.90)),
+            fmt(h.quantile(0.99)),
+            fmt(h.max()),
+            fmt(h.sum()),
         ]);
     }
-    if !spans.is_empty() {
-        out.push_str("spans\n");
-        out.push_str(&spans.render());
+    for (title, table) in [("spans", &spans), ("count histograms", &counts)] {
+        if !table.is_empty() {
+            if !out.is_empty() {
+                out.push('\n');
+            }
+            out.push_str(title);
+            out.push('\n');
+            out.push_str(&table.render());
+        }
     }
 
     let mut scalars = TextTable::new(["metric", "value"]);

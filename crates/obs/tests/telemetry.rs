@@ -217,6 +217,25 @@ fn report_lists_recorded_metrics() {
     assert_eq!(summary["histograms"]["test.report.stage"]["count"].as_u64(), Some(1));
 }
 
+/// The report prints a time histogram in milliseconds under `spans` and
+/// a count histogram as plain numbers in its own table, never under the
+/// `ms` columns.
+#[test]
+fn report_prints_each_histogram_in_its_unit() {
+    let _gate = lock();
+    obs::registry().histogram("test.report.time").record(2_500_000);
+    obs::registry().count_histogram("test.report.batch").record(7);
+
+    let report = obs::report();
+    let (spans, counts) = report.split_once("count histograms").expect("a count table");
+    assert!(spans.contains("p50 ms") && spans.contains("test.report.time"), "{report}");
+    assert!(!spans.contains("test.report.batch"), "a count printed as a span: {report}");
+    let row = counts.lines().find(|l| l.contains("test.report.batch")).expect("the count row");
+    let cells: Vec<&str> = row.split_whitespace().collect();
+    assert_eq!(cells[1..], ["1", "7", "7", "7", "7", "7"], "{report}");
+    assert!(!counts.contains(" ms"), "{report}");
+}
+
 /// Reset zeroes metrics while cached handles keep working.
 #[test]
 fn reset_preserves_cached_handles() {

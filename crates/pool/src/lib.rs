@@ -5,8 +5,8 @@
 //!
 //! * [`map_chunks`] splits a slice into `min(width, len)` contiguous
 //!   chunks: the embedding-store refresh
-//!   (`TransformerEncoder::embed_cls_batch`, at boot, at every hot swap
-//!   and in every training epoch) and `ExplainTi::evaluate`.
+//!   (`TransformerEncoder::embed_cls_batch`, during training; a loaded
+//!   model reads its store from the snapshot) and `ExplainTi::evaluate`.
 //! * [`fold_in_order`] runs a training mini-batch's per-sample forward
 //!   and backward passes on `min(width, batch)` threads and adds their
 //!   results in sample order, so the trained weights are the serial

@@ -52,10 +52,9 @@ use crate::queue::BatchQueue;
 /// Each connection gets its own thread, and each forward runs on the
 /// thread of the connection that asked for it under one of `workers`
 /// permits, so `workers` bounds the serving path's model parallelism.
-/// The process-wide `explainti_pool` width (the CLI's `--threads`) sizes
-/// only the embedding-store refresh at boot and at every swap;
-/// `/v1/config` reports it as `threads`. Every swap runs a smoke prediction on the
-/// candidate before it commits.
+/// Boot and every swap read the embedding store from the snapshot, so
+/// nothing the server runs fans out. Every swap runs a smoke prediction
+/// on the candidate before it commits.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:8080` (`:0` for an ephemeral port).
@@ -925,7 +924,6 @@ pub fn start(
     let config = ConfigResponse {
         schema_version: SCHEMA_VERSION,
         workers: cfg.workers,
-        threads: explainti_pool::global().threads(),
         cache_cap: cfg.cache_cap,
         deadline_ms: cfg.deadline_ms.max(1),
         top_k: cfg.top_k.max(1),

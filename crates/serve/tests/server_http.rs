@@ -189,8 +189,6 @@ fn serves_interpret_cache_metrics_errors_and_shutdown() {
 #[test]
 fn config_endpoint_reports_effective_knobs() {
     let (model, labels) = tiny_model();
-    let _pool = pool_lock();
-    explainti_pool::configure(2);
     let cfg = ServeConfig { workers: 3, cache_cap: 33, deadline_ms: 12_345, ..Default::default() };
     let mut handle = start(Arc::clone(&model), labels.clone(), cfg).expect("start server");
     let addr = handle.addr();
@@ -200,7 +198,6 @@ fn config_endpoint_reports_effective_knobs() {
     let config: explainti_api::ConfigResponse = serde_json::from_str(&body).unwrap();
     assert_eq!(config.schema_version, explainti_api::SCHEMA_VERSION);
     assert_eq!(config.workers, 3);
-    assert_eq!(config.threads, 2);
     assert_eq!(config.cache_cap, 33);
     assert_eq!(config.deadline_ms, 12_345);
     assert_eq!(config.model.num_labels, labels.len());
@@ -231,14 +228,12 @@ fn config_endpoint_reports_effective_knobs() {
 
     handle.shutdown();
     handle.join();
-
-    // Restore the process-wide width for the other tests in this binary.
-    explainti_pool::configure(explainti_pool::Threads::resolve(None).threads());
 }
 
-/// The width (`--threads`) sizes only the embedding-store refresh: a
-/// model built and refreshed at width 1 and one at width 4 must serve
-/// byte-identical response bodies.
+/// The width (`--threads`) sizes the embedding-store refresh that builds
+/// a store (training's, and this test's own): a model built and
+/// refreshed at width 1 and one at width 4 must serve byte-identical
+/// response bodies.
 #[test]
 fn parallel_and_serial_serving_are_byte_identical() {
     let _pool = pool_lock();

@@ -13,16 +13,15 @@
 //!
 //! Every command accepts `--trace-out <trace.jsonl>` to stream telemetry
 //! span events as JSONL, and honours `EXPLAINTI_LOG=off|info|debug`.
-//! Every command also accepts `--threads <N>` to size the offline
-//! fan-outs (default: `EXPLAINTI_THREADS`, then all cores): the
-//! embedding-store refresh at load, at every hot swap and in every
-//! training epoch, `evaluate`, and each training mini-batch's forward
-//! and backward passes. For `serve` the two thread knobs are distinct:
-//! `--workers` is how many forwards run at once, each on its own worker,
-//! while `--threads` sizes only the refresh. Results never depend on
-//! `--threads`, trained weights included — every thread computes what
-//! the serial path computes and training adds gradients in sample
-//! order — only latency does.
+//! `train` and `evaluate` also accept `--threads <N>` to size their
+//! fan-outs (default: `EXPLAINTI_THREADS`, then all cores): each training
+//! mini-batch's forward and backward passes, the embedding-store refresh
+//! in every training epoch, and `evaluate`. A loaded model reads its
+//! store from the snapshot, so `interpret` and `serve` fan nothing out;
+//! serve's `--workers` is how many forwards run at once. Results never
+//! depend on `--threads`, trained weights included — every thread
+//! computes what the serial path computes and training adds gradients
+//! in sample order — only latency does.
 //! Unless telemetry is off, a per-stage latency table prints to stderr at
 //! the end of the run.
 //!
@@ -48,18 +47,21 @@ use std::sync::Arc;
 // ---- Command specs ----------------------------------------------------
 
 fn with_common(spec: CommandSpec) -> CommandSpec {
-    spec.value("trace-out", "FILE", "stream telemetry span events to FILE as JSONL")
-        .value(
-            "threads",
-            "N",
-            "refresh, evaluate and training threads (default: EXPLAINTI_THREADS or all cores)",
-        )
-        .value(
-            "failpoints",
-            "SPEC",
-            "activate fault-injection sites, e.g. 'serve.worker.panic=times(1)' \
+    spec.value("trace-out", "FILE", "stream telemetry span events to FILE as JSONL").value(
+        "failpoints",
+        "SPEC",
+        "activate fault-injection sites, e.g. 'serve.worker.panic=times(1)' \
              (also: EXPLAINTI_FAILPOINTS env)",
-        )
+    )
+}
+
+/// `--threads`, on the commands that fan out.
+fn with_threads(spec: CommandSpec) -> CommandSpec {
+    spec.value(
+        "threads",
+        "N",
+        "fan-out threads for training and evaluate (default: EXPLAINTI_THREADS or all cores)",
+    )
 }
 
 fn all_specs() -> Vec<CommandSpec> {
@@ -70,14 +72,14 @@ fn all_specs() -> Vec<CommandSpec> {
                 .value("tables", "N", "number of tables (default 600)")
                 .switch("git", "generate the Git-schema corpus instead of Wiki"),
         ),
-        with_common(
+        with_common(with_threads(
             CommandSpec::new("train", "train a model and write a model directory")
                 .required_value("corpus", "FILE", "corpus JSON from `generate`")
                 .required_value("out", "DIR", "model directory to write")
                 .value("epochs", "N", "training epochs (default from config)")
                 .value("report-out", "FILE", "write the training report JSON here")
                 .switch("roberta", "use the RoBERTa-like encoder variant"),
-        ),
+        )),
         with_common(
             CommandSpec::new("interpret", "predict column types for CSV files")
                 .required_value("model", "DIR", "model directory from `train`")
@@ -85,18 +87,18 @@ fn all_specs() -> Vec<CommandSpec> {
                 .switch("json", "emit one api::InterpretTableResponse JSON line per file")
                 .positionals("file.csv", 1),
         ),
-        with_common(
+        with_common(with_threads(
             CommandSpec::new("evaluate", "report test-split F1 for each task").required_value(
                 "model",
                 "DIR",
                 "model directory from `train`",
             ),
-        ),
+        )),
         with_common(
             CommandSpec::new("serve", "run the HTTP inference server")
                 .required_value("model", "DIR", "model directory from `train`")
                 .value("addr", "HOST:PORT", "bind address (default 127.0.0.1:7431)")
-                .value("workers", "N", "request worker threads (default 2)")
+                .value("workers", "N", "forwards that may run at once (default 2)")
                 .value("cache-cap", "N", "LRU response cache capacity (default 256)")
                 .value("deadline-ms", "MS", "per-request deadline; late → 504 (default 30000)")
                 .value("top-k", "N", "explanations per view in responses (default 3)")
@@ -368,9 +370,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // Set the fan-out width before any compute runs. `--threads` wins
-    // over `EXPLAINTI_THREADS`, which wins over the core count. (Serve's
-    // `--workers` is different: it bounds concurrent forwards.)
+    // Set the fan-out width before any compute runs. `--threads` (train
+    // and evaluate only) wins over `EXPLAINTI_THREADS`, which wins over
+    // the core count. (Serve's `--workers` is different: it bounds
+    // concurrent forwards.)
     match args.get_opt::<usize>("threads") {
         Ok(explicit) => {
             explainti::pool::configure(explainti::pool::Threads::resolve(explicit).threads())
