@@ -98,7 +98,12 @@ pub const DEFAULT_TOP_K: usize = 3;
 /// `--threads` width sizes nothing a server runs and [`ConfigResponse`]
 /// lost `threads`. Every other body is unchanged apart from
 /// `schema_version`.
-pub const SCHEMA_VERSION: u32 = 10;
+///
+/// **v11** (one attempt per forward): [`ErrorCode`] lost its 503
+/// backpressure variant, which only a failpoint could produce, and a
+/// panicked forward answers a typed 500 (`Internal`) without a retry.
+/// Every other body is unchanged apart from `schema_version`.
+pub const SCHEMA_VERSION: u32 = 11;
 
 // ---- Requests ---------------------------------------------------------
 
@@ -382,9 +387,6 @@ pub enum ErrorCode {
     MethodNotAllowed,
     /// Request body exceeds the configured limit.
     PayloadTooLarge,
-    /// The server reports no capacity for the request's forward (the
-    /// `serve.queue.full` failpoint) — retry with backoff.
-    QueueFull,
     /// The per-request deadline elapsed before the server answered.
     DeadlineExceeded,
     /// The server is draining for shutdown and takes no new work.
@@ -410,7 +412,7 @@ impl ErrorCode {
             ErrorCode::NotFound => 404,
             ErrorCode::MethodNotAllowed => 405,
             ErrorCode::PayloadTooLarge => 413,
-            ErrorCode::QueueFull | ErrorCode::ShuttingDown => 503,
+            ErrorCode::ShuttingDown => 503,
             ErrorCode::DeadlineExceeded => 504,
             ErrorCode::Internal => 500,
             ErrorCode::TooManyConnections => 429,
@@ -451,7 +453,7 @@ impl ApiError {
     }
 
     /// An `Internal` error (HTTP 500) — unexpected server-side failure,
-    /// e.g. a prediction worker panicking past its retry budget.
+    /// e.g. a panicking prediction forward.
     pub fn internal(message: impl Into<String>) -> Self {
         Self::new(ErrorCode::Internal, message)
     }
@@ -577,7 +579,7 @@ mod tests {
             "{\"pair_start\":null,\"relevance\":0.25,\"start\":3,\"text\":\"costa rica\",\"window\":4},",
             "{\"pair_start\":1,\"relevance\":0.125,\"start\":9,\"text\":\"norway\",\"window\":2}",
             "],",
-            "\"schema_version\":10,",
+            "\"schema_version\":11,",
             "\"structural\":[{\"attention\":0.5,\"label\":4,\"node\":7}]",
             "}",
         );
@@ -592,7 +594,7 @@ mod tests {
             SwapResponse { schema_version: SCHEMA_VERSION, generation: 2, previous_generation: 1 };
         assert_eq!(
             serde_json::to_string(&swap).unwrap(),
-            "{\"generation\":2,\"previous_generation\":1,\"schema_version\":10}",
+            "{\"generation\":2,\"previous_generation\":1,\"schema_version\":11}",
         );
         let status = StoreStatusResponse {
             schema_version: SCHEMA_VERSION,
@@ -604,7 +606,7 @@ mod tests {
             serde_json::to_string(&status).unwrap(),
             concat!(
                 "{\"generation\":2,",
-                "\"schema_version\":10,",
+                "\"schema_version\":11,",
                 "\"stored\":81,",
                 "\"swap_in_progress\":false}",
             ),
@@ -718,7 +720,7 @@ mod tests {
         assert_eq!(back, cfg);
         assert!(json.contains("\"max_conns\":1024"));
         assert!(json.contains("\"generation\":1"));
-        assert!(json.contains("\"schema_version\":10"));
+        assert!(json.contains("\"schema_version\":11"));
     }
 
     #[test]
@@ -754,14 +756,14 @@ mod tests {
     #[test]
     fn error_codes_map_to_http_statuses() {
         assert_eq!(ApiError::bad_request("nope").status(), 400);
-        assert_eq!(ApiError::new(ErrorCode::QueueFull, "busy").status(), 503);
+        assert_eq!(ApiError::new(ErrorCode::ShuttingDown, "bye").status(), 503);
         assert_eq!(ApiError::new(ErrorCode::DeadlineExceeded, "late").status(), 504);
         assert_eq!(ApiError::new(ErrorCode::TooManyConnections, "full").status(), 429);
         assert_eq!(ApiError::new(ErrorCode::RequestTimeout, "slow").status(), 408);
         assert_eq!(ApiError::bad_request("nope").retry_after_s, None);
         assert_eq!(ApiError::too_many_connections("full", 2).retry_after_s, Some(2));
-        let json = serde_json::to_string(&ApiError::new(ErrorCode::QueueFull, "busy")).unwrap();
+        let json = serde_json::to_string(&ApiError::new(ErrorCode::ShuttingDown, "bye")).unwrap();
         let back: ApiError = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.code, ErrorCode::QueueFull);
+        assert_eq!(back.code, ErrorCode::ShuttingDown);
     }
 }

@@ -23,15 +23,13 @@
 //!
 //! Policies ([`Policy`]):
 //!
-//! | spec           | behaviour                                          |
-//! |----------------|----------------------------------------------------|
-//! | `never`        | never trips (site effectively disabled)            |
-//! | `always`       | trips on every check                               |
-//! | `after(N)`     | passes the first `N` checks, then trips forever    |
-//! | `every(N)`     | trips on checks `N`, `2N`, `3N`, … (1-based)       |
-//! | `times(N)`     | trips on the first `N` checks, then never again    |
-//! | `prob(P)`      | trips with probability `P` (seed 0)                |
-//! | `prob(P,SEED)` | seeded-probabilistic: deterministic per-site xorshift |
+//! | spec       | behaviour                                       |
+//! |------------|-------------------------------------------------|
+//! | `always`   | trips on every check                            |
+//! | `every(N)` | trips on checks `N`, `2N`, `3N`, … (1-based)    |
+//! | `times(N)` | trips on the first `N` checks, then never again |
+//!
+//! Any other spec is a typed parse error.
 //!
 //! ## Cost model
 //!
@@ -44,9 +42,7 @@
 //!
 //! Per-site check counters live behind one mutex, so a policy like
 //! `every(2)` trips on exactly every second check even under concurrent
-//! callers; the probabilistic mode advances a per-site xorshift64* RNG
-//! from its configured seed, so a given (seed, check-sequence) always
-//! trips on the same checks.
+//! callers, and a given check sequence always trips on the same checks.
 //!
 //! Trip counts are kept per site (surviving [`clear_all`], so a test or
 //! a `/v1/metrics` scrape can read them after the drill) and an
@@ -64,70 +60,33 @@ use std::sync::OnceLock;
 use explainti_sync::{classes, OrderedMutex};
 
 /// When a failpoint site trips, given the site's 1-based check count.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
-    /// Never trips.
-    Never,
     /// Trips on every check.
     Always,
-    /// Passes the first `n` checks, then trips on every later check.
-    AfterN(u64),
     /// Trips on every `n`-th check (checks `n`, `2n`, `3n`, …).
     EveryN(u64),
     /// Trips on the first `n` checks, then never again.
     Times(u64),
-    /// Trips with probability `p` per check, driven by a per-site
-    /// xorshift64* generator seeded with `seed` — deterministic for a
-    /// given (seed, check-sequence).
-    Prob {
-        /// Trip probability in `[0, 1]`.
-        p: f64,
-        /// Generator seed (0 is mapped to a fixed non-zero constant).
-        seed: u64,
-    },
 }
 
 struct Site {
     policy: Policy,
     /// Checks made against this site so far (1-based at evaluation).
     checks: u64,
-    /// xorshift64* state for [`Policy::Prob`].
-    rng: u64,
 }
 
 impl Site {
     fn new(policy: Policy) -> Self {
-        let seed = match policy {
-            Policy::Prob { seed, .. } => {
-                if seed == 0 {
-                    0x9e3779b97f4a7c15
-                } else {
-                    seed
-                }
-            }
-            _ => 1,
-        };
-        Self { policy, checks: 0, rng: seed }
+        Self { policy, checks: 0 }
     }
 
     fn evaluate(&mut self) -> bool {
         self.checks += 1;
         match self.policy {
-            Policy::Never => false,
             Policy::Always => true,
-            Policy::AfterN(n) => self.checks > n,
             Policy::EveryN(n) => n > 0 && self.checks.is_multiple_of(n),
             Policy::Times(n) => self.checks <= n,
-            Policy::Prob { p, .. } => {
-                // xorshift64* — deterministic, dependency-free.
-                let mut x = self.rng;
-                x ^= x >> 12;
-                x ^= x << 25;
-                x ^= x >> 27;
-                self.rng = x;
-                let draw = x.wrapping_mul(0x2545F4914F6CDD1D);
-                (draw as f64 / u64::MAX as f64) < p
-            }
         }
     }
 }
@@ -152,7 +111,7 @@ fn registry() -> &'static OrderedMutex<RegistryInner> {
 }
 
 fn refresh_state(inner: &RegistryInner) {
-    let active = inner.sites.values().any(|s| s.policy != Policy::Never);
+    let active = !inner.sites.is_empty();
     // ORDERING: Release — pairs with the Acquire load in `enabled`: a
     // thread that observes 2 must also observe the site map written
     // before this store (it then takes the registry lock to read it).
@@ -250,18 +209,14 @@ fn parse_entry(entry: &str) -> Result<(String, Policy), String> {
     Ok((site.to_string(), parse_policy(policy.trim())?))
 }
 
-/// Parses a policy spec (`always`, `after(3)`, `prob(0.5,42)`, …).
+/// Parses a policy spec (`always`, `every(3)`, `times(2)`).
 pub fn parse_policy(spec: &str) -> Result<Policy, String> {
-    match spec {
-        "never" => return Ok(Policy::Never),
-        "always" => return Ok(Policy::Always),
-        _ => {}
+    if spec == "always" {
+        return Ok(Policy::Always);
     }
-    let (name, rest) = spec.split_once('(').ok_or_else(|| {
-        format!(
-            "unknown policy {spec:?} (try always/never/after(N)/every(N)/times(N)/prob(P[,SEED]))"
-        )
-    })?;
+    let (name, rest) = spec
+        .split_once('(')
+        .ok_or_else(|| format!("unknown policy {spec:?} (try always/every(N)/times(N))"))?;
     let args = rest
         .strip_suffix(')')
         .ok_or_else(|| format!("policy {spec:?} is missing its closing parenthesis"))?;
@@ -269,7 +224,6 @@ pub fn parse_policy(spec: &str) -> Result<Policy, String> {
         s.trim().parse::<u64>().map_err(|_| format!("policy {spec:?}: {s:?} is not an integer"))
     };
     match name {
-        "after" => Ok(Policy::AfterN(int(args)?)),
         "every" => {
             let n = int(args)?;
             if n == 0 {
@@ -278,23 +232,6 @@ pub fn parse_policy(spec: &str) -> Result<Policy, String> {
             Ok(Policy::EveryN(n))
         }
         "times" => Ok(Policy::Times(int(args)?)),
-        "prob" => {
-            let mut parts = args.splitn(2, ',');
-            let p: f64 = parts
-                .next()
-                .unwrap_or("")
-                .trim()
-                .parse()
-                .map_err(|_| format!("policy {spec:?}: bad probability"))?;
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("policy {spec:?}: probability must be in [0, 1]"));
-            }
-            let seed = match parts.next() {
-                Some(s) => int(s)?,
-                None => 0,
-            };
-            Ok(Policy::Prob { p, seed })
-        }
         _ => Err(format!("unknown policy {name:?}")),
     }
 }
@@ -389,13 +326,6 @@ mod tests {
         configure("t.always", Policy::Always);
         assert!((0..5).all(|_| triggered("t.always")));
 
-        configure("t.never", Policy::Never);
-        assert!((0..5).all(|_| !triggered("t.never")));
-
-        configure("t.after", Policy::AfterN(2));
-        let seq: Vec<bool> = (0..5).map(|_| triggered("t.after")).collect();
-        assert_eq!(seq, [false, false, true, true, true]);
-
         configure("t.every", Policy::EveryN(3));
         let seq: Vec<bool> = (0..7).map(|_| triggered("t.every")).collect();
         assert_eq!(seq, [false, false, true, false, false, true, false]);
@@ -405,62 +335,30 @@ mod tests {
         assert_eq!(seq, [true, true, false, false, false]);
 
         assert_eq!(hit_count("t.always"), 5);
-        assert_eq!(hit_count("t.after"), 3);
         assert_eq!(hit_count("t.every"), 2);
         assert_eq!(hit_count("t.times"), 2);
         clear_all();
     }
 
     #[test]
-    fn probabilistic_mode_is_seed_deterministic() {
-        let _g = lock();
-        clear_all();
-        let run = |seed: u64| -> Vec<bool> {
-            configure("t.prob", Policy::Prob { p: 0.5, seed });
-            (0..64).map(|_| triggered("t.prob")).collect()
-        };
-        let a = run(42);
-        let b = run(42);
-        let c = run(7);
-        assert_eq!(a, b, "same seed must reproduce the same trip sequence");
-        assert_ne!(a, c, "different seeds should diverge");
-        let trips = a.iter().filter(|&&t| t).count();
-        assert!((8..=56).contains(&trips), "p=0.5 over 64 draws tripped {trips} times");
-        clear_all();
-    }
-
-    #[test]
-    fn prob_extremes() {
-        let _g = lock();
-        clear_all();
-        configure("t.p0", Policy::Prob { p: 0.0, seed: 1 });
-        assert!((0..32).all(|_| !triggered("t.p0")));
-        configure("t.p1", Policy::Prob { p: 1.0, seed: 1 });
-        assert!((0..32).all(|_| triggered("t.p1")));
-        clear_all();
-    }
-
-    #[test]
     fn spec_parsing_round_trips() {
         assert_eq!(parse_policy("always"), Ok(Policy::Always));
-        assert_eq!(parse_policy("never"), Ok(Policy::Never));
-        assert_eq!(parse_policy("after(3)"), Ok(Policy::AfterN(3)));
         assert_eq!(parse_policy("every(2)"), Ok(Policy::EveryN(2)));
         assert_eq!(parse_policy("times(1)"), Ok(Policy::Times(1)));
-        assert_eq!(parse_policy("prob(0.25)"), Ok(Policy::Prob { p: 0.25, seed: 0 }));
-        assert_eq!(parse_policy("prob(0.25, 99)"), Ok(Policy::Prob { p: 0.25, seed: 99 }));
         assert!(parse_policy("bogus").is_err());
-        assert!(parse_policy("after(x)").is_err());
-        assert!(parse_policy("after(3").is_err());
+        assert!(parse_policy("times(x)").is_err());
+        assert!(parse_policy("times(3").is_err());
         assert!(parse_policy("every(0)").is_err());
-        assert!(parse_policy("prob(1.5)").is_err());
+        for gone in ["never", "after(3)", "prob(0.5)", "prob(0.5,7)"] {
+            assert!(parse_policy(gone).is_err(), "{gone} must not parse");
+        }
     }
 
     #[test]
     fn configure_from_spec_applies_every_entry() {
         let _g = lock();
         clear_all();
-        let n = configure_from_spec("a.site=after(1); b.site=always ;c.site=times(2)").unwrap();
+        let n = configure_from_spec("a.site=every(2); b.site=always ;c.site=times(2)").unwrap();
         assert_eq!(n, 3);
         assert!(!triggered("a.site"));
         assert!(triggered("a.site"));

@@ -57,10 +57,6 @@ enum Op {
     Gelu(NodeId),
     /// ReLU.
     Relu(NodeId),
-    /// Hyperbolic tangent.
-    Tanh(NodeId),
-    /// Logistic sigmoid.
-    Sigmoid(NodeId),
     /// Gather rows `ids` from a parameter matrix.
     Embedding { weight: NodeId, ids: Vec<usize> },
     /// Column-wise mean producing a single row.
@@ -75,8 +71,6 @@ enum Op {
     Dropout { x: NodeId, mask: Tensor },
     /// Mean cross-entropy from logits against class indices.
     CrossEntropy { logits: NodeId, targets: Vec<usize>, probs: Tensor },
-    /// Mean binary cross-entropy with logits against a multi-hot matrix.
-    BceWithLogits { logits: NodeId, targets: Tensor },
 }
 
 struct Node {
@@ -285,22 +279,6 @@ impl Graph {
         self.push(v, Op::Relu(a))
     }
 
-    /// tanh activation.
-    pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let va = &self.nodes[a.0].value;
-        let data = va.as_slice().iter().map(|&x| x.tanh()).collect();
-        let v = Tensor::from_vec(va.rows(), va.cols(), data);
-        self.push(v, Op::Tanh(a))
-    }
-
-    /// Logistic sigmoid activation.
-    pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        let va = &self.nodes[a.0].value;
-        let data = va.as_slice().iter().map(|&x| sigmoid_fwd(x)).collect();
-        let v = Tensor::from_vec(va.rows(), va.cols(), data);
-        self.push(v, Op::Sigmoid(a))
-    }
-
     /// Gathers rows `ids` from the (parameter) matrix node `weight`.
     pub fn embedding(&mut self, weight: NodeId, ids: &[usize]) -> NodeId {
         let w = &self.nodes[weight.0].value;
@@ -365,20 +343,6 @@ impl Graph {
         loss /= vl.rows().max(1) as f32;
         let v = Tensor::from_vec(1, 1, vec![loss]);
         self.push(v, Op::CrossEntropy { logits, targets: targets.to_vec(), probs })
-    }
-
-    /// Mean binary cross-entropy with logits over every element.
-    pub fn bce_with_logits(&mut self, logits: NodeId, targets: &Tensor) -> NodeId {
-        let vl = &self.nodes[logits.0].value;
-        assert_eq!(vl.shape(), targets.shape(), "bce shape mismatch");
-        let mut loss = 0.0;
-        for (&x, &y) in vl.as_slice().iter().zip(targets.as_slice()) {
-            // Numerically stable: max(x,0) - x*y + ln(1 + e^{-|x|})
-            loss += x.max(0.0) - x * y + (1.0 + (-x.abs()).exp()).ln();
-        }
-        loss /= vl.len().max(1) as f32;
-        let v = Tensor::from_vec(1, 1, vec![loss]);
-        self.push(v, Op::BceWithLogits { logits, targets: targets.clone() })
     }
 
     fn accumulate(&mut self, id: NodeId, delta: Tensor) {
@@ -514,26 +478,6 @@ impl Graph {
                         .collect();
                     deltas.push((*a, Tensor::from_vec(grad.rows(), grad.cols(), data)));
                 }
-                Op::Tanh(a) => {
-                    let vy = &self.nodes[i].value;
-                    let data = grad
-                        .as_slice()
-                        .iter()
-                        .zip(vy.as_slice())
-                        .map(|(&g, &y)| g * (1.0 - y * y))
-                        .collect();
-                    deltas.push((*a, Tensor::from_vec(grad.rows(), grad.cols(), data)));
-                }
-                Op::Sigmoid(a) => {
-                    let vy = &self.nodes[i].value;
-                    let data = grad
-                        .as_slice()
-                        .iter()
-                        .zip(vy.as_slice())
-                        .map(|(&g, &y)| g * y * (1.0 - y))
-                        .collect();
-                    deltas.push((*a, Tensor::from_vec(grad.rows(), grad.cols(), data)));
-                }
                 Op::Embedding { weight, ids } => {
                     let w = &self.nodes[weight.0].value;
                     let mut dw = Tensor::zeros(w.rows(), w.cols());
@@ -605,18 +549,6 @@ impl Graph {
                     dl.scale_assign(g / batch);
                     deltas.push((*logits, dl));
                 }
-                Op::BceWithLogits { logits, targets } => {
-                    let g = grad.as_slice()[0];
-                    let vl = &self.nodes[logits.0].value;
-                    let n = vl.len().max(1) as f32;
-                    let data = vl
-                        .as_slice()
-                        .iter()
-                        .zip(targets.as_slice())
-                        .map(|(&x, &y)| (sigmoid_fwd(x) - y) * g / n)
-                        .collect();
-                    deltas.push((*logits, Tensor::from_vec(vl.rows(), vl.cols(), data)));
-                }
             }
             for (id, d) in deltas {
                 self.accumulate(id, d);
@@ -655,11 +587,6 @@ impl Graph {
             grads.0[pid.0].add_assign(g);
         }
     }
-}
-
-#[inline]
-fn sigmoid_fwd(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 #[cfg(test)]
@@ -785,15 +712,5 @@ mod tests {
         let var: f32 = v.as_slice().iter().map(|&a| (a - mean) * (a - mean)).sum::<f32>() / 4.0;
         assert!(mean.abs() < 1e-5);
         assert!((var - 1.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn bce_with_logits_matches_manual_value() {
-        let mut g = Graph::new();
-        let x = g.input(Tensor::row(vec![0.0]));
-        let t = Tensor::row(vec![1.0]);
-        let l = g.bce_with_logits(x, &t);
-        // -ln(sigmoid(0)) = ln 2
-        assert!((g.value(l).as_slice()[0] - std::f32::consts::LN_2).abs() < 1e-6);
     }
 }

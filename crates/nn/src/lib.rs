@@ -3,8 +3,8 @@
 //! From-scratch neural-network substrate for the ExplainTI (ICDE 2023)
 //! reproduction: a dense 2-D [`Tensor`], tape-based reverse-mode autograd
 //! ([`Graph`]), layer modules (linear, embedding, layer-norm, multi-head
-//! attention, feed-forward, dropout), losses (cross-entropy, BCE-with-
-//! logits) and optimizers (AdamW with linear decay, SGD).
+//! attention, feed-forward, dropout), the cross-entropy loss and
+//! optimizers (AdamW with linear decay, SGD).
 //!
 //! The paper fine-tunes BERT/RoBERTa; no mature Rust stack supports that
 //! end-to-end, so this crate provides the encoder-agnostic machinery on

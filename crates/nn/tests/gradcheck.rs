@@ -85,26 +85,6 @@ fn gradcheck_linear_cross_entropy() {
 }
 
 #[test]
-fn gradcheck_bce_with_logits() {
-    let mut r = rng();
-    let mut store = ParamStore::new();
-    let w = store.add("w", rand_tensor(3, 4, &mut r));
-    let x = rand_tensor(2, 3, &mut r);
-    let targets = Tensor::from_vec(2, 4, vec![1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0]);
-    check_grads(
-        &mut store,
-        |g, s| {
-            let xn = g.input(x.clone());
-            let wn = g.param(s, w);
-            let h = g.matmul(xn, wn);
-            g.bce_with_logits(h, &targets)
-        },
-        5e-3,
-        0.05,
-    );
-}
-
-#[test]
 fn gradcheck_softmax_mul_path() {
     let mut r = rng();
     let mut store = ParamStore::new();
@@ -154,7 +134,7 @@ fn gradcheck_layer_norm() {
 }
 
 #[test]
-fn gradcheck_gelu_tanh_sigmoid_relu() {
+fn gradcheck_gelu_relu() {
     let mut r = rng();
     let mut store = ParamStore::new();
     let w = store.add("w", rand_tensor(1, 6, &mut r));
@@ -163,11 +143,9 @@ fn gradcheck_gelu_tanh_sigmoid_relu() {
         |g, s| {
             let wn = g.param(s, w);
             let a = g.gelu(wn);
-            let b = g.tanh(a);
-            let c = g.sigmoid(b);
-            let d = g.relu(c);
+            let b = g.relu(a);
             let ones = g.input(Tensor::from_vec(6, 1, vec![1.0; 6]));
-            g.matmul(d, ones)
+            g.matmul(b, ones)
         },
         5e-3,
         0.05,

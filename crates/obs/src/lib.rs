@@ -314,16 +314,6 @@ pub fn span_depth() -> usize {
     SPAN_STACK.with(|s| s.borrow().len())
 }
 
-/// Opens a span by dynamic name (registry lookup per call). Use
-/// [`span!`] for hot paths — it caches the histogram handle.
-pub fn time(name: &'static str) -> SpanGuard {
-    if enabled() {
-        SpanGuard::enter(name, registry().histogram(name))
-    } else {
-        SpanGuard::disabled()
-    }
-}
-
 /// Times the enclosing scope under a static span name.
 ///
 /// Expands to a [`SpanGuard`] binding; the span closes when the guard

@@ -12,15 +12,15 @@
 //!   sink, which streams table responses as chunked transfer-encoding.
 //! - [`http`] — an incremental buffer-based HTTP/1.1 parser and
 //!   response renderer; no socket I/O of its own.
-//! - [`queue`] — a bounded MPMC queue, used as the pool of `workers`
-//!   forward permits: at most `workers` forwards run at once.
 //! - [`cache`] — an LRU cache of full responses keyed by a hash of
 //!   `(title, header, cells)`, so repeat predictions short-circuit the
 //!   model *including* their explanations.
 //! - [`server`] — the declarative route table, the handlers (an
-//!   interpret request's misses run through one forward under a permit;
-//!   a model swap runs inline under the swap lock), and the server's
-//!   lifecycle: start, and the graceful drain on shutdown.
+//!   interpret request's misses run through one forward under one of
+//!   `workers` permits, a counting semaphore, so at most `workers`
+//!   forwards run at once; a model swap runs inline under the swap
+//!   lock), and the server's lifecycle: start, and the graceful drain
+//!   on shutdown.
 //!
 //! Endpoints: `POST /v1/interpret` (a whole table or a single column,
 //! as [`explainti_api`] DTOs), `GET /v1/healthz`, `GET /v1/metrics`
@@ -34,7 +34,6 @@
 pub mod cache;
 pub mod conn;
 pub mod http;
-pub mod queue;
 pub mod server;
 
 pub use server::{start, ServeConfig, ServerHandle};

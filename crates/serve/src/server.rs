@@ -6,15 +6,16 @@
 //! interpret request's cache misses run through one
 //! [`ExplainTi::predict_encoded_batch`] on the generation it snapshotted
 //! when its answer began, under one of `workers` forward permits (a
-//! [`BatchQueue`] of permits); a request that needs no forward (a cache
-//! hit, a GET, an error) never waits for one. `POST /v1/admin/swap` runs
-//! on its own connection's thread under the swap lock, so a model load
-//! holds neither a permit nor any other connection.
+//! counting semaphore); a request that needs no forward (a cache hit, a
+//! GET, an error) never waits for one. A forward runs once: a panic in
+//! it answers a typed 500. `POST /v1/admin/swap` runs on its own
+//! connection's thread under the swap lock, so a model load holds
+//! neither a permit nor any other connection.
 //!
 //! Every interpret request carries a deadline, checked when its answer
-//! begins, after its permit wait, before a retry and after the forward
-//! (typed 504), and a table's response streams per column as chunked
-//! transfer-encoding once its forward is done.
+//! begins, after its permit wait and after the forward (typed 504), and
+//! a table's response streams per column as chunked transfer-encoding
+//! once its forward is done.
 //!
 //! Routing is a declarative table ([`ROUTES`]): one `Route` per
 //! endpoint, from which both the 405 `Allow` set and the known-path
@@ -45,7 +46,6 @@ use serde_json::{json, Value};
 use crate::cache::LruCache;
 use crate::conn::{self, ResponseSink, TICK};
 use crate::http;
-use crate::queue::BatchQueue;
 
 /// How the server is sized; every knob has a CLI flag.
 ///
@@ -103,15 +103,6 @@ impl Default for ServeConfig {
 /// 10k-column row must answer a clean 400, not monopolise a permit.
 const MAX_TABLE_COLUMNS: usize = 512;
 
-/// How many forwards a request may run in total (1 initial + retries).
-/// A panicked forward is retried once in place; a second panic answers
-/// a typed 500 instead of retrying forever.
-const MAX_ATTEMPTS: u32 = 2;
-
-/// Base backoff before a panicked forward is retried; doubles per retry
-/// already made.
-const RETRY_BACKOFF_MS: u64 = 10;
-
 /// Saturating nanoseconds from `earlier` to `later` (0 if out of order).
 fn ns_since(earlier: Instant, later: Instant) -> u64 {
     later.saturating_duration_since(earlier).as_nanos().min(u64::MAX as u128) as u64
@@ -163,9 +154,7 @@ pub(crate) struct Shared {
     /// The live model generation; a request snapshots it once.
     generations: GenerationHandle,
     /// The forward permits, `workers` of them.
-    permits: BatchQueue<()>,
-    /// Forwards currently waiting for a permit.
-    permit_waiters: AtomicUsize,
+    permits: Permits,
     cache: OrderedMutex<LruCache<u64, Arc<PredictResponse>>>,
     pub(crate) shutdown: Arc<AtomicBool>,
     /// Set by the first connection thread to see the shutdown flag: when
@@ -254,29 +243,62 @@ pub(crate) fn answer(shared: &Shared, request: http::Request) -> Vec<u8> {
     }
 }
 
-/// One of the `workers` forward permits, returned to the pool on drop.
-struct Permit<'a>(&'a BatchQueue<()>);
+/// The `workers` forward permits, a counting semaphore: the free permits
+/// and the forwards waiting for one sit under one lock.
+struct Permits {
+    count: OrderedMutex<PermitCount>,
+    /// Signalled each time a permit is returned.
+    returned: Condvar,
+}
+
+struct PermitCount {
+    /// Permits no forward holds.
+    free: usize,
+    /// Forwards blocked until a permit is returned.
+    waiting: usize,
+}
+
+impl Permits {
+    fn new(permits: usize) -> Self {
+        let count = PermitCount { free: permits, waiting: 0 };
+        Self { count: OrderedMutex::new(&classes::SERVE_PERMITS, count), returned: Condvar::new() }
+    }
+
+    /// Blocks until a permit is free and takes it; also returns how many
+    /// forwards are still waiting once this one has it.
+    fn take(&self) -> (Permit<'_>, usize) {
+        let mut count = self.count.lock();
+        count.waiting += 1;
+        while count.free == 0 {
+            count = count.wait(&self.returned);
+        }
+        count.free -= 1;
+        count.waiting -= 1;
+        (Permit(self), count.waiting)
+    }
+}
+
+/// One of the `workers` forward permits, returned on drop.
+struct Permit<'a>(&'a Permits);
 
 impl Drop for Permit<'_> {
     fn drop(&mut self) {
-        // The pool holds exactly the permits handed out, so this fits.
-        let _ = self.0.try_push(());
+        self.0.count.lock().free += 1;
+        self.0.returned.notify_one();
     }
 }
 
 /// Waits for a forward permit, sampling how many other forwards are
 /// still waiting once this one has it (`serve.queue.depth`).
 fn take_permit(shared: &Shared) -> Permit<'_> {
-    shared.permit_waiters.fetch_add(1, Ordering::SeqCst);
-    shared.permits.pop_wait();
-    let depth = shared.permit_waiters.fetch_sub(1, Ordering::SeqCst) - 1;
+    let (permit, depth) = shared.permits.take();
     explainti_obs::set_gauge("serve.queue.depth", depth as f64);
     if explainti_obs::enabled() {
         // A distribution, not just the latest gauge value, so load
         // tests can plot permit pressure.
         explainti_obs::registry().count_histogram("serve.queue.depth.sampled").record(depth as u64);
     }
-    Permit(&shared.permits)
+    permit
 }
 
 // ---- Interpret --------------------------------------------------------
@@ -374,14 +396,6 @@ fn prepare_interpret(
     let mut encoded = Vec::new();
     if hits < columns.len() {
         explainti_obs::counter!("serve.cache.miss", (columns.len() - hits) as u64);
-        // Chaos site: backpressure on a request whose misses need a
-        // forward, without actually exhausting the permits.
-        if explainti_faults::triggered("serve.queue.full") {
-            return Err(ApiError::new(
-                ErrorCode::QueueFull,
-                format!("forward pool at capacity ({} permits)", shared.permits.capacity()),
-            ));
-        }
         let encode_start = Instant::now();
         for (col, answer) in columns.iter().zip(&answers) {
             if answer.is_none() {
@@ -422,12 +436,9 @@ fn interpret(shared: &Shared, gen: &Generation, job: &mut Job) -> Result<(), Api
 
 /// Runs a request's encoded cache misses through one forward on this
 /// thread, under a forward permit, and charges the wide event's permit
-/// wait (`queue_wait`), assembly, predict and view stages. A panicking
-/// forward (injected via `serve.worker.panic` or real) must not kill the
-/// connection: it is retried in place — same generation, same encoded
-/// columns — after a backoff, and answers a typed 500 once
-/// [`MAX_ATTEMPTS`] forwards have panicked (a typed 504 if the deadline
-/// passes first).
+/// wait (`queue_wait`), assembly, predict and view stages. The forward
+/// runs once: a panic in it (injected via `serve.worker.panic` or real)
+/// must not kill the connection, and answers a typed 500.
 fn forward(
     shared: &Shared,
     gen: &Generation,
@@ -454,31 +465,16 @@ fn forward(
     // Capture every span the forward closes on this thread, so the wide
     // event can attribute predict/LE/GE/SE.
     let capture = explainti_obs::SpanCapture::new();
-    let mut attempt = 1;
-    let preds = loop {
-        let outcome = {
-            let _ctx = capture.install();
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                explainti_faults::panic_if_triggered("serve.worker.panic");
-                gen.model.predict_encoded_batch(encs)
-            }))
-        };
-        if let Ok(preds) = outcome {
-            break preds;
-        }
+    let outcome = {
+        let _ctx = capture.install();
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            explainti_faults::panic_if_triggered("serve.worker.panic");
+            gen.model.predict_encoded_batch(encs)
+        }))
+    };
+    let Ok(preds) = outcome else {
         explainti_obs::counter!("serve.worker.panics", 1);
-        if attempt >= MAX_ATTEMPTS {
-            explainti_obs::counter!("serve.jobs.retry_exhausted", 1);
-            return Err(ApiError::internal(
-                "prediction worker panicked and the retry budget is exhausted",
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(RETRY_BACKOFF_MS << (attempt - 1)));
-        if past_deadline(shared, job) {
-            return Err(expire());
-        }
-        explainti_obs::counter!("serve.jobs.retried", 1);
-        attempt += 1;
+        return Err(ApiError::internal("the prediction forward panicked"));
     };
     let (predict_ns, [le_ns, ge_ns, se_ns]) = forward_stages(
         capture.get("model.predict_batch"),
@@ -934,12 +930,10 @@ pub fn start(
     };
     drop(boot);
 
-    let permits = cfg.workers.max(1);
     let shutdown = Arc::new(AtomicBool::new(false));
     let shared = Arc::new(Shared {
         generations,
-        permits: BatchQueue::new(permits),
-        permit_waiters: AtomicUsize::new(0),
+        permits: Permits::new(cfg.workers.max(1)),
         cache: OrderedMutex::new(&classes::SERVE_CACHE, LruCache::new(cfg.cache_cap)),
         shutdown: Arc::clone(&shutdown),
         drain_deadline: OnceLock::new(),
@@ -955,9 +949,6 @@ pub fn start(
         swap_lock: AtomicBool::new(false),
         config,
     });
-    for _ in 0..permits {
-        let _ = shared.permits.try_push(());
-    }
 
     let accept = {
         let shared = Arc::clone(&shared);
@@ -979,7 +970,8 @@ pub fn start(
 
 #[cfg(test)]
 mod tests {
-    use super::forward_stages;
+    use super::{forward_stages, Permits};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn forward_stages_charge_views_as_measured() {
@@ -988,5 +980,29 @@ mod tests {
         assert_eq!(predict, 100);
         // No forward captured: the wall is all predict.
         assert_eq!(forward_stages(500, [0; 3]), (500, [0; 3]));
+    }
+
+    #[test]
+    fn a_permit_pool_bounds_concurrent_holders() {
+        const PERMITS: usize = 2;
+        let pool = Permits::new(PERMITS);
+        let holding = AtomicUsize::new(0);
+        let most = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..6 {
+                s.spawn(|| {
+                    for _ in 0..20 {
+                        let (_permit, _) = pool.take();
+                        let now = holding.fetch_add(1, Ordering::SeqCst) + 1;
+                        most.fetch_max(now, Ordering::SeqCst);
+                        std::thread::yield_now();
+                        holding.fetch_sub(1, Ordering::SeqCst);
+                    }
+                });
+            }
+        });
+        assert!(most.load(Ordering::SeqCst) <= PERMITS, "more holders than permits");
+        let count = pool.count.lock();
+        assert_eq!((count.free, count.waiting), (PERMITS, 0), "every permit came back");
     }
 }

@@ -1,8 +1,7 @@
-//! End-to-end chaos drills against a live server: forward panics within
-//! and past the retry budget, injected backpressure, slow forwards
-//! against tight deadlines and beside cache hits — the server must stay
-//! up through all of it, and `/v1/metrics` must account for every trip
-//! and retry.
+//! End-to-end chaos drills against a live server: a panicking forward,
+//! slow forwards against tight deadlines and beside cache hits, and
+//! injected connection faults — the server must stay up through all of
+//! it, and `/v1/metrics` must account for every trip.
 //!
 //! The failpoint registry is process-global, so every test serialises on
 //! one mutex and clears the registry before and after its drill.
@@ -62,50 +61,18 @@ fn column_body(tag: &str) -> String {
     format!(r#"{{"title":"chaos {tag}","header":"city {tag}","cells":["london","paris"]}}"#)
 }
 
-#[test]
-fn worker_panic_within_retry_budget_still_answers() {
-    let _g = lock();
-    faults::clear_all();
-    let (model, labels) = tiny_model();
-    let cfg = ServeConfig { workers: 1, deadline_ms: 30_000, ..Default::default() };
-    let mut handle = start(model, labels, cfg).expect("start server");
-    let addr = handle.addr();
+fn counter(metrics: &Value, name: &str) -> u64 {
+    metrics.get("counters").and_then(|c| c.get(name)).and_then(Value::as_u64).unwrap_or(0)
+}
 
-    let counter = |metrics: &Value, name: &str| {
-        metrics.get("counters").and_then(|c| c.get(name)).and_then(Value::as_u64).unwrap_or(0)
-    };
-    let (_, before) = request(&addr, "GET", "/v1/metrics", "");
-    let before: Value = serde_json::from_str(&before).unwrap();
-
-    // Panic exactly once: the first forward dies, the in-place retry runs.
-    faults::configure("serve.worker.panic", faults::Policy::Times(1));
-    let (status, body) = request(&addr, "POST", "/v1/interpret", &column_body("retry"));
-    faults::clear_all();
-    assert_eq!(status, 200, "a single worker panic must be retried away: {body}");
-    assert!(faults::hit_count("serve.worker.panic") >= 1, "the failpoint never tripped");
-
-    // The retry and the trip both show up in /v1/metrics, and the retry
-    // reuses the one column's cache lookup instead of repeating it.
-    let (status, metrics) = request(&addr, "GET", "/v1/metrics", "");
-    assert_eq!(status, 200);
-    let metrics: Value = serde_json::from_str(&metrics).unwrap();
-    for name in ["serve.cache.miss", "serve.jobs.retried"] {
-        let grew = counter(&metrics, name) - counter(&before, name);
-        assert_eq!(grew, 1, "{name} grew by {grew} across one retried column: {metrics:?}");
-    }
-    let trips = metrics
-        .get("failpoints")
-        .and_then(|f| f.get("serve.worker.panic"))
-        .and_then(Value::as_u64)
-        .unwrap_or(0);
-    assert!(trips >= 1, "failpoint hits missing from metrics: {metrics:?}");
-
-    handle.shutdown();
-    handle.join();
+fn scrape(addr: &std::net::SocketAddr) -> Value {
+    let (status, body) = request(addr, "GET", "/v1/metrics", "");
+    assert_eq!(status, 200, "metrics: {body}");
+    serde_json::from_str(&body).unwrap()
 }
 
 #[test]
-fn worker_panic_past_retry_budget_is_a_typed_500() {
+fn a_panicked_forward_runs_once_and_answers_a_typed_500() {
     let _g = lock();
     faults::clear_all();
     let (model, labels) = tiny_model();
@@ -113,49 +80,24 @@ fn worker_panic_past_retry_budget_is_a_typed_500() {
     let mut handle = start(model, labels, cfg).expect("start server");
     let addr = handle.addr();
 
+    let before = scrape(&addr);
+    let trips = faults::hit_count("serve.worker.panic");
     faults::configure("serve.worker.panic", faults::Policy::Always);
-    let (status, body) = request(&addr, "POST", "/v1/interpret", &column_body("exhaust"));
+    let (status, body) = request(&addr, "POST", "/v1/interpret", &column_body("panic"));
     faults::clear_all();
-    assert_eq!(status, 500, "exhausted retries must answer a typed 500: {body}");
+    assert_eq!(status, 500, "a panicked forward must answer a typed 500: {body}");
     assert!(body.contains("Internal"), "error must carry the typed code: {body}");
 
-    // The server is still alive and serving — both health and real work.
-    let (status, health) = request(&addr, "GET", "/v1/healthz", "");
-    assert_eq!(status, 200);
-    assert!(health.contains("ok"), "healthz after panics: {health}");
+    // The forward ran exactly once: one trip, one recovered panic.
+    let tripped = faults::hit_count("serve.worker.panic") - trips;
+    assert_eq!(tripped, 1, "the failpoint tripped {tripped} times for one forward");
+    let after = scrape(&addr);
+    let panics = counter(&after, "serve.worker.panics") - counter(&before, "serve.worker.panics");
+    assert_eq!(panics, 1, "serve.worker.panics grew by {panics} for one forward: {after:?}");
+
+    // The same server answers the next request.
     let (status, body) = request(&addr, "POST", "/v1/interpret", &column_body("after"));
-    assert_eq!(status, 200, "server must recover once the fault clears: {body}");
-
-    let (_, metrics) = request(&addr, "GET", "/v1/metrics", "");
-    let metrics: Value = serde_json::from_str(&metrics).unwrap();
-    let exhausted = metrics
-        .get("counters")
-        .and_then(|c| c.get("serve.jobs.retry_exhausted"))
-        .and_then(Value::as_u64)
-        .unwrap_or(0);
-    assert!(exhausted >= 1, "exhausted-retry count missing: {metrics:?}");
-
-    handle.shutdown();
-    handle.join();
-}
-
-#[test]
-fn injected_queue_full_returns_503_backpressure() {
-    let _g = lock();
-    faults::clear_all();
-    let (model, labels) = tiny_model();
-    let cfg = ServeConfig { workers: 1, deadline_ms: 30_000, ..Default::default() };
-    let mut handle = start(model, labels, cfg).expect("start server");
-    let addr = handle.addr();
-
-    faults::configure("serve.queue.full", faults::Policy::Always);
-    let (status, body) = request(&addr, "POST", "/v1/interpret", &column_body("full"));
-    faults::clear_all();
-    assert_eq!(status, 503, "injected backpressure must answer 503: {body}");
-    assert!(body.contains("QueueFull"), "typed code expected: {body}");
-
-    let (status, _) = request(&addr, "POST", "/v1/interpret", &column_body("full"));
-    assert_eq!(status, 200, "clearing the fault restores service");
+    assert_eq!(status, 200, "the server must answer once the fault clears: {body}");
 
     handle.shutdown();
     handle.join();

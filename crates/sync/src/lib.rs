@@ -51,7 +51,7 @@ use std::time::Duration;
 /// test here both reconcile against.
 #[derive(Debug)]
 pub struct LockClass {
-    /// Dotted registry name, e.g. `serve.queue.batch`.
+    /// Dotted registry name, e.g. `serve.permits`.
     pub name: &'static str,
     /// Position in the global acquisition order (strictly increasing).
     pub rank: u16,
@@ -75,8 +75,8 @@ pub mod classes {
     /// Connections handed from the accept loop to parked connection
     /// threads.
     pub static SERVE_CONN_PARKED: LockClass = LockClass::new("serve.conn.parked", 20);
-    /// The serve forward-permit pool (`BatchQueue`).
-    pub static SERVE_QUEUE_BATCH: LockClass = LockClass::new("serve.queue.batch", 30);
+    /// The serve forward permits: free permits and waiting forwards.
+    pub static SERVE_PERMITS: LockClass = LockClass::new("serve.permits", 30);
     /// Server-wide LRU response cache.
     pub static SERVE_CACHE: LockClass = LockClass::new("serve.cache", 40);
     /// Live model generation pointer (hot-swap `RwLock`).
@@ -543,7 +543,7 @@ mod tests {
     fn classes_mirror_locks_registry() {
         let all: &[&LockClass] = &[
             &classes::SERVE_CONN_PARKED,
-            &classes::SERVE_QUEUE_BATCH,
+            &classes::SERVE_PERMITS,
             &classes::SERVE_CACHE,
             &classes::CORE_GENERATION,
             &classes::POOL_FOLD,
