@@ -103,7 +103,13 @@ pub const DEFAULT_TOP_K: usize = 3;
 /// backpressure variant, which only a failpoint could produce, and a
 /// panicked forward answers a typed 500 (`Internal`) without a retry.
 /// Every other body is unchanged apart from `schema_version`.
-pub const SCHEMA_VERSION: u32 = 11;
+///
+/// **v12** (one load outcome): a model loads whole or not at all, so
+/// `GET /v1/healthz` answers `{"status":"ok"}` and the `GET /v1/metrics`
+/// JSON lost its `degraded` key, which only a failpoint could set.
+/// [`ConfigResponse`]'s `top_k` is [`DEFAULT_TOP_K`] on every server.
+/// Every other body is unchanged apart from `schema_version`.
+pub const SCHEMA_VERSION: u32 = 12;
 
 // ---- Requests ---------------------------------------------------------
 
@@ -322,7 +328,7 @@ pub struct ConfigResponse {
     pub cache_cap: usize,
     /// Per-request deadline in milliseconds.
     pub deadline_ms: u64,
-    /// Explanations per view in responses.
+    /// Explanations per view in responses: always [`DEFAULT_TOP_K`].
     pub top_k: usize,
     /// Hard cap on simultaneously open connections (one thread each);
     /// beyond it new connections answer a typed 429 with `Retry-After`.
@@ -579,7 +585,7 @@ mod tests {
             "{\"pair_start\":null,\"relevance\":0.25,\"start\":3,\"text\":\"costa rica\",\"window\":4},",
             "{\"pair_start\":1,\"relevance\":0.125,\"start\":9,\"text\":\"norway\",\"window\":2}",
             "],",
-            "\"schema_version\":11,",
+            "\"schema_version\":12,",
             "\"structural\":[{\"attention\":0.5,\"label\":4,\"node\":7}]",
             "}",
         );
@@ -594,7 +600,7 @@ mod tests {
             SwapResponse { schema_version: SCHEMA_VERSION, generation: 2, previous_generation: 1 };
         assert_eq!(
             serde_json::to_string(&swap).unwrap(),
-            "{\"generation\":2,\"previous_generation\":1,\"schema_version\":11}",
+            "{\"generation\":2,\"previous_generation\":1,\"schema_version\":12}",
         );
         let status = StoreStatusResponse {
             schema_version: SCHEMA_VERSION,
@@ -606,7 +612,7 @@ mod tests {
             serde_json::to_string(&status).unwrap(),
             concat!(
                 "{\"generation\":2,",
-                "\"schema_version\":11,",
+                "\"schema_version\":12,",
                 "\"stored\":81,",
                 "\"swap_in_progress\":false}",
             ),
@@ -720,7 +726,7 @@ mod tests {
         assert_eq!(back, cfg);
         assert!(json.contains("\"max_conns\":1024"));
         assert!(json.contains("\"generation\":1"));
-        assert!(json.contains("\"schema_version\":11"));
+        assert!(json.contains("\"schema_version\":12"));
     }
 
     #[test]

@@ -46,8 +46,8 @@ pub use explain::{Explanation, GlobalInfluence, LocalSpan, Prediction, Structura
 pub use generation::{Generation, GenerationHandle};
 pub use model::{ExplainTi, TaskState};
 pub use persist::{
-    decode_weights, encode_weights, fnv1a64, Manifest, ManifestFile, PersistError, MANIFEST_NAME,
-    SNAPSHOT_FORMAT_VERSION,
+    decode_weights, encode_weights, fnv1a64, Manifest, ManifestFile, PersistError, ARTIFACTS,
+    MANIFEST_NAME, SNAPSHOT_FORMAT_VERSION,
 };
 pub use store::{EmbeddingStore, Neighbor};
 pub use train::{EpochLog, TrainReport};

@@ -85,10 +85,6 @@ pub struct ExplainTi {
     pub(crate) encoder: TransformerEncoder,
     pub(crate) tasks: Vec<TaskState>,
     pub(crate) rng: SmallRng,
-    /// Set when the GE store was unavailable at load time;
-    /// serving continues with `global: []` and reports the flag through
-    /// `/v1/healthz` and `/v1/metrics` (DESIGN.md §11).
-    degraded: std::sync::atomic::AtomicBool,
 }
 
 impl ExplainTi {
@@ -133,30 +129,7 @@ impl ExplainTi {
             });
         }
 
-        Self {
-            cfg,
-            tokenizer,
-            store,
-            encoder,
-            tasks,
-            rng,
-            degraded: std::sync::atomic::AtomicBool::new(false),
-        }
-    }
-
-    /// Whether the model is serving in degraded mode (GE store
-    /// unavailable — global explanations come back empty).
-    pub fn is_degraded(&self) -> bool {
-        // ORDERING: Relaxed — degraded mode is a lone advisory flag; the
-        // store publishes no other data, so no edge is needed.
-        self.degraded.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Marks (or clears) degraded mode. `&self` so the serving layer can
-    /// flip it on a shared `Arc<ExplainTi>`.
-    pub fn set_degraded(&self, on: bool) {
-        // ORDERING: Relaxed — lone flag, see `is_degraded`.
-        self.degraded.store(on, std::sync::atomic::Ordering::Relaxed);
+        Self { cfg, tokenizer, store, encoder, tasks, rng }
     }
 
     /// Registered tasks.

@@ -1,5 +1,5 @@
-//! Model checkpointing: save and restore all trainable weights, plus the
-//! crash-safe model-directory snapshot protocol.
+//! Model checkpointing: the weight encoding and the crash-safe
+//! model-directory snapshot protocol.
 //!
 //! The binary weight format is deliberately simple — magic, version,
 //! weight count, little-endian `f32`s — so checkpoints stay portable
@@ -8,12 +8,15 @@
 //! (construction order defines the parameter layout), which mirrors how
 //! pre-trained LM checkpoints work.
 //!
-//! ## Snapshot layout (format version 2)
+//! ## Snapshot layout (format version 3)
 //!
-//! A model directory holds `corpus.json`, `variant.txt`, `weights.bin`,
-//! `store.bin` and `MANIFEST.json`. `store.bin` is the embedding store
-//! `Q` of every task, so a load reads the rows instead of re-embedding
-//! every training sample:
+//! A model directory holds `corpus.json`, `weights.bin`, `store.bin` and
+//! `MANIFEST.json`. The model is always built with
+//! `ExplainTiConfig::bert_like(2048, 32)`: the encoder variants differ
+//! only in pre-training masks, which `train` never runs, so a snapshot
+//! records no variant. `store.bin` is the embedding store `Q` of every
+//! task, so a load reads the rows instead of re-embedding every training
+//! sample:
 //!
 //! ```text
 //! magic    8 bytes   "EXPLTIQ1"
@@ -41,7 +44,10 @@
 //! point therefore leaves either the previous complete snapshot (manifest
 //! still describes the old files) or a detectably torn one — never a
 //! silently wrong model. `load_from_dir` refuses to load anything the
-//! manifest does not vouch for, returning a typed [`PersistError`].
+//! manifest does not vouch for, returning a typed [`PersistError`]: a
+//! load yields the whole model or an error, nothing in between. It opens
+//! only the manifest and the three [`ARTIFACTS`] inside the directory,
+//! and only when each is a regular file of the size the manifest states.
 //!
 //! Failpoint sites (`explainti-faults`) bracket every write and rename so
 //! the crash matrix in `crates/core/tests/crash_recovery.rs` can prove
@@ -66,12 +72,16 @@ const STORE_MAGIC: &[u8; 8] = b"EXPLTIQ1";
 const STORE_HEADER: usize = 8 + 8 + 4 + 4;
 
 /// Snapshot directory format version recorded in `MANIFEST.json`.
-/// Version 2 added `store.bin`.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
+/// Version 2 added `store.bin`; version 3 dropped `variant.txt`.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
 
 /// Manifest file name, written last so its presence certifies a complete
 /// snapshot.
 pub const MANIFEST_NAME: &str = "MANIFEST.json";
+
+/// The files a manifest lists, in write order; the manifest lists
+/// nothing else.
+pub const ARTIFACTS: [&str; 3] = ["corpus.json", "weights.bin", "store.bin"];
 
 /// Why a model directory could not be saved or loaded.
 #[derive(Debug)]
@@ -85,8 +95,9 @@ pub enum PersistError {
         /// What exactly is missing or inconsistent.
         detail: String,
     },
-    /// A file exists but its bytes do not match the manifest (checksum or
-    /// size mismatch, unparsable content, wrong format version).
+    /// A file exists but is not a regular file or its bytes do not match
+    /// the manifest (checksum or size mismatch, unparsable content, wrong
+    /// format version, a manifest entry that is not a snapshot artifact).
     Corrupt {
         /// The offending file name.
         file: String,
@@ -255,22 +266,12 @@ impl ExplainTi {
         self.store_mut().load_flat(weights);
     }
 
-    /// Writes a checkpoint of all weights to disk.
-    pub fn save_weights(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, encode_weights(&self.export_all_weights()))
-    }
-
-    /// Loads a checkpoint from disk into this model.
+    /// Loads `weights.bin` bytes (an [`encode_weights`] checkpoint) into
+    /// this model.
     ///
-    /// Fails when the file is corrupt or the weight count does not match
-    /// (i.e. the model was built with a different dataset/configuration).
-    pub fn load_weights(&mut self, path: &Path) -> io::Result<()> {
-        let data = std::fs::read(path)?;
-        self.load_weight_bytes(&data)
-    }
-
-    /// In-memory variant of [`Self::load_weights`] (the snapshot loader
-    /// verifies checksums over bytes it has already read).
+    /// Fails when the bytes are corrupt or the weight count does not
+    /// match (i.e. the model was built with a different
+    /// dataset/configuration).
     pub fn load_weight_bytes(&mut self, data: &[u8]) -> io::Result<()> {
         let weights = decode_weights(data)?;
         if weights.len() != self.num_weights() {
@@ -294,7 +295,7 @@ impl ExplainTi {
     }
 
     /// Writes the full model-directory layout (`corpus.json`,
-    /// `variant.txt`, `weights.bin`, `store.bin`, `MANIFEST.json`) that
+    /// `weights.bin`, `store.bin`, `MANIFEST.json`) that
     /// [`Self::load_from_dir`], the CLI and the inference server all
     /// consume. The corpus snapshot is required because tokenizer and
     /// parameter layouts derive deterministically from it.
@@ -314,11 +315,6 @@ impl ExplainTi {
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e}")))?;
             write_listed(dir, &mut manifest, "corpus.json", "corpus", corpus.as_bytes())?;
         }
-        let variant = match self.cfg.encoder.variant {
-            explainti_encoder::Variant::BertLike => "bert",
-            explainti_encoder::Variant::RobertaLike => "roberta",
-        };
-        write_listed(dir, &mut manifest, "variant.txt", "variant", variant.as_bytes())?;
         let weights = encode_weights(&self.export_all_weights());
         let stamp = write_listed(dir, &mut manifest, "weights.bin", "weights", &weights)?;
         drop(weights);
@@ -425,103 +421,51 @@ impl ExplainTi {
 
     /// Rebuilds a model from a directory written by [`Self::save_to_dir`]
     /// (or the `train` CLI command): verifies the manifest, reads the
-    /// corpus snapshot, picks the recorded encoder variant, loads the
-    /// weight checkpoint, and fills every task's embedding store from
+    /// corpus snapshot, builds the model with the fixed CLI configuration
+    /// (`ExplainTiConfig::bert_like(2048, 32)`), loads the weight
+    /// checkpoint, and fills every task's embedding store from
     /// `store.bin`, whose rows are the ones the loaded weights embed, so
     /// GE/SE retrievals match them without re-embedding a sample. Returns
     /// the dataset alongside the model because serving needs the label
     /// names.
     ///
     /// Refuses to load torn or corrupt snapshots with a typed error:
-    /// every file must be present, match its manifest size and FNV-1a 64
+    /// the manifest must list exactly the [`ARTIFACTS`], every one must
+    /// be a regular file that matches its manifest size and FNV-1a 64
     /// checksum, and parse, and `store.bin` must agree with `weights.bin`
     /// and the corpus — otherwise the previous snapshot (if the manifest
     /// still describes it) is what gets loaded, by construction of
     /// [`Self::save_to_dir`]. A snapshot of another format version
-    /// (version 1 had no `store.bin`) is `Corrupt` naming the manifest;
-    /// re-run `train` to write a current one.
+    /// (version 1 had no `store.bin`, version 2 a `variant.txt`) is
+    /// `Corrupt` naming the manifest; re-run `train` to write a current
+    /// one.
     pub fn load_from_dir(dir: &Path) -> Result<(ExplainTi, Dataset), PersistError> {
         let _span = explainti_obs::span!("persist.load_dir");
-        let manifest_path = dir.join(MANIFEST_NAME);
-        let manifest_text = match std::fs::read_to_string(&manifest_path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Err(PersistError::TornSnapshot {
-                    detail: format!(
-                        "{MANIFEST_NAME} missing from {dir:?} — incomplete save or \
-                         pre-manifest snapshot; re-run `train` to produce one"
-                    ),
-                });
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let manifest: Manifest = serde_json::from_str(&manifest_text).map_err(|e| {
-            PersistError::Corrupt { file: MANIFEST_NAME.to_string(), detail: format!("{e}") }
-        })?;
+        let corrupt_manifest =
+            |detail: String| PersistError::Corrupt { file: MANIFEST_NAME.to_string(), detail };
+        let manifest_bytes = read_regular(dir, MANIFEST_NAME, None)?;
+        let manifest: Manifest = std::str::from_utf8(&manifest_bytes)
+            .map_err(|e| e.to_string())
+            .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
+            .map_err(corrupt_manifest)?;
         if manifest.format_version != SNAPSHOT_FORMAT_VERSION {
-            return Err(PersistError::Corrupt {
-                file: MANIFEST_NAME.to_string(),
-                detail: format!(
-                    "format_version {} (this build reads {SNAPSHOT_FORMAT_VERSION}); \
-                     re-run `train` to write a current snapshot",
-                    manifest.format_version
-                ),
-            });
+            return Err(corrupt_manifest(format!(
+                "format_version {} (this build reads {SNAPSHOT_FORMAT_VERSION}); \
+                 re-run `train` to write a current snapshot",
+                manifest.format_version
+            )));
+        }
+        if let Some(stray) = manifest.files.iter().find(|f| !ARTIFACTS.contains(&f.name.as_str())) {
+            return Err(corrupt_manifest(format!(
+                "lists {:?}, which is not one of the snapshot artifacts {ARTIFACTS:?}",
+                stray.name
+            )));
         }
 
-        // Each verified artifact with its FNV-1a 64.
-        let mut verified: std::collections::HashMap<String, (Vec<u8>, u64)> =
-            std::collections::HashMap::new();
-        for entry in &manifest.files {
-            let path = dir.join(&entry.name);
-            let mut data = match std::fs::read(&path) {
-                Ok(d) => d,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                    return Err(PersistError::TornSnapshot {
-                        detail: format!("{} listed in manifest but missing on disk", entry.name),
-                    });
-                }
-                Err(e) => return Err(e.into()),
-            };
-            // Chaos site: simulate silent media corruption of this
-            // artifact after it was read back.
-            let short = entry.name.split('.').next().unwrap_or(&entry.name);
-            if explainti_faults::triggered(&format!("persist.load.corrupt.{short}")) {
-                if let Some(b) = data.first_mut() {
-                    *b ^= 0xff;
-                }
-            }
-            if data.len() as u64 != entry.bytes {
-                return Err(PersistError::Corrupt {
-                    file: entry.name.clone(),
-                    detail: format!(
-                        "size mismatch: manifest says {} bytes, file has {}",
-                        entry.bytes,
-                        data.len()
-                    ),
-                });
-            }
-            let sum = fnv1a64(&data);
-            if format!("{sum:016x}") != entry.fnv1a64 {
-                return Err(PersistError::Corrupt {
-                    file: entry.name.clone(),
-                    detail: format!(
-                        "checksum mismatch: manifest {} != actual {sum:016x}",
-                        entry.fnv1a64
-                    ),
-                });
-            }
-            verified.insert(entry.name.clone(), (data, sum));
-        }
-        let take = |verified: &mut std::collections::HashMap<String, (Vec<u8>, u64)>,
-                    name: &str|
-         -> Result<(Vec<u8>, u64), PersistError> {
-            verified.remove(name).ok_or_else(|| PersistError::TornSnapshot {
-                detail: format!("{name} absent from manifest"),
-            })
-        };
+        let (corpus_bytes, _) = read_verified(dir, &manifest, "corpus.json")?;
+        let (weight_bytes, stamp) = read_verified(dir, &manifest, "weights.bin")?;
+        let (store_bytes, _) = read_verified(dir, &manifest, "store.bin")?;
 
-        let (corpus_bytes, _) = take(&mut verified, "corpus.json")?;
         let corpus_text = String::from_utf8(corpus_bytes).map_err(|e| PersistError::Corrupt {
             file: "corpus.json".to_string(),
             detail: format!("not UTF-8: {e}"),
@@ -530,44 +474,87 @@ impl ExplainTi {
             PersistError::Corrupt { file: "corpus.json".to_string(), detail: format!("{e}") }
         })?;
         drop(corpus_text);
-        let (variant_bytes, _) = take(&mut verified, "variant.txt")?;
-        let roberta =
-            std::str::from_utf8(&variant_bytes).map(|v| v.trim() == "roberta") == Ok(true);
         // The vocabulary cap and sequence length are the fixed CLI-wide
         // model-directory convention (see `ExplainTiConfig::bert_like`).
-        let cfg = if roberta {
-            ExplainTiConfig::roberta_like(2048, 32)
-        } else {
-            ExplainTiConfig::bert_like(2048, 32)
-        };
-        let mut model = ExplainTi::new(&dataset, cfg);
-        let (weight_bytes, stamp) = take(&mut verified, "weights.bin")?;
+        let mut model = ExplainTi::new(&dataset, ExplainTiConfig::bert_like(2048, 32));
         model.load_weight_bytes(&weight_bytes).map_err(|e| PersistError::Corrupt {
             file: "weights.bin".to_string(),
             detail: format!("{e}"),
         })?;
         drop(weight_bytes);
-        let (store_bytes, _) = take(&mut verified, "store.bin")?;
-        // Chaos site: the GE store is unavailable; serve predictions with
-        // `global: []` from empty stores instead of failing the whole load.
-        if explainti_faults::triggered("persist.load.ge") {
-            model.set_degraded(true);
-            explainti_obs::add_counter("persist.load.degraded", 1);
-        } else {
-            model.load_store(&store_bytes, stamp).map_err(|detail| PersistError::Corrupt {
-                file: "store.bin".to_string(),
-                detail,
-            })?;
-        }
+        model
+            .load_store(&store_bytes, stamp)
+            .map_err(|detail| PersistError::Corrupt { file: "store.bin".to_string(), detail })?;
         Ok((model, dataset))
     }
+}
+
+/// Reads `dir/name` when it is a regular file — never a FIFO, device or
+/// directory, whose open or read could block or run unbounded — of
+/// `bytes` bytes when that is given. A missing file is a torn snapshot.
+fn read_regular(dir: &Path, name: &str, bytes: Option<u64>) -> Result<Vec<u8>, PersistError> {
+    let path = dir.join(name);
+    let meta = match std::fs::metadata(&path) {
+        Ok(m) => m,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            return Err(PersistError::TornSnapshot {
+                detail: format!(
+                    "{name} missing from {dir:?} — incomplete save; re-run `train` to write a \
+                     complete snapshot"
+                ),
+            });
+        }
+        Err(e) => return Err(e.into()),
+    };
+    let corrupt = |detail: String| PersistError::Corrupt { file: name.to_string(), detail };
+    if !meta.is_file() {
+        return Err(corrupt("not a regular file".to_string()));
+    }
+    let check_size = |found: u64| match bytes {
+        Some(want) if want != found => {
+            Err(corrupt(format!("size mismatch: manifest says {want} bytes, file has {found}")))
+        }
+        _ => Ok(()),
+    };
+    check_size(meta.len())?;
+    let data = std::fs::read(&path)?;
+    check_size(data.len() as u64)?;
+    Ok(data)
+}
+
+/// Reads the artifact `name` as [`read_regular`] does and checks it
+/// against its manifest entry; returns its bytes and FNV-1a 64.
+fn read_verified(
+    dir: &Path,
+    manifest: &Manifest,
+    name: &str,
+) -> Result<(Vec<u8>, u64), PersistError> {
+    let entry = manifest.files.iter().find(|f| f.name == name).ok_or_else(|| {
+        PersistError::TornSnapshot { detail: format!("{name} absent from manifest") }
+    })?;
+    let mut data = read_regular(dir, name, Some(entry.bytes))?;
+    // Chaos site: simulate silent media corruption of this artifact
+    // after it was read back.
+    let short = name.split('.').next().unwrap_or(name);
+    if explainti_faults::triggered(&format!("persist.load.corrupt.{short}")) {
+        if let Some(b) = data.first_mut() {
+            *b ^= 0xff;
+        }
+    }
+    let sum = fnv1a64(&data);
+    if format!("{sum:016x}") != entry.fnv1a64 {
+        return Err(PersistError::Corrupt {
+            file: name.to_string(),
+            detail: format!("checksum mismatch: manifest {} != actual {sum:016x}", entry.fnv1a64),
+        });
+    }
+    Ok((data, sum))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ExplainTiConfig;
-    use crate::TaskKind;
     use explainti_corpus::{generate_wiki, WikiConfig};
 
     #[test]
@@ -599,39 +586,11 @@ mod tests {
     }
 
     #[test]
-    fn save_load_restores_predictions() {
-        let d = generate_wiki(&WikiConfig { num_tables: 40, seed: 77, ..Default::default() });
-        let mut cfg = ExplainTiConfig::bert_like(2048, 24);
-        cfg.epochs = 1;
-        cfg.use_se = false; // deterministic predictions
-        let mut a = ExplainTi::new(&d, cfg.clone());
-        a.train();
-        let before = a.predict(TaskKind::Type, 0);
-
-        let dir = std::env::temp_dir().join("explainti-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.bin");
-        a.save_weights(&path).unwrap();
-
-        let mut b = ExplainTi::new(&d, cfg);
-        b.load_weights(&path).unwrap();
-        let after = b.predict(TaskKind::Type, 0);
-        assert_eq!(before.label, after.label);
-        assert_eq!(before.probs, after.probs);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn wrong_layout_is_rejected() {
         let d = generate_wiki(&WikiConfig { num_tables: 30, seed: 78, ..Default::default() });
-        let cfg = ExplainTiConfig::bert_like(2048, 24);
-        let mut m = ExplainTi::new(&d, cfg);
-        let dir = std::env::temp_dir().join("explainti-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.bin");
-        std::fs::write(&path, encode_weights(&[0.0; 7])).unwrap();
-        assert!(m.load_weights(&path).is_err());
-        std::fs::remove_file(&path).ok();
+        let mut m = ExplainTi::new(&d, ExplainTiConfig::bert_like(2048, 24));
+        let err = m.load_weight_bytes(&encode_weights(&[0.0; 7])).unwrap_err();
+        assert!(err.to_string().contains("checkpoint has 7 weights"), "{err}");
     }
 
     #[test]

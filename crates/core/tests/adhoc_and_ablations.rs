@@ -77,22 +77,3 @@ fn logit_drop_scoring_still_normalises() {
     let total: f32 = p.explanation.local.iter().map(|s| s.relevance).sum();
     assert!((total - 1.0).abs() < 1e-3, "RS sum {total}");
 }
-
-#[test]
-fn checkpoint_roundtrip_through_disk() {
-    let d = dataset();
-    let mut cfg = ExplainTiConfig::bert_like(2048, 32);
-    cfg.epochs = 1;
-    cfg.use_se = false;
-    let mut m = ExplainTi::new(&d, cfg.clone());
-    m.train();
-    let dir = std::env::temp_dir().join("explainti-adhoc-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("w.bin");
-    m.save_weights(&path).unwrap();
-
-    let mut fresh = ExplainTi::new(&d, cfg);
-    fresh.load_weights(&path).unwrap();
-    assert_eq!(m.predict(TaskKind::Type, 0).label, fresh.predict(TaskKind::Type, 0).label);
-    std::fs::remove_file(path).ok();
-}

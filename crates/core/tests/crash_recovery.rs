@@ -11,7 +11,10 @@
 //! serialises on one mutex (cargo runs `#[test]` fns of one binary on
 //! parallel threads).
 
-use explainti_core::{fnv1a64, ExplainTi, ExplainTiConfig, Manifest, PersistError, MANIFEST_NAME};
+use explainti_core::{
+    fnv1a64, ExplainTi, ExplainTiConfig, Manifest, ManifestFile, PersistError, ARTIFACTS,
+    MANIFEST_NAME,
+};
 use explainti_corpus::{generate_wiki, Dataset, WikiConfig};
 use explainti_faults as faults;
 use std::path::{Path, PathBuf};
@@ -46,13 +49,10 @@ fn test_dir(name: &str) -> PathBuf {
 }
 
 /// Every failpoint site inside `save_to_dir`, in write order.
-const SAVE_SITES: [&str; 15] = [
+const SAVE_SITES: [&str; 12] = [
     "persist.before_write.corpus",
     "persist.after_write.corpus",
     "persist.after_rename.corpus",
-    "persist.before_write.variant",
-    "persist.after_write.variant",
-    "persist.after_rename.variant",
     "persist.before_write.weights",
     "persist.after_write.weights",
     "persist.after_rename.weights",
@@ -140,13 +140,22 @@ fn clean_roundtrip_preserves_predictions_exactly() {
     let dir = test_dir("clean-roundtrip");
     model.save_to_dir(&dir, &d).unwrap();
     let (loaded, _) = ExplainTi::load_from_dir(&dir).unwrap();
-    assert!(!loaded.is_degraded());
     assert_eq!(before, fingerprint(&loaded), "round-trip must be bit-exact");
+
+    // The directory holds the artifacts and the manifest, nothing else.
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    let mut want: Vec<&str> = ARTIFACTS.iter().copied().chain([MANIFEST_NAME]).collect();
+    want.sort();
+    assert_eq!(names, want);
 
     // Saving the loaded model again reproduces identical artifact bytes.
     let dir2 = test_dir("clean-roundtrip-2");
     loaded.save_to_dir(&dir2, &d).unwrap();
-    for name in ["corpus.json", "variant.txt", "weights.bin", "store.bin", MANIFEST_NAME] {
+    for name in want {
         assert_eq!(
             std::fs::read(dir.join(name)).unwrap(),
             std::fs::read(dir2.join(name)).unwrap(),
@@ -168,7 +177,7 @@ fn corrupt_read_failpoints_are_detected() {
 
     // (The manifest itself is not in the loop: it is verified by parsing,
     // covered in `real_on_disk_damage_is_detected_without_failpoints`.)
-    for short in ["corpus", "variant", "weights", "store"] {
+    for short in ["corpus", "weights", "store"] {
         faults::configure(&format!("persist.load.corrupt.{short}"), faults::Policy::Always);
         let res = ExplainTi::load_from_dir(&dir);
         faults::clear_all();
@@ -221,41 +230,31 @@ fn real_on_disk_damage_is_detected_without_failpoints() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn ge_store_failure_degrades_instead_of_failing() {
-    let _g = lock();
-    faults::clear_all();
-    let d = tiny_dataset();
-    let model = build_model(&d);
-    let dir = test_dir("degraded-load");
-    model.save_to_dir(&dir, &d).unwrap();
-
-    faults::configure("persist.load.ge", faults::Policy::Always);
-    let loaded = ExplainTi::load_from_dir(&dir);
-    faults::clear_all();
-    let (m, _) = loaded.expect("a GE-store failure must not fail the whole load");
-    assert!(m.is_degraded(), "degraded flag must be set");
-    let pred = m.predict_column("world cities", "city", &["london", "paris"]);
-    assert!(
-        pred.explanation.global.is_empty(),
-        "degraded mode serves predictions with empty global explanations"
-    );
-    assert!(!pred.probs.is_empty(), "the prediction itself still works");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Replaces `name` in the snapshot at `dir` with `bytes` and re-lists it
-/// in the manifest with their true size and checksum, so only the
-/// loader's content checks stand between the bytes and a model.
-fn rewrite_listed(dir: &Path, name: &str, bytes: &[u8]) {
-    std::fs::write(dir.join(name), bytes).unwrap();
+/// Rewrites the manifest of the snapshot at `dir` through `edit`.
+fn edit_manifest(dir: &Path, edit: impl FnOnce(&mut Manifest)) {
     let path = dir.join(MANIFEST_NAME);
     let mut manifest: Manifest =
         serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    let entry = manifest.files.iter_mut().find(|f| f.name == name).expect("listed artifact");
-    entry.bytes = bytes.len() as u64;
-    entry.fnv1a64 = format!("{:016x}", fnv1a64(bytes));
+    edit(&mut manifest);
     std::fs::write(&path, serde_json::to_string_pretty(&manifest).unwrap()).unwrap();
+}
+
+/// Writes `bytes` to `name` (relative to the snapshot at `dir`) and lists
+/// it in the manifest with their true size and checksum, so only the
+/// loader's own checks stand between the bytes and a model.
+fn rewrite_listed(dir: &Path, name: &str, bytes: &[u8]) {
+    std::fs::write(dir.join(name), bytes).unwrap();
+    edit_manifest(dir, |manifest| {
+        let listed = ManifestFile {
+            name: name.to_string(),
+            bytes: bytes.len() as u64,
+            fnv1a64: format!("{:016x}", fnv1a64(bytes)),
+        };
+        match manifest.files.iter_mut().find(|f| f.name == name) {
+            Some(entry) => *entry = listed,
+            None => manifest.files.push(listed),
+        }
+    });
 }
 
 /// A `store.bin` that passes its checksum but disagrees with the corpus
@@ -308,30 +307,93 @@ fn store_bin_disagreeing_with_weights_or_corpus_is_corrupt() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A version-1 snapshot (no `store.bin`) is refused with a typed error
-/// that names the manifest and says how to get a current snapshot.
+/// Snapshots of earlier formats — version 1 (no `store.bin`) and
+/// version 2 (with `variant.txt`) — are refused with a typed error that
+/// names the manifest and says how to get a current snapshot.
 #[test]
 fn a_version_1_snapshot_is_a_typed_format_error() {
     let _g = lock();
     faults::clear_all();
     let d = tiny_dataset();
     let model = build_model(&d);
-    let dir = test_dir("format-v1");
+    let dir = test_dir("format-old");
+    for version in [1, 2] {
+        model.save_to_dir(&dir, &d).unwrap();
+        if version == 1 {
+            std::fs::remove_file(dir.join("store.bin")).unwrap();
+            edit_manifest(&dir, |m| m.files.retain(|f| f.name != "store.bin"));
+        } else {
+            rewrite_listed(&dir, "variant.txt", b"bert");
+        }
+        edit_manifest(&dir, |m| m.format_version = version);
+        match ExplainTi::load_from_dir(&dir) {
+            Err(PersistError::Corrupt { file, detail }) => {
+                assert_eq!(file, MANIFEST_NAME);
+                assert!(
+                    detail.contains(&format!("format_version {version}"))
+                        && detail.contains("re-run `train`"),
+                    "version {version}: {detail}"
+                );
+            }
+            Err(e) => panic!("version {version}: wrong error kind: {e}"),
+            Ok(_) => panic!("a version-{version} snapshot loaded"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A manifest that lists a file besides the snapshot artifacts — here
+/// one outside the directory, with its true size and checksum — is
+/// refused before that file is opened.
+#[test]
+fn a_manifest_entry_outside_the_artifacts_is_corrupt() {
+    let _g = lock();
+    faults::clear_all();
+    let d = tiny_dataset();
+    let model = build_model(&d);
+    let dir = test_dir("stray-entry");
     model.save_to_dir(&dir, &d).unwrap();
-    let path = dir.join(MANIFEST_NAME);
-    let mut manifest: Manifest =
-        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    manifest.format_version = 1;
-    manifest.files.retain(|f| f.name != "store.bin");
-    std::fs::remove_file(dir.join("store.bin")).unwrap();
-    std::fs::write(&path, serde_json::to_string_pretty(&manifest).unwrap()).unwrap();
-    match ExplainTi::load_from_dir(&dir) {
+    let outside = format!("../explainti-outside-{}.bin", std::process::id());
+    rewrite_listed(&dir, &outside, b"outside");
+    let res = ExplainTi::load_from_dir(&dir);
+    std::fs::remove_file(dir.join(&outside)).ok();
+    std::fs::remove_dir_all(&dir).ok();
+    match res {
+        Err(PersistError::Corrupt { file, .. }) => assert_eq!(file, MANIFEST_NAME),
+        Err(e) => panic!("wrong error kind: {e}"),
+        Ok(_) => panic!("a manifest listing a file outside the directory loaded"),
+    }
+}
+
+/// An artifact that is a FIFO is refused as not a regular file instead
+/// of blocking the load. The load runs on a helper thread so a loader
+/// that opens the FIFO fails this test instead of hanging it.
+#[cfg(unix)]
+#[test]
+fn a_fifo_artifact_is_corrupt_not_a_hang() {
+    let _g = lock();
+    faults::clear_all();
+    let d = tiny_dataset();
+    let model = build_model(&d);
+    let dir = test_dir("fifo-artifact");
+    model.save_to_dir(&dir, &d).unwrap();
+    let weights = dir.join("weights.bin");
+    std::fs::remove_file(&weights).unwrap();
+    let made = std::process::Command::new("mkfifo").arg(&weights).status().expect("run mkfifo");
+    assert!(made.success(), "mkfifo failed");
+    let (tx, rx) = std::sync::mpsc::channel();
+    let load_dir = dir.clone();
+    std::thread::spawn(move || {
+        let _ = tx.send(ExplainTi::load_from_dir(&load_dir).map(|_| ()));
+    });
+    let res = rx.recv_timeout(std::time::Duration::from_secs(20));
+    std::fs::remove_dir_all(&dir).ok();
+    match res.expect("load_from_dir blocked on a FIFO") {
         Err(PersistError::Corrupt { file, detail }) => {
-            assert_eq!(file, MANIFEST_NAME);
-            assert!(detail.contains("format_version 1") && detail.contains("re-run `train`"));
+            assert_eq!(file, "weights.bin");
+            assert!(detail.contains("not a regular file"), "{detail}");
         }
         Err(e) => panic!("wrong error kind: {e}"),
-        Ok(_) => panic!("a version-1 snapshot loaded"),
+        Ok(()) => panic!("a FIFO artifact loaded"),
     }
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,8 +1,8 @@
 //! # explainti-metrics
 //!
 //! Classification metrics (F1-micro / -macro / -weighted, the triplet
-//! reported in every table of the paper), confusion counting, wall-clock
-//! timing helpers for the efficiency analysis (Table V), and plain-text
+//! reported in every table of the paper), confusion counting, the
+//! duration format of the efficiency analysis (Table V), and plain-text
 //! table rendering used by the bench binaries.
 
 #![warn(missing_docs)]
@@ -10,7 +10,7 @@
 pub mod report;
 
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The F1 triplet reported throughout the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -145,44 +145,6 @@ impl Confusion {
     }
 }
 
-/// One row of a per-class classification report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ClassReport {
-    /// Class index.
-    pub class: usize,
-    /// Precision of the class.
-    pub precision: f64,
-    /// Recall of the class.
-    pub recall: f64,
-    /// F1 of the class.
-    pub f1: f64,
-    /// Number of gold samples of the class.
-    pub support: usize,
-}
-
-impl Confusion {
-    /// Per-class precision/recall/F1/support, in class order. Classes with
-    /// neither support nor predictions are omitted.
-    pub fn per_class_report(&self) -> Vec<ClassReport> {
-        let f1 = self.f1_per_class();
-        (0..self.num_classes)
-            .filter(|&c| self.support[c] > 0 || self.tp[c] + self.fp[c] > 0)
-            .map(|c| {
-                let tp = self.tp[c] as f64;
-                let predicted = tp + self.fp[c] as f64;
-                let actual = tp + self.fn_[c] as f64;
-                ClassReport {
-                    class: c,
-                    precision: if predicted > 0.0 { tp / predicted } else { 0.0 },
-                    recall: if actual > 0.0 { tp / actual } else { 0.0 },
-                    f1: f1[c],
-                    support: self.support[c],
-                }
-            })
-            .collect()
-    }
-}
-
 /// Computes the F1 triplet directly from prediction/label slices.
 ///
 /// # Panics
@@ -192,40 +154,6 @@ pub fn f1_scores(predicted: &[usize], actual: &[usize], num_classes: usize) -> F
     let mut c = Confusion::new(num_classes);
     c.record_all(predicted.iter().copied().zip(actual.iter().copied()));
     c.f1()
-}
-
-/// Wall-clock stopwatch for the Table V efficiency analysis.
-#[derive(Debug)]
-pub struct Stopwatch {
-    start: Instant,
-    laps: Vec<(String, Duration)>,
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Stopwatch {
-    /// Starts a stopwatch.
-    pub fn new() -> Self {
-        Self { start: Instant::now(), laps: Vec::new() }
-    }
-
-    /// Records the elapsed time since the previous lap under `label` and
-    /// restarts the lap timer.
-    pub fn lap(&mut self, label: &str) -> Duration {
-        let d = self.start.elapsed();
-        self.laps.push((label.to_string(), d));
-        self.start = Instant::now();
-        d
-    }
-
-    /// Recorded laps.
-    pub fn laps(&self) -> &[(String, Duration)] {
-        &self.laps
-    }
 }
 
 /// Formats a duration like the paper's Table V ("354.2m" / "9.5s").
@@ -300,41 +228,6 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn length_mismatch_panics() {
         let _ = f1_scores(&[0], &[0, 1], 2);
-    }
-
-    #[test]
-    fn per_class_report_matches_hand_computation() {
-        let mut c = Confusion::new(3);
-        // class 0: 2 gold, 1 predicted right, 1 missed as class 1.
-        c.record(0, 0);
-        c.record(1, 0);
-        // class 2: perfect.
-        c.record(2, 2);
-        let report = c.per_class_report();
-        let r0 = report.iter().find(|r| r.class == 0).unwrap();
-        assert_eq!(r0.support, 2);
-        assert!((r0.precision - 1.0).abs() < 1e-9);
-        assert!((r0.recall - 0.5).abs() < 1e-9);
-        let r2 = report.iter().find(|r| r.class == 2).unwrap();
-        assert!((r2.f1 - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn per_class_report_skips_absent_classes() {
-        let mut c = Confusion::new(10);
-        c.record(1, 1);
-        let report = c.per_class_report();
-        assert_eq!(report.len(), 1);
-        assert_eq!(report[0].class, 1);
-    }
-
-    #[test]
-    fn stopwatch_laps_accumulate() {
-        let mut sw = Stopwatch::new();
-        sw.lap("a");
-        sw.lap("b");
-        assert_eq!(sw.laps().len(), 2);
-        assert_eq!(sw.laps()[0].0, "a");
     }
 
     #[test]

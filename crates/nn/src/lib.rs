@@ -3,8 +3,8 @@
 //! From-scratch neural-network substrate for the ExplainTI (ICDE 2023)
 //! reproduction: a dense 2-D [`Tensor`], tape-based reverse-mode autograd
 //! ([`Graph`]), layer modules (linear, embedding, layer-norm, multi-head
-//! attention, feed-forward, dropout), the cross-entropy loss and
-//! optimizers (AdamW with linear decay, SGD).
+//! attention, feed-forward, dropout), the cross-entropy loss and the
+//! AdamW optimizer with a linear-decay schedule.
 //!
 //! The paper fine-tunes BERT/RoBERTa; no mature Rust stack supports that
 //! end-to-end, so this crate provides the encoder-agnostic machinery on
@@ -44,7 +44,7 @@ pub mod tensor;
 
 pub use graph::{Graph, NodeId};
 pub use layers::{Dropout, Embedding, FeedForward, LayerNorm, Linear, MultiHeadAttention};
-pub use optim::{AdamW, LinearSchedule, Sgd};
+pub use optim::{AdamW, LinearSchedule};
 pub use params::{Grads, ParamId, ParamStore};
 pub use simd::SimdTier;
 pub use tensor::{kl_divergence, softmax, softmax_into, Tensor};

@@ -1,8 +1,7 @@
 //! Optimizers and learning-rate schedules.
 //!
 //! The paper fine-tunes with AdamW at 5e-5 under a linearly decreasing
-//! schedule; both are implemented here, plus plain SGD used by the simpler
-//! baselines (Sherlock/Sato MLPs).
+//! schedule; both are implemented here.
 
 use crate::params::ParamStore;
 
@@ -43,8 +42,6 @@ impl LinearSchedule {
 
 /// Global gradient norm AdamW clips to (the paper's fine-tuning default).
 const ADAMW_CLIP_NORM: f32 = 1.0;
-/// Global gradient norm SGD clips to (MLP-friendly).
-const SGD_CLIP_NORM: f32 = 5.0;
 
 /// Rescales the accumulated gradients so their global norm is at most
 /// `clip`.
@@ -108,31 +105,6 @@ impl AdamW {
     }
 }
 
-/// Plain stochastic gradient descent (used by the Sherlock/Sato baselines).
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer with clipping at norm 5 (MLP-friendly).
-    pub fn new(lr: f32) -> Self {
-        Self { lr }
-    }
-
-    /// Applies one update and zeroes gradients.
-    pub fn step(&mut self, store: &mut ParamStore) {
-        clip_grads(store, SGD_CLIP_NORM);
-        for id in store.ids().collect::<Vec<_>>() {
-            let (value, _m, _v, grad, _decay) = store.adam_state_mut(id);
-            for i in 0..value.len() {
-                value.as_mut_slice()[i] -= self.lr * grad.as_slice()[i];
-            }
-        }
-        store.zero_grads();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,24 +144,6 @@ mod tests {
             opt.step(&mut store);
         }
         assert!((store.value(w).as_slice()[0] - 3.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn sgd_minimises_quadratic() {
-        let mut store = ParamStore::new();
-        let w = store.add("w", Tensor::row(vec![-1.0]));
-        let mut opt = Sgd::new(0.1);
-        for _ in 0..200 {
-            let mut g = Graph::new();
-            let wn = g.param(&store, w);
-            let target = g.input(Tensor::row(vec![2.0]));
-            let diff = g.sub(wn, target);
-            let sq = g.mul(diff, diff);
-            g.backward(sq);
-            g.flush_grads(&mut store);
-            opt.step(&mut store);
-        }
-        assert!((store.value(w).as_slice()[0] - 2.0).abs() < 0.05);
     }
 
     #[test]

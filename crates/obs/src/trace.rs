@@ -4,7 +4,7 @@
 //! *per-request* observability:
 //!
 //! - [`TraceId`] — a deterministic 64-bit id minted per request from a
-//!   seeded SplitMix64 sequence (`EXPLAINTI_TRACE_SEED` /
+//!   seeded SplitMix64 sequence (tests reseed it with
 //!   [`set_trace_seed`]), so test runs produce reproducible ids and the
 //!   sequence never collides (SplitMix64 is a bijection).
 //! - [`SpanCapture`] — a thread-local accumulator of span durations.
@@ -23,7 +23,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use serde_json::{json, Value};
@@ -46,7 +45,7 @@ pub const STAGES: [&str; 9] = [
     "serialize",
 ];
 
-/// Default id-sequence seed when `EXPLAINTI_TRACE_SEED` is unset.
+/// Id-sequence seed until [`set_trace_seed`] replaces it.
 const DEFAULT_TRACE_SEED: u64 = 0x7ab1_e5ee_d000_0001;
 
 /// A per-request trace identifier, rendered as 16 lowercase hex digits
@@ -77,25 +76,15 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn seed_cell() -> &'static AtomicU64 {
-    static CELL: OnceLock<AtomicU64> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let seed = std::env::var("EXPLAINTI_TRACE_SEED")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(DEFAULT_TRACE_SEED);
-        AtomicU64::new(seed)
-    })
-}
+static TRACE_SEED: AtomicU64 = AtomicU64::new(DEFAULT_TRACE_SEED);
 
 static TRACE_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// Overrides the trace-id seed and restarts the sequence (tests; the
-/// `EXPLAINTI_TRACE_SEED` env var covers whole processes).
+/// Overrides the trace-id seed and restarts the sequence (tests).
 pub fn set_trace_seed(seed: u64) {
     // ORDERING: Relaxed — seed and counter are test-sequencing state;
     // callers serialise reseeding externally, so no edge is needed.
-    seed_cell().store(seed, Ordering::Relaxed);
+    TRACE_SEED.store(seed, Ordering::Relaxed);
     // ORDERING: Relaxed — same external-serialisation contract.
     TRACE_COUNTER.store(0, Ordering::Relaxed);
 }
@@ -108,7 +97,7 @@ pub fn next_trace_id() -> TraceId {
     let n = TRACE_COUNTER.fetch_add(1, Ordering::Relaxed);
     // ORDERING: Relaxed — see set_trace_seed; reseeds are externally
     // serialised.
-    let seed = seed_cell().load(Ordering::Relaxed);
+    let seed = TRACE_SEED.load(Ordering::Relaxed);
     TraceId(splitmix64(seed.wrapping_add(n.wrapping_mul(0x9e37_79b9_7f4a_7c15))))
 }
 

@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use explainti_api::{
     ApiError, ColumnData, ColumnPrediction, ConfigResponse, ErrorCode, InterpretTableRequest,
     ModelInfo, PredictRequest, PredictResponse, StoreStatusResponse, SwapRequest, SwapResponse,
-    SCHEMA_VERSION,
+    DEFAULT_TOP_K, SCHEMA_VERSION,
 };
 use explainti_core::{ExplainTi, Generation, GenerationHandle, Prediction};
 use explainti_tokenizer::Encoded;
@@ -66,12 +66,6 @@ pub struct ServeConfig {
     pub cache_cap: usize,
     /// Per-request deadline; exceeded requests answer 504.
     pub deadline_ms: u64,
-    /// Explanations per view in each response.
-    pub top_k: usize,
-    /// Sliding SLO window length in seconds: rolling p50/p99/p999 and
-    /// error rate over the trailing window, published as `serve.slo.*`
-    /// gauges at metrics-scrape time.
-    pub slo_window_s: u64,
     /// Hard cap on concurrently open connections (one thread each);
     /// excess connects are answered with a typed 429 + `Retry-After`
     /// and closed.
@@ -90,8 +84,6 @@ impl Default for ServeConfig {
             workers: 2,
             cache_cap: 256,
             deadline_ms: 30_000,
-            top_k: explainti_api::DEFAULT_TOP_K,
-            slo_window_s: 60,
             max_conns: 1024,
             read_timeout_ms: 10_000,
             idle_timeout_ms: 60_000,
@@ -102,6 +94,11 @@ impl Default for ServeConfig {
 /// Hard cap on columns per `/v1/interpret` table request: a pathological
 /// 10k-column row must answer a clean 400, not monopolise a permit.
 const MAX_TABLE_COLUMNS: usize = 512;
+
+/// Sliding SLO window length in seconds: rolling p50/p99/p999 and error
+/// rate over the trailing window, published as `serve.slo.*` gauges at
+/// metrics-scrape time.
+const SLO_WINDOW_S: u64 = 60;
 
 /// Saturating nanoseconds from `earlier` to `later` (0 if out of order).
 fn ns_since(earlier: Instant, later: Instant) -> u64 {
@@ -172,7 +169,6 @@ pub(crate) struct Shared {
     pub(crate) read_timeout: Duration,
     /// Idle keep-alive connections older than this are closed.
     pub(crate) idle_timeout: Duration,
-    top_k: usize,
     deadline: Duration,
     /// Rolling latency/error window behind the `serve.slo.*` gauges.
     slo: explainti_obs::SloWindow,
@@ -417,7 +413,9 @@ fn interpret(shared: &Shared, gen: &Generation, job: &mut Job) -> Result<(), Api
         let preds = forward(shared, gen, job, &work.encoded)?;
         let resps: Vec<Arc<PredictResponse>> = preds
             .iter()
-            .map(|pred| Arc::new(PredictResponse::from_prediction(pred, &gen.labels, shared.top_k)))
+            .map(|pred| {
+                Arc::new(PredictResponse::from_prediction(pred, &gen.labels, DEFAULT_TOP_K))
+            })
             .collect();
         {
             let mut cache = lock_cache(shared);
@@ -558,7 +556,7 @@ fn publish_slo_gauges(shared: &Shared) {
 
 fn handle_metrics(
     shared: &Shared,
-    gen: &Arc<Generation>,
+    _gen: &Arc<Generation>,
     request: &http::Request,
     sink: &mut ResponseSink,
 ) -> Result<(), ApiError> {
@@ -571,7 +569,6 @@ fn handle_metrics(
     let mut summary = explainti_obs::summary();
     if let Value::Object(map) = &mut summary {
         map.insert("schema_version".to_string(), json!(SCHEMA_VERSION));
-        map.insert("degraded".to_string(), json!(gen.model.is_degraded()));
         // Failpoint trip counts (empty object when no chaos drill
         // has run), so operators and the chaos-smoke CI job can
         // scrape what actually fired.
@@ -587,16 +584,12 @@ fn handle_metrics(
 
 fn handle_healthz(
     _shared: &Shared,
-    gen: &Arc<Generation>,
+    _gen: &Arc<Generation>,
     _request: &http::Request,
     sink: &mut ResponseSink,
 ) -> Result<(), ApiError> {
     let _span = explainti_obs::span!("serve.request.healthz");
-    let degraded = gen.model.is_degraded();
-    sink.send_json(
-        200,
-        &serde_json::to_string(&json!({"degraded": degraded, "status": "ok"})).unwrap_or_default(),
-    );
+    sink.send_json(200, r#"{"status":"ok"}"#);
     Ok(())
 }
 
@@ -922,7 +915,7 @@ pub fn start(
         workers: cfg.workers,
         cache_cap: cfg.cache_cap,
         deadline_ms: cfg.deadline_ms.max(1),
-        top_k: cfg.top_k.max(1),
+        top_k: DEFAULT_TOP_K,
         max_conns,
         read_timeout_ms: cfg.read_timeout_ms.max(1),
         idle_timeout_ms: cfg.idle_timeout_ms.max(1),
@@ -943,9 +936,8 @@ pub fn start(
         max_conns,
         read_timeout: Duration::from_millis(cfg.read_timeout_ms.max(1)),
         idle_timeout: Duration::from_millis(cfg.idle_timeout_ms.max(1)),
-        top_k: cfg.top_k.max(1),
         deadline: Duration::from_millis(cfg.deadline_ms.max(1)),
-        slo: explainti_obs::SloWindow::new(cfg.slo_window_s.max(1)),
+        slo: explainti_obs::SloWindow::new(SLO_WINDOW_S),
         swap_lock: AtomicBool::new(false),
         config,
     });

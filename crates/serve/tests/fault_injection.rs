@@ -121,7 +121,7 @@ fn slow_batch_against_tight_deadline_times_out_cleanly() {
 
     let (status, health) = request(&addr, "GET", "/v1/healthz", "");
     assert_eq!(status, 200);
-    assert!(health.contains("\"degraded\":false"), "healthz carries the flag: {health}");
+    assert!(health.contains("\"status\":\"ok\""), "healthz answers ok: {health}");
 
     handle.shutdown();
     handle.join();
@@ -239,33 +239,6 @@ fn injected_read_stall_answers_408_and_recovers() {
         .and_then(Value::as_u64)
         .unwrap_or(0);
     assert!(timeouts >= 1, "timeout count missing: {metrics:?}");
-
-    handle.shutdown();
-    handle.join();
-}
-
-#[test]
-fn degraded_model_serves_empty_global_and_reports_it() {
-    let _g = lock();
-    faults::clear_all();
-    let (model, labels) = tiny_model();
-    model.set_degraded(true);
-    let mut handle = start(Arc::clone(&model), labels, ServeConfig::default()).expect("start");
-    let addr = handle.addr();
-
-    let (status, health) = request(&addr, "GET", "/v1/healthz", "");
-    assert_eq!(status, 200, "degraded is not down");
-    assert!(health.contains("\"degraded\":true"), "healthz must flag degraded: {health}");
-
-    let (_, metrics) = request(&addr, "GET", "/v1/metrics", "");
-    let metrics: Value = serde_json::from_str(&metrics).unwrap();
-    assert_eq!(metrics.get("degraded").and_then(Value::as_bool), Some(true));
-
-    // Predictions still flow (this model's store is intact, so this
-    // checks the serving path, not GE emptiness — core's
-    // `ge_store_failure_degrades_instead_of_failing` covers that).
-    let (status, _) = request(&addr, "POST", "/v1/interpret", &column_body("degraded"));
-    assert_eq!(status, 200);
 
     handle.shutdown();
     handle.join();

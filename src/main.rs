@@ -2,12 +2,12 @@
 //!
 //! ```text
 //! explainti generate  --out corpus.json [--tables N] [--git]
-//! explainti train     --corpus corpus.json --out model-dir [--epochs N] [--roberta]
+//! explainti train     --corpus corpus.json --out model-dir [--epochs N]
 //!                     [--report-out report.json]
-//! explainti interpret --model model-dir [--json] [--top-k N] file.csv [file2.csv …]
+//! explainti interpret --model model-dir [--json] file.csv [file2.csv …]
 //! explainti evaluate  --model model-dir
 //! explainti serve     --model model-dir [--addr host:port] [--workers N] [--cache-cap N]
-//!                     [--deadline-ms N] [--top-k N] [--slo-window-s S] [--max-conns N]
+//!                     [--deadline-ms N] [--max-conns N]
 //!                     [--read-timeout-ms MS] [--idle-timeout-ms MS]
 //! ```
 //!
@@ -25,16 +25,20 @@
 //! Unless telemetry is off, a per-stage latency table prints to stderr at
 //! the end of the run.
 //!
-//! `train` writes the model-directory layout (corpus snapshot, encoder
-//! variant, weight checkpoint) that `interpret`, `evaluate`, and `serve`
-//! all load — tokenizers and parameter layouts derive deterministically
-//! from the corpus + config. `interpret --json` emits one
-//! [`explainti::api::InterpretTableResponse`] JSON line per input file,
-//! the same DTOs (and bytes) the server returns for the same model.
+//! `train` writes the model-directory layout (corpus snapshot, weight
+//! checkpoint, embedding store, manifest) that `interpret`, `evaluate`,
+//! and `serve` all load — tokenizers and parameter layouts derive
+//! deterministically from the corpus + the fixed BERT-like config.
+//! `interpret --json` emits one [`explainti::api::InterpretTableResponse`]
+//! JSON line per input file, the same DTOs (and bytes) the server
+//! returns for the same model; every response carries the top
+//! [`explainti::api::DEFAULT_TOP_K`] explanations per view.
 
 mod flags;
 
-use explainti::api::{ColumnPrediction, InterpretTableRequest, InterpretTableResponse};
+use explainti::api::{
+    ColumnPrediction, InterpretTableRequest, InterpretTableResponse, PredictResponse, DEFAULT_TOP_K,
+};
 use explainti::corpus::{generate_git, generate_wiki, GitConfig, WikiConfig};
 use explainti::prelude::*;
 use explainti::table::table_from_csv_file;
@@ -77,13 +81,11 @@ fn all_specs() -> Vec<CommandSpec> {
                 .required_value("corpus", "FILE", "corpus JSON from `generate`")
                 .required_value("out", "DIR", "model directory to write")
                 .value("epochs", "N", "training epochs (default from config)")
-                .value("report-out", "FILE", "write the training report JSON here")
-                .switch("roberta", "use the RoBERTa-like encoder variant"),
+                .value("report-out", "FILE", "write the training report JSON here"),
         )),
         with_common(
             CommandSpec::new("interpret", "predict column types for CSV files")
                 .required_value("model", "DIR", "model directory from `train`")
-                .value("top-k", "N", "explanations per view in --json output (default 3)")
                 .switch("json", "emit one api::InterpretTableResponse JSON line per file")
                 .positionals("file.csv", 1),
         ),
@@ -101,8 +103,6 @@ fn all_specs() -> Vec<CommandSpec> {
                 .value("workers", "N", "forwards that may run at once (default 2)")
                 .value("cache-cap", "N", "LRU response cache capacity (default 256)")
                 .value("deadline-ms", "MS", "per-request deadline; late → 504 (default 30000)")
-                .value("top-k", "N", "explanations per view in responses (default 3)")
-                .value("slo-window-s", "S", "sliding SLO window for serve.slo.* (default 60)")
                 .value("max-conns", "N", "open-connection hard limit; over → 429 (default 1024)")
                 .value(
                     "read-timeout-ms",
@@ -169,11 +169,8 @@ fn cmd_train(args: &Parsed) -> Result<ExitCode, String> {
     let corpus = args.get("corpus").expect("required");
     let out = args.get("out").expect("required");
     let dataset = load_dataset(Path::new(corpus))?;
-    let mut cfg = if args.is_set("roberta") {
-        ExplainTiConfig::roberta_like(2048, 32)
-    } else {
-        ExplainTiConfig::bert_like(2048, 32)
-    };
+    // The model-directory convention `load_from_dir` rebuilds with.
+    let mut cfg = ExplainTiConfig::bert_like(2048, 32);
     if let Some(epochs) = args.get_opt("epochs").map_err(|e| e.to_string())? {
         cfg.epochs = epochs;
     }
@@ -204,7 +201,6 @@ fn cmd_interpret(args: &Parsed) -> Result<ExitCode, String> {
     let (model, dataset) = load_model(args)?;
     let labels = &dataset.collection.type_labels;
     let as_json = args.is_set("json");
-    let top_k = args.get_or("top-k", explainti::api::DEFAULT_TOP_K).map_err(|e| e.to_string())?;
     let mut failures = 0usize;
     for file in &args.positional {
         let table = match table_from_csv_file(Path::new(file)) {
@@ -231,7 +227,7 @@ fn cmd_interpret(args: &Parsed) -> Result<ExitCode, String> {
                 let p = model.predict_column(&col.title, &col.header, &cells);
                 columns.push(ColumnPrediction {
                     header: col.header,
-                    prediction: explainti::api::PredictResponse::from_prediction(&p, labels, top_k),
+                    prediction: PredictResponse::from_prediction(&p, labels, DEFAULT_TOP_K),
                 });
             }
             let resp = InterpretTableResponse {
@@ -306,8 +302,6 @@ fn cmd_serve(args: &Parsed) -> Result<ExitCode, String> {
         workers: args.get_or("workers", 2usize).map_err(|e| e.to_string())?,
         cache_cap: args.get_or("cache-cap", 256usize).map_err(|e| e.to_string())?,
         deadline_ms: args.get_or("deadline-ms", 30_000u64).map_err(|e| e.to_string())?,
-        top_k: args.get_or("top-k", explainti::api::DEFAULT_TOP_K).map_err(|e| e.to_string())?,
-        slo_window_s: args.get_or("slo-window-s", 60u64).map_err(|e| e.to_string())?,
         max_conns: args.get_or("max-conns", 1024usize).map_err(|e| e.to_string())?,
         read_timeout_ms: args.get_or("read-timeout-ms", 10_000u64).map_err(|e| e.to_string())?,
         idle_timeout_ms: args.get_or("idle-timeout-ms", 60_000u64).map_err(|e| e.to_string())?,
